@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .integrals import QuadratureSpec, lint_integral, _lint_series, _is_resonant
+from .integrals import QuadratureSpec, lint_integral
 from .parallel import parallel_map
 
 _SLOPE_SIGMA = 5.0
@@ -71,6 +71,8 @@ def _check_radii(radii) -> tuple:
         raise DomainError("radii must lie in (0, 1)")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly increasing")
+    if len(radii) < 4:
+        raise DomainError(f"need at least 4 radii to fit, got {len(radii)}")
     return radii
 
 
@@ -148,18 +150,17 @@ def radial_scan(
         raise DomainError("ell must be >= 0")
     radii = _check_radii(radii)
     values = tuple(_scan_values(epsilon.value, n, ell, radii, spec))
-    scan = RadialScan(
+    st = _ols_log(radii, values)
+    return RadialScan(
         epsilon=epsilon,
         n=n,
         ell=ell,
         radii=radii,
         values=values,
-        fit_slope=math.nan,
-        fit_intercept=math.nan,
-        fit_r2=math.nan,
+        fit_slope=st["slope"],
+        fit_intercept=st["intercept"],
+        fit_r2=st["r2"],
     )
-    slope, intercept, r2 = log_fit(scan)
-    return replace(scan, fit_slope=slope, fit_intercept=intercept, fit_r2=r2)
 
 
 def _scan_values(eps_value: complex, n: int, ell: int, radii, spec: QuadratureSpec):
@@ -167,24 +168,6 @@ def _scan_values(eps_value: complex, n: int, ell: int, radii, spec: QuadratureSp
     return parallel_map(
         lambda r: lint_integral(r * eps_value, n, ell, spec), radii
     )
-
-
-def _scan_values_all_ells(eps_value, n, ells, radii, spec):
-    """Per-radius probe values for several ells at once.
-
-    Resonant points share one geometric-series pass across all ells,
-    which is what makes the smoothness report cheap.
-    """
-
-    def at_radius(r):
-        kappa = complex(r * eps_value)
-        if spec.method == "tensor_gauss" and n <= 2 and _is_resonant(kappa, n):
-            G = max(128, min(spec.nodes_per_dim, 160))
-            rtol = min(1e-8, max(spec.target_rel_error, 1e-12))
-            return _lint_series(kappa, n, tuple(ells), G, rtol)
-        return {e: lint_integral(kappa, n, e, spec) for e in ells}
-
-    return parallel_map(at_radius, radii)
 
 
 @dataclass(frozen=True)
@@ -222,22 +205,18 @@ def smoothness_probe(
     derivative order counts as diverging when any component diverges.
     Numerical differentiation is deliberately avoided here: the probe
     integral is the divergent contribution, everything else stays bounded.
+    At resonant radii the moments B_m are cached per point, so only the
+    first order pays for them.
     """
     if ell_max < 0:
         raise DomainError("ell_max must be >= 0")
     radii = _check_radii(radii if radii is not None else radii_grid())
-    ells = tuple(range(ell_max + 1))
     entries = []
-    per_component = {}
-    for n in range(1, n_components + 1):
-        rows = _scan_values_all_ells(epsilon.value, n, ells, radii, spec)
-        per_component[n] = {
-            e: tuple(row[e] for row in rows) for e in ells
-        }
-    for e in ells:
+    for e in range(ell_max + 1):
         per_n = {}
         for n in range(1, n_components + 1):
-            per_n[n] = _classify(radii, per_component[n][e])
+            values = _scan_values(epsilon.value, n, e, radii, spec)
+            per_n[n] = _classify(radii, values)
         overall = (
             "diverging" if any(c == "diverging" for c in per_n.values()) else "bounded"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .fredholm import _s_fredholm_terms
-from .integrals import QuadratureSpec, s_n
+from .integrals import QuadratureSpec, _sn_sum
 from .params import CouplingK, magnetization
 from .parallel import parallel_map
 from .toeplitz import diagonal_correlation
@@ -106,18 +106,9 @@ def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
 def _chi_integral(k: CouplingK, tol: float, m2) -> ChiResult:
     spec = QuadratureSpec(method="tensor_gauss", nodes_per_dim=64,
                           target_rel_error=tol)
-    kappa = k.kappa
-    total = 0.0 + 0.0j
-    err = 0.0
-    last = None
-    for n in range(1, _INTEGRAL_N_MAX + 1):
-        last = s_n(kappa, n, spec)
-        total += last.value
-        err += last.rel_error_est * abs(last.value)
-    tail = abs(last.value) * abs(kappa) ** (2 * (_INTEGRAL_N_MAX + 1))
-    s_err = err + tail
+    total, err, tail = _sn_sum(k.kappa, _INTEGRAL_N_MAX, spec)
     value = _assemble(m2, total)
-    return _finish(k, value, "integral", _INTEGRAL_N_MAX, 2.0 * abs(m2) * s_err)
+    return _finish(k, value, "integral", _INTEGRAL_N_MAX, 2.0 * abs(m2) * (err + tail))
 
 
 def _finish(k: CouplingK, value, route, terms, est_error, flagged=False) -> ChiResult:

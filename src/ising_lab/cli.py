@@ -1,6 +1,7 @@
 """Command-line interface: CSV or JSON rows on stdout, diagnostics on stderr.
 
-Exit codes: 0 success, 1 domain error, 2 a result was convergence-flagged.
+Exit codes: 0 success, 1 domain or argument error, 2 a result was
+convergence-flagged.
 Floats are printed with 17 significant digits so identical configurations
 reproduce byte-identical output.
 """
@@ -112,8 +113,15 @@ def _add_quad_flags(sp):
     sp.add_argument("--seed", type=int, default=12345)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises DomainError on bad arguments, so they exit 1 like bad input."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ising-lab",
         description="Diagonal Ising correlations, susceptibility, and "
         "natural-boundary probes",
@@ -163,43 +171,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
-    conf = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            conf[key.strip().replace("-", "_")] = val.strip()
-    return conf
-
-
-def _apply_config(parser, argv):
-    """Install config values as subcommand defaults before parsing.
-
-    Must run ahead of parse_args: required flags satisfied by the config
-    file are downgraded so the parse does not reject their absence, and
-    explicit flags still win because defaults only fill gaps.
-    """
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
+def _load_config(path: str) -> list:
+    """The file's key = value lines as --key=value flags, in file order."""
+    flags = []
     try:
-        where = argv.index("--config")
-        path = argv[where + 1]
-    except (ValueError, IndexError):
-        return
-    conf = _load_config(path)
-    for action_container in parser._subparsers._group_actions:
-        sub = action_container.choices.get(command)
-        if sub is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise DomainError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        for action in sub._actions:
-            if action.dest in conf and action.dest != "config":
-                raw = conf[action.dest]
-                action.default = action.type(raw) if action.type else raw
-                action.required = False
+        if "=" not in line:
+            raise DomainError(f"config line without '=': {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
+
+
+def _merge_config(argv: list) -> list:
+    """argv with the --config file's flags inserted after the subcommand.
+
+    argparse keeps the last occurrence of a flag, so explicit flags later
+    on the command line win, and the file can supply required flags.
+    Unknown keys and bad values fail the parse like bad flags do.
+    """
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    at = next((i + 1 for i, tok in enumerate(argv) if not tok.startswith("-")), len(argv))
+    return argv[:at] + _load_config(path) + argv[at:]
 
 
 def _run_correlation(args):
@@ -297,9 +301,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:
-        if "--config" in argv:
-            _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_merge_config(argv))
         return _RUNNERS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

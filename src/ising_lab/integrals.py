@@ -8,11 +8,13 @@ node set handles for every axis.  Dimensions beyond four (n >= 3) switch
 to importance-sampled Monte Carlo with Beta-distributed coordinates.
 
 Near a resonant direction (kappa^n approaching the positive real axis from
-inside), the tensor product alone cannot resolve the (1 - kappa^n u)^-(l+1)
-spike.  There the resonant factor is expanded as a geometric series and
-each power reduces to one-dimensional node sums reused across all orders;
-the two strategies are cross-checked against each other at moderate radii
-in the test suite.
+inside), lint_integral expands the resonant factor (1 - kappa^n u)^-(l+1)
+as a geometric series; each power reduces to one-dimensional node sums
+(the moments B_m), cached per point and shared by every order.  This is
+the same G-node rule summed in another order, not a finer one: it does not
+resolve the spike better than the tensor product, and it matches the
+tensor sum to ~7e-11 at r = 1 - 2^-6.  The test suite cross-checks the two
+at moderate radii.
 """
 from __future__ import annotations
 
@@ -38,6 +40,8 @@ class QuadratureSpec:
 
     tensor_gauss is accepted only for n <= 2 (dimension 2n <= 4);
     monte_carlo works for any n and is the only route beyond n = 2.
+    At resonant probe points lint_integral uses max(128, nodes_per_dim)
+    nodes per axis for its moment series.
     The seed feeds a counter-based generator, so a given
     (seed, mc_samples, dimension) triple yields an identical sample stream
     regardless of how callers schedule the work.
@@ -78,6 +82,8 @@ class SnResult:
 
 def _check_kappa(kappa: complex) -> complex:
     kappa = complex(kappa)
+    if not cmath.isfinite(kappa):
+        raise DomainError(f"kappa must be finite, got {kappa}")
     if abs(kappa) >= 1:
         raise DomainError(f"|kappa| must be < 1, got {abs(kappa):.6g}")
     return kappa
@@ -139,12 +145,11 @@ def _vandermonde_sq(v: np.ndarray) -> float:
     return out
 
 
-def sn_integrand_vandermonde(x, y, kappa: complex, n: int):
-    """Integrand of the Vandermonde-form S_n integral, prefactor excluded.
+def _integrand_parts(x, y, kappa: complex, n: int):
+    """Validated coordinates plus the factors both integrand forms share.
 
-    Equals [prod x_i y_i / (1 - kappa^n prod x_i y_i)] *
-    Delta(x)^2 Delta(y)^2 / prod_{i,j}(1 - kappa x_i y_j)^2 *
-    prod_i Lambda_1(x_i)/Lambda_1(y_i).
+    Returns x, y, kappa, the first factor u / (1 - kappa^n u) with
+    u = prod x_i y_i, and the ratio prod_i Lambda_1(x_i)/Lambda_1(y_i).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -155,10 +160,21 @@ def sn_integrand_vandermonde(x, y, kappa: complex, n: int):
     kappa = _check_kappa(kappa)
     u = np.prod(x) * np.prod(y)
     first = u / (1.0 - kappa**n * u)
-    cross = np.prod((1.0 - kappa * np.outer(x, y)) ** 2)
     lam = np.prod(np.sqrt((1.0 - x) * (1.0 - kappa * x) / x)) / np.prod(
         np.sqrt((1.0 - y) * (1.0 - kappa * y) / y)
     )
+    return x, y, kappa, first, lam
+
+
+def sn_integrand_vandermonde(x, y, kappa: complex, n: int):
+    """Integrand of the Vandermonde-form S_n integral, prefactor excluded.
+
+    Equals [prod x_i y_i / (1 - kappa^n prod x_i y_i)] *
+    Delta(x)^2 Delta(y)^2 / prod_{i,j}(1 - kappa x_i y_j)^2 *
+    prod_i Lambda_1(x_i)/Lambda_1(y_i).
+    """
+    x, y, kappa, first, lam = _integrand_parts(x, y, kappa, n)
+    cross = np.prod((1.0 - kappa * np.outer(x, y)) ** 2)
     return first * _vandermonde_sq(x) * _vandermonde_sq(y) / cross * lam
 
 
@@ -168,19 +184,8 @@ def sn_integrand_cauchy(x, y, kappa: complex, n: int):
     Same first factor and Lambda_1 ratios as the Vandermonde form, but the
     pair interaction enters through det(1/(1 - kappa x_i y_j)) squared.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (n,) or y.shape != (n,):
-        raise DomainError(f"x and y must be length-{n} vectors")
-    if np.any((x <= 0) | (x >= 1)) or np.any((y <= 0) | (y >= 1)):
-        raise DomainError("coordinates must lie strictly inside (0, 1)")
-    kappa = _check_kappa(kappa)
-    u = np.prod(x) * np.prod(y)
-    first = u / (1.0 - kappa**n * u)
+    x, y, kappa, first, lam = _integrand_parts(x, y, kappa, n)
     det = np.linalg.det(1.0 / (1.0 - kappa * np.outer(x, y)))
-    lam = np.prod(np.sqrt((1.0 - x) * (1.0 - kappa * x) / x)) / np.prod(
-        np.sqrt((1.0 - y) * (1.0 - kappa * y) / y)
-    )
     return first * det * det * lam
 
 
@@ -200,13 +205,10 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int, form: str = "Sn2"):
     """
     x, wx, wy = _axis_nodes(G, kappa)
     if n == 1:
+        # for n = 1 both forms reduce to the same pair factor 1/den^2
         U = np.outer(x, x)
         den = 1.0 - kappa * U
-        if form == "Sn2":
-            pair = den * den
-        else:
-            pair = den * den  # 1x1 determinant squared: identical factor
-        val = np.sum((wx[:, None] * wy[None, :]) * U / (1.0 - kappa * U) ** power / pair)
+        val = np.sum((wx[:, None] * wy[None, :]) * U / den ** power / (den * den))
         return complex(val)
     if n != 2:
         raise DomainError("tensor_gauss is limited to n <= 2")
@@ -472,6 +474,22 @@ def _realify(value: complex, kappa: complex):
     return value
 
 
+def _sn_sum(kappa: complex, n_max: int, spec: QuadratureSpec):
+    """Sum of S_n for n <= n_max, its summed error estimate and dropped tail.
+
+    Returns (total, sum of rel_error_est * |S_n|, tail), where the tail
+    estimate is |S_{n_max}| * |kappa|^(2(n_max+1)).
+    """
+    total = 0.0 + 0.0j
+    err = 0.0
+    for n in range(1, n_max + 1):
+        last = s_n(kappa, n, spec)
+        total += last.value
+        err += last.rel_error_est * abs(last.value)
+    tail = abs(last.value) * abs(kappa) ** (2 * (n_max + 1))
+    return total, err, tail
+
+
 def s_total(kappa: complex, n_max: int, spec: QuadratureSpec) -> complex:
     """Sum of S_n for n <= n_max, with a prefactor-scaling tail check.
 
@@ -481,12 +499,7 @@ def s_total(kappa: complex, n_max: int, spec: QuadratureSpec) -> complex:
     kappa = _check_kappa(kappa)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    total = 0.0 + 0.0j
-    last = None
-    for n in range(1, n_max + 1):
-        last = s_n(kappa, n, spec)
-        total += last.value
-    tail = abs(last.value) * abs(kappa) ** (2 * (n_max + 1))
+    total, _, tail = _sn_sum(kappa, n_max, spec)
     if tail > spec.target_rel_error * max(abs(total), _TINY):
         warnings.warn(
             f"form-factor tail estimate {tail:.2e} above target at "
@@ -501,8 +514,13 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
     """The probe integral: S_n integrand with first-factor power ell+1.
 
     At ell = 0 this is exactly the Vandermonde-form S_n integral without
-    its constant prefactor.  Near a resonant radial approach the geometric
-    m-expansion replaces the plain tensor sum (see module docstring).
+    its constant prefactor.  This is the only place that picks the
+    evaluator: Monte Carlo for spec.method == "monte_carlo"; near a
+    resonant radial approach the geometric m-expansion with
+    max(128, nodes_per_dim) nodes per axis and relative tolerance
+    min(1e-8, max(target_rel_error, 1e-12)), whose moments B_m are cached
+    per (kappa, n, G) and so shared across ell (see module docstring);
+    otherwise the plain tensor sum with nodes_per_dim nodes.
     """
     kappa = _check_kappa(kappa)
     if n < 1:

@@ -37,6 +37,8 @@ class CouplingK:
     def __post_init__(self):
         if self.mode not in ("physical", "analytic"):
             raise DomainError(f"unknown mode {self.mode!r}")
+        if not cmath.isfinite(self.k):
+            raise DomainError(f"k must be finite, got {self.k}")
         if abs(self.k) >= 1:
             raise DomainError(f"|k| must be < 1, got |k| = {abs(self.k):.6g}")
         if self.mode == "physical":
@@ -261,22 +263,3 @@ def lambda_series(k: CouplingK, length: int | None = None):
     length = length or suggest_length(k.k)
     return _lambda_pair(complex(k.k), int(length))
 
-
-def decay_constant(series: SeriesCoeffs, base: float, probe: int = 16) -> float:
-    """Fit C in |coeff(m)| <= C * base^m over the first positive degrees."""
-    if base <= 0.0:
-        return 0.0
-    top = 0.0
-    for m in range(1, min(probe, series.max_degree) + 1):
-        c = abs(series.coeff(m))
-        if c > 0.0:
-            top = max(top, c / base**m)
-    return top
-
-
-def geometric_tail(series: SeriesCoeffs, base: float, beyond_degree: int) -> float:
-    """Bound on sum of |coeff(m)| over m > beyond_degree via the decay fit."""
-    if base == 0.0:
-        return 0.0
-    c = decay_constant(series, base)
-    return c * base ** (beyond_degree + 1) / (1.0 - base)

@@ -14,6 +14,7 @@ from ising_lab import (
     radii_grid,
     smoothness_probe,
 )
+from ising_lab import boundary
 from ising_lab.boundary import _classify
 
 
@@ -143,6 +144,17 @@ class TestRadialScan:
             radial_scan(RootOfUnity(1, 2), 2, 1, (0.9, 0.5), spec)
         with pytest.raises(DomainError):
             radial_scan(RootOfUnity(1, 2), 2, 1, (0.5, 1.5), spec)
+
+    def test_too_few_radii_rejected_before_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("probe integral evaluated")
+
+        monkeypatch.setattr(boundary, "lint_integral", no_work)
+        radii = radii_grid(4, 6)
+        with pytest.raises(DomainError, match="at least 4 radii"):
+            radial_scan(RootOfUnity(1, 2), 2, 7, radii, QuadratureSpec())
+        with pytest.raises(DomainError, match="at least 4 radii"):
+            smoothness_probe(7, RootOfUnity(1, 2), QuadratureSpec(), radii=radii)
 
 
 class TestSmoothnessProbe:

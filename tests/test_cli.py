@@ -171,3 +171,64 @@ class TestConfigFile:
         conf.write_text("just words\n")
         code, _ = _run(capsys, ["correlation", "--config", str(conf)])
         assert code == 1
+
+    def test_readme_example(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("k = 0.3\nroute = fredholm   # comment\ntol = 1e-3\n")
+        code, out = _run(capsys, ["chi", "--config", str(conf), "--tol", "1e-10"])
+        assert code == 0
+        _, explicit = _run(
+            capsys, ["chi", "--k", "0.3", "--route", "fredholm", "--tol", "1e-10"]
+        )
+        assert out == explicit
+        _, loose = _run(
+            capsys, ["chi", "--k", "0.3", "--route", "fredholm", "--tol", "1e-3"]
+        )
+        assert out != loose
+
+
+class TestArgumentErrors:
+    """Every bad argument exits 1 with one error line and no traceback."""
+
+    def _error(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            ("k = abc\n", "invalid float value"),
+            ("k = 0.3\nformat = xml\n", "invalid choice"),
+            ("k = 0.3\ntoll = 1e-3\n", "--toll"),
+        ],
+    )
+    def test_bad_config_file(self, capsys, tmp_path, text, needle):
+        conf = tmp_path / "run.conf"
+        conf.write_text(text)
+        line = self._error(capsys, ["chi", "--config", str(conf)])
+        assert needle in line
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        line = self._error(
+            capsys, ["chi", "--k", "0.3", "--config", str(tmp_path / "absent.conf")]
+        )
+        assert "absent.conf" in line
+
+    def test_config_without_path(self, capsys):
+        self._error(capsys, ["chi", "--k", "0.3", "--config"])
+
+    def test_bad_flag_value(self, capsys):
+        self._error(capsys, ["chi", "--k", "abc"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["chi", "--k", "nan"], ["sn", "--kappa", "nan", "--n", "1"]],
+    )
+    def test_non_finite_input(self, capsys, argv):
+        line = self._error(capsys, argv)
+        assert "finite" in line

@@ -118,6 +118,13 @@ class TestTensorQuadrature:
         v = s_n(0.49, 2, _SPEC).value
         assert v.imag == 0.0
 
+    def test_non_finite_kappa_rejected(self):
+        for bad in (math.nan, complex(0.1, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                s_n(bad, 1, _SPEC)
+            with pytest.raises(DomainError, match="finite"):
+                lint_integral(bad, 2, 1, _SPEC)
+
 
 class TestMonteCarlo:
     def test_deterministic_replay(self):
