@@ -1,7 +1,7 @@
 """Command-line interface: CSV or JSON rows on stdout, diagnostics on stderr.
 
 Exit codes: 0 success, 1 domain or argument error, 2 a result was
-convergence-flagged.
+convergence-flagged.  Warnings print as one "warning:" line each.
 Floats are printed with 17 significant digits so identical configurations
 reproduce byte-identical output.
 """
@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from .boundary import RootOfUnity, radial_scan, radii_grid, _classify
 from .chi import chi_d, sweep
@@ -186,7 +187,10 @@ def _load_config(path: str) -> list:
         if "=" not in line:
             raise DomainError(f"config line without '=': {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        flags.append(f"--{key.replace('_', '-')}={val}")
+        key = key.replace("_", "-")
+        if key == "config":
+            raise DomainError(f"config file {path!r} may not name another config file")
+        flags.append(f"--{key}={val}")
     return flags
 
 
@@ -297,18 +301,24 @@ _RUNNERS = {
 }
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
-    try:
-        args = parser.parse_args(_merge_config(argv))
-        return _RUNNERS[args.command](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
-    except ConvergenceError as exc:
-        print(f"convergence: {exc}", file=sys.stderr)
-        return _EXIT_FLAGGED
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            args = parser.parse_args(_merge_config(argv))
+            return _RUNNERS[args.command](args)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _EXIT_DOMAIN
+        except ConvergenceError as exc:
+            print(f"convergence: {exc}", file=sys.stderr)
+            return _EXIT_FLAGGED
 
 
 if __name__ == "__main__":

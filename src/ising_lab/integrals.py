@@ -7,14 +7,18 @@ exponents, leaving smooth transformed axes that a single Gauss-Legendre
 node set handles for every axis.  Dimensions beyond four (n >= 3) switch
 to importance-sampled Monte Carlo with Beta-distributed coordinates.
 
-Near a resonant direction (kappa^n approaching the positive real axis from
-inside), lint_integral expands the resonant factor (1 - kappa^n u)^-(l+1)
-as a geometric series; each power reduces to one-dimensional node sums
-(the moments B_m), cached per point and shared by every order.  This is
-the same G-node rule summed in another order, not a finer one: it does not
-resolve the spike better than the tensor product, and it matches the
-tensor sum to ~7e-11 at r = 1 - 2^-6.  The test suite cross-checks the two
-at moderate radii.
+For n = 2 the Vandermonde form (Sn2) of that G-node rule is summed by the
+moment engine: 1/(1 - kappa^2 u)^(l+1) is expanded as a geometric series
+in u = x1 x2 y1 y2, and each power reduces to one-dimensional node sums,
+the moments B_m (_bm_chunk), in O(G^3 M) instead of the O(G^4) tensor sum.
+The B_m are cached per (kappa, n, G) and shared by every order l, so S_2
+and the probe integral at every ell reuse one set.  This is the same
+G-node rule summed in another order, not a finer one: it agrees with the
+tensor sum to ~1e-15 relative, and near a resonant direction (kappa^n
+approaching the positive real axis) it resolves the spike no better than
+the tensor product.  The Cauchy-determinant form (Sn1) keeps the pointwise
+tensor sum (_tensor_core), so comparing the two forms stays an
+independent cross-check; n = 1 keeps its O(G^2) tensor sum.
 """
 from __future__ import annotations
 
@@ -32,6 +36,8 @@ from .errors import ConvergenceError, DomainError, PrecisionWarning
 _TINY = 1e-300
 _SERIES_M_CAP = 1 << 17
 _RESONANT_MIN_ABS = 0.9
+# series tolerance where the series stands in for the plain G-node sum
+_GAUSS_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -40,8 +46,11 @@ class QuadratureSpec:
 
     tensor_gauss is accepted only for n <= 2 (dimension 2n <= 4);
     monte_carlo works for any n and is the only route beyond n = 2.
-    At resonant probe points lint_integral uses max(128, nodes_per_dim)
-    nodes per axis for its moment series.
+    tensor_gauss means the nodes_per_dim-node Gauss-Legendre rule on every
+    axis; for n = 2 the Vandermonde form is summed by the moment engine
+    and the Cauchy-determinant form by the pointwise tensor sum.  At
+    resonant probe points lint_integral uses max(128, nodes_per_dim) nodes
+    per axis for its moment series.
     The seed feeds a counter-based generator, so a given
     (seed, mc_samples, dimension) triple yields an identical sample stream
     regardless of how callers schedule the work.
@@ -315,27 +324,33 @@ _BM_CACHE_MAX = 24
 def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
     """B_m for m in [m0, m1): the u^m moments of the non-resonant factor.
 
-    Writing the squared Cauchy determinant as a sum over permutation pairs
-    and integrating against the axis weights factorizes each u^m moment
-    into one-dimensional node sums: for n = 1 a single weighted sum G_m,
-    for n = 2 the combination 2 kappa^-2 (G_m^2 - T_m) with T_m built from
-    the pair kernel P_m.  Everything is BLAS-shaped in the m direction.
+    Each u^m moment factorizes into one-dimensional node sums with
+    f_m(x) = wx x^(m+1) and g_m(y) = wy y^(m+1).  For n = 1 it is the single
+    weighted sum G_m = f_m . C^2 . g_m with C(x, y) = 1/(1 - kappa x y).
+    For n = 2 the Vandermonde numerator is kept: since x^p f_m = f_(m+p),
+    one matrix product Q = CC2^T f with CC2[x, (y1, y2)] = C^2(x, y1)
+    C^2(x, y2) gives the x-side moments Q_m, Q_(m+1), Q_(m+2), and
+    2 (Q_m Q_(m+2) - Q_(m+1)^2) is the x-side double sum carrying the
+    factor (x1 - x2)^2.  B_m sums it against g_m(y1) g_m(y2) (y1 - y2)^2
+    over y1 < y2, doubled by symmetry.  Nothing divides by kappa, so small
+    |kappa| loses no digits.  Everything is BLAS-shaped in the m direction.
     """
     x, wx, wy = _axis_nodes(G, kappa)
     C = 1.0 / (1.0 - kappa * np.outer(x, x))
     C2 = C * C
-    mm = np.arange(m0, m1)
-    Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
-    fx = wx[:, None] * Xp
-    gy = wy[:, None] * Xp
-    Gm = np.einsum("am,ab,bm->m", fx, C2, gy, optimize=True)
     if n == 1:
-        return Gm
-    CC = (C[:, :, None] * C[:, None, :]).reshape(G, G * G)
-    P = CC.T @ fx
-    gpair = (gy[:, None, :] * gy[None, :, :]).reshape(G * G, -1)
-    Tm = np.einsum("pm,pm->m", P * P, gpair, optimize=True)
-    return (2.0 / (kappa * kappa)) * (Gm * Gm - Tm)
+        mm = np.arange(m0, m1)
+        Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
+        fx = wx[:, None] * Xp
+        gy = wy[:, None] * Xp
+        return np.einsum("am,ab,bm->m", fx, C2, gy, optimize=True)
+    mm = np.arange(m0, m1 + 2)
+    Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
+    i, j = np.triu_indices(G, 1)
+    Q = (C2[:, i] * C2[:, j]).T @ (wx[:, None] * Xp)
+    xside = Q[:, :-2] * Q[:, 2:] - Q[:, 1:-1] * Q[:, 1:-1]
+    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * (Xp[i, :-2] * Xp[j, :-2])
+    return 4.0 * np.einsum("pm,pm->m", yside, xside)
 
 
 def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
@@ -347,7 +362,7 @@ def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
         return have
     start = 0 if have is None else len(have)
     parts = [] if have is None else [have]
-    # the n=2 pair kernel is G^2 x chunk; keep its footprint under ~100 MB
+    # the n=2 kernel holds G(G-1)/2 x chunk arrays: ~35 MB each at G = 128
     chunk = 2048 if n == 1 else 256
     for m0 in range(start, upto, chunk):
         parts.append(_bm_chunk(kappa, n, G, m0, min(m0 + chunk, upto)))
@@ -363,26 +378,25 @@ def _lint_series(kappa: complex, n: int, ells, G: int, rtol: float):
     """Probe values for every requested ell at once via the m expansion.
 
     1/(1 - kappa^n u)^(l+1) = sum_m binom(m+l, l) (kappa^n u)^m turns the
-    integral into sum_m binom(m+l, l) kappa^(n m) B_m.  Useful only when
-    kappa^n sits essentially on the positive real axis (then the powers
-    kappa^(n m) cannot cancel); the caller enforces that.
+    integral into sum_m binom(m+l, l) kappa^(n m) B_m, the same G-node rule
+    as _tensor_core summed in another order.  The summed length starts at
+    64 moments and doubles until the tail estimate drops below rtol
+    relative to the sum, so it overshoots the length it needs by at most 2x.
     """
     kn = kappa**n
     q = abs(kn)
     if q >= 1.0:
         raise DomainError("|kappa^n| must be < 1")
-    log_kn = cmath.log(kn)
     ells = tuple(int(e) for e in ells)
     lmax = max(ells)
     totals = {e: 0.0 + 0.0j for e in ells}
     done = {e: False for e in ells}
-    chunk = 2048
-    m0 = 0
-    while m0 < _SERIES_M_CAP:
-        m1 = min(m0 + chunk, _SERIES_M_CAP)
+    m0, m1 = 0, 64
+    while True:
         bm = _bm_prefix(kappa, n, G, m1)[m0:m1]
         mm = np.arange(m0, m1)
-        powers = np.exp(mm * log_kn)
+        # at kappa = 0 only the m = 0 term survives (and log 0 is undefined)
+        powers = np.exp(mm * cmath.log(kn)) if q > 0.0 else (mm == 0) * 1.0
         base = powers * bm
         # binom(m+l, l) built incrementally over l from the l=0 row of ones
         row = np.ones(m1 - m0)
@@ -401,13 +415,14 @@ def _lint_series(kappa: complex, n: int, ells, G: int, rtol: float):
                         done[e] = True
         if all(done.values()):
             return {e: complex(totals[e]) for e in ells}
-        m0 = m1
-    raise ConvergenceError(
-        f"resonant series did not converge within {_SERIES_M_CAP} terms at "
-        f"kappa={kappa}",
-        best={e: complex(totals[e]) for e in ells},
-        gap=rtol,
-    )
+        if m1 >= _SERIES_M_CAP:
+            raise ConvergenceError(
+                f"resonant series did not converge within {_SERIES_M_CAP} terms "
+                f"at kappa={kappa}",
+                best={e: complex(totals[e]) for e in ells},
+                gap=rtol,
+            )
+        m0, m1 = m1, min(2 * m1, _SERIES_M_CAP)
 
 
 def _is_resonant(kappa: complex, n: int) -> bool:
@@ -429,14 +444,18 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
     spec : QuadratureSpec
     form : {"Sn2", "Sn1"}
         Vandermonde form (default) or Cauchy-determinant form.  The two
-        must agree within combined error estimates; the determinant really
-        is evaluated pointwise in the Sn1 path, keeping the comparison an
-        honest cross-check.
+        must agree within combined error estimates.  For n = 2 with
+        tensor_gauss, Sn2 is summed by the moment engine (the same node
+        rule as the tensor sum, series truncated at 1e-14 relative), while
+        Sn1 evaluates the Cauchy determinant pointwise in the tensor sum,
+        so the comparison stays an independent cross-check.
 
     Returns
     -------
-    SnResult with a relative error estimate (node refinement gap for
-    tensor quadrature, standard error for Monte Carlo).
+    SnResult with a relative error estimate (node refinement gap between
+    nodes_per_dim and 1.5 nodes_per_dim for tensor quadrature, standard
+    error for Monte Carlo).  At kappa = 0 the prefactor vanishes and the
+    result is exactly 0 with error estimate 0, without quadrature.
     """
     kappa = _check_kappa(kappa)
     if n < 1:
@@ -444,11 +463,18 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
     if form not in ("Sn1", "Sn2"):
         raise DomainError(f"unknown form {form!r}")
     spec.check_method(n)
+    if kappa == 0:
+        # the prefactor vanishes; no quadrature needed
+        return SnResult(n=n, kappa=kappa, value=0j, rel_error_est=0.0, form=form)
     pref = _prefactor(kappa, n, form)
     if spec.method == "tensor_gauss":
-        G = spec.nodes_per_dim
-        coarse = _tensor_core(kappa, n, 1, G, form)
-        fine = _tensor_core(kappa, n, 1, _refined_nodes(G), form)
+        nodes = (spec.nodes_per_dim, _refined_nodes(spec.nodes_per_dim))
+        if n == 2 and form == "Sn2":
+            coarse, fine = (
+                _lint_series(kappa, 2, (0,), G, _GAUSS_RTOL)[0] for G in nodes
+            )
+        else:
+            coarse, fine = (_tensor_core(kappa, n, 1, G, form) for G in nodes)
         value = pref * fine
         rel = abs(fine - coarse) / max(abs(fine), _TINY)
     else:
@@ -514,13 +540,20 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
     """The probe integral: S_n integrand with first-factor power ell+1.
 
     At ell = 0 this is exactly the Vandermonde-form S_n integral without
-    its constant prefactor.  This is the only place that picks the
-    evaluator: Monte Carlo for spec.method == "monte_carlo"; near a
-    resonant radial approach the geometric m-expansion with
-    max(128, nodes_per_dim) nodes per axis and relative tolerance
-    min(1e-8, max(target_rel_error, 1e-12)), whose moments B_m are cached
-    per (kappa, n, G) and so shared across ell (see module docstring);
-    otherwise the plain tensor sum with nodes_per_dim nodes.
+    its constant prefactor, and for n = 2 it shares cached moments with
+    s_n at equal (kappa, G).  This is the only place that picks the probe
+    evaluator:
+
+    * spec.method == "monte_carlo": Monte Carlo.
+    * Resonant radial approach (|kappa^n| >= 0.9, within 0.1 (1 - |kappa^n|)
+      of the positive real axis): the moment series with
+      max(128, nodes_per_dim) nodes per axis and relative tolerance
+      min(1e-8, max(target_rel_error, 1e-12)), whatever its length.
+    * Otherwise the nodes_per_dim-node Gauss rule: for n = 2 summed by the
+      moment series (tolerance 1e-14), for n = 1 by the O(G^2) tensor sum.
+      The series needs more moments as |kappa^2| -> 1 off the positive
+      axis, and raises ConvergenceError past 2^17; no probe on a boundary
+      ray reaches that, since n = 2 rays end at a resonant point.
     """
     kappa = _check_kappa(kappa)
     if n < 1:
@@ -542,6 +575,8 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
         G = max(128, spec.nodes_per_dim)
         rtol = min(1e-8, max(spec.target_rel_error, 1e-12))
         return _lint_series(kappa, n, (ell,), G, rtol)[ell]
+    if n == 2:
+        return _lint_series(kappa, 2, (ell,), spec.nodes_per_dim, _GAUSS_RTOL)[ell]
     return _tensor_core(kappa, n, ell + 1, spec.nodes_per_dim, "Sn2")
 
 

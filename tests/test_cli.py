@@ -219,6 +219,12 @@ class TestArgumentErrors:
         )
         assert "absent.conf" in line
 
+    def test_nested_config_file_rejected(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"k = 0.3\nconfig = {tmp_path / 'other.conf'}\n")
+        line = self._error(capsys, ["chi", "--config", str(conf)])
+        assert "another config file" in line
+
     def test_config_without_path(self, capsys):
         self._error(capsys, ["chi", "--k", "0.3", "--config"])
 
@@ -232,3 +238,18 @@ class TestArgumentErrors:
     def test_non_finite_input(self, capsys, argv):
         line = self._error(capsys, argv)
         assert "finite" in line
+
+
+class TestWarnings:
+    def test_one_line_per_warning(self, capsys):
+        # the README Monte Carlo example misses the default 1e-9 target
+        argv = ["sn", "--kappa", "0.2,0.3", "--n", "3", "--mc-samples", "200000",
+                "--seed", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: monte carlo standard error")
+        assert ".py" not in lines[0]
+        assert captured.out.startswith("kappa_re,kappa_im,n,form,method")

@@ -17,7 +17,8 @@ from ising_lab import (
     sn_integrand_cauchy,
     sn_integrand_vandermonde,
 )
-from ising_lab.integrals import _tensor_core
+from ising_lab import integrals
+from ising_lab.integrals import _lint_series, _tensor_core
 
 _SPEC = QuadratureSpec(nodes_per_dim=64)
 _RNG = np.random.default_rng(20240814)
@@ -261,3 +262,61 @@ class TestQuadratureSpec:
         with pytest.raises(DomainError):
             spec.check_method(3)
         QuadratureSpec(method="monte_carlo").check_method(5)
+
+
+class TestMomentEngine:
+    """The n = 2 moment series is the G-node tensor rule summed another way."""
+
+    @pytest.mark.parametrize("G", [32, 48])
+    @pytest.mark.parametrize("kappa", [1e-4, 1e-2, 0.5j, -0.7, 0.7 + 0.3j])
+    def test_series_matches_tensor_sum(self, kappa, G):
+        series = _lint_series(kappa, 2, (0,), G, 1e-14)[0]
+        tensor = _tensor_core(kappa, 2, 1, G, "Sn2")
+        assert abs(series - tensor) <= 1e-12 * abs(tensor)
+
+    def test_resonant_order_seven_matches_tensor_sum(self):
+        r = 1.0 - 2.0 ** -8
+        series = _lint_series(-r, 2, (7,), 48, 1e-12)[7]
+        tensor = _tensor_core(-r, 2, 8, 48, "Sn2")
+        assert abs(series - tensor) <= 1e-12 * abs(tensor)
+
+    def test_off_axis_probe_uses_series(self, monkeypatch):
+        # kappa^2 = -0.9025 is not resonant; the series runs all the same
+        kappa, ell, G = 0.95j, 3, 16
+        tensor = _tensor_core(kappa, 2, ell + 1, G, "Sn2")
+
+        def forbidden(*args):
+            raise AssertionError("tensor sum called")
+
+        monkeypatch.setattr(integrals, "_tensor_core", forbidden)
+        value = lint_integral(kappa, 2, ell, QuadratureSpec(nodes_per_dim=G))
+        assert abs(value - tensor) <= 1e-12 * abs(tensor)
+
+    def test_s2_skips_tensor_sum(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("tensor sum called")
+
+        monkeypatch.setattr(integrals, "_tensor_core", forbidden)
+        res = s_n(0.5, 2, QuadratureSpec(nodes_per_dim=64))
+        # the G = 64/96 tensor sums give 5.41327770475274e-07
+        assert abs(res.value - 5.41327770475274e-07) < 1e-13 * 5.41327770475274e-07
+        assert res.rel_error_est < 1e-13
+
+    def test_probe_at_zero_kappa(self):
+        # no prefactor here: the series keeps only its m = 0 moment
+        value = lint_integral(0.0, 2, 3, QuadratureSpec(nodes_per_dim=16))
+        tensor = _tensor_core(0.0, 2, 4, 16, "Sn2")
+        assert value != 0.0
+        assert abs(value - tensor) <= 1e-12 * abs(tensor)
+
+    def test_zero_kappa_needs_no_quadrature(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("quadrature called")
+
+        for name in ("_tensor_core", "_lint_series", "_mc_core"):
+            monkeypatch.setattr(integrals, name, forbidden)
+        for spec in (_SPEC, QuadratureSpec(method="monte_carlo", mc_samples=100)):
+            for n, form in ((1, "Sn1"), (2, "Sn1"), (2, "Sn2")):
+                res = s_n(0.0, n, spec, form=form)
+                assert res.value == 0.0
+                assert res.rel_error_est == 0.0
