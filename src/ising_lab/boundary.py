@@ -205,8 +205,8 @@ def smoothness_probe(
     derivative order counts as diverging when any component diverges.
     Numerical differentiation is deliberately avoided here: the probe
     integral is the divergent contribution, everything else stays bounded.
-    At resonant radii the moments B_m are cached per point, so only the
-    first order pays for them.
+    The n = 2 moments B_m are cached per radius, so only the first order
+    pays for them.
     """
     if ell_max < 0:
         raise DomainError("ell_max must be >= 0")

@@ -90,17 +90,14 @@ def _parse_jrange(text: str):
         raise DomainError(f"cannot parse radii range {text!r}; use j0..j1") from exc
 
 
-def _spec_from(args, default_nodes=64) -> QuadratureSpec:
+def _spec_from(args) -> QuadratureSpec:
     if getattr(args, "mc_samples", None):
         return QuadratureSpec(
             method="monte_carlo",
             mc_samples=args.mc_samples,
             seed=args.seed,
         )
-    return QuadratureSpec(
-        method="tensor_gauss",
-        nodes_per_dim=args.nodes or default_nodes,
-    )
+    return QuadratureSpec(nodes_per_dim=args.nodes or QuadratureSpec.nodes_per_dim)
 
 
 def _add_common(sp):

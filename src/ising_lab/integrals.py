@@ -7,18 +7,20 @@ exponents, leaving smooth transformed axes that a single Gauss-Legendre
 node set handles for every axis.  Dimensions beyond four (n >= 3) switch
 to importance-sampled Monte Carlo with Beta-distributed coordinates.
 
-For n = 2 the Vandermonde form (Sn2) of that G-node rule is summed by the
-moment engine: 1/(1 - kappa^2 u)^(l+1) is expanded as a geometric series
-in u = x1 x2 y1 y2, and each power reduces to one-dimensional node sums,
-the moments B_m (_bm_chunk), in O(G^3 M) instead of the O(G^4) tensor sum.
-The B_m are cached per (kappa, n, G) and shared by every order l, so S_2
-and the probe integral at every ell reuse one set.  This is the same
-G-node rule summed in another order, not a finer one: it agrees with the
-tensor sum to ~1e-15 relative, and near a resonant direction (kappa^n
-approaching the positive real axis) it resolves the spike no better than
-the tensor product.  The Cauchy-determinant form (Sn1) keeps the pointwise
+lint_integral owns the G-node rule of the Vandermonde form (Sn2), and s_n
+and d_ell_s_n evaluate it through lint_integral.  For n = 2 the rule is
+summed by the moment engine at every kappa: 1/(1 - kappa^2 u)^(l+1) is
+expanded as a geometric series in u = x1 x2 y1 y2, and each power reduces
+to one-dimensional node sums, the moments B_m (_bm_chunk), in O(G^3 M)
+instead of the O(G^4) tensor sum.  The B_m are cached per (kappa, n, G)
+and shared by every order l, so S_2 and the probe integral at every ell
+reuse one set.  This is the same G-node rule summed in another order, not
+a finer one: it agrees with the tensor sum to ~1e-15 relative, and near a
+resonant direction (kappa^n approaching the positive real axis) it
+resolves the spike no better than the tensor product.  n = 1 keeps its
+O(G^2) tensor sum.  The Cauchy-determinant form (Sn1) keeps the pointwise
 tensor sum (_tensor_core), so comparing the two forms stays an
-independent cross-check; n = 1 keeps its O(G^2) tensor sum.
+independent cross-check.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import cmath
 import math
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -34,9 +36,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PrecisionWarning
 
 _TINY = 1e-300
-_SERIES_M_CAP = 1 << 17
-_RESONANT_MIN_ABS = 0.9
-# series tolerance where the series stands in for the plain G-node sum
+_SERIES_M_CAP = 1 << 18
+# series tolerance: the series stands in for the plain G-node sum
 _GAUSS_RTOL = 1e-14
 
 
@@ -47,10 +48,9 @@ class QuadratureSpec:
     tensor_gauss is accepted only for n <= 2 (dimension 2n <= 4);
     monte_carlo works for any n and is the only route beyond n = 2.
     tensor_gauss means the nodes_per_dim-node Gauss-Legendre rule on every
-    axis; for n = 2 the Vandermonde form is summed by the moment engine
-    and the Cauchy-determinant form by the pointwise tensor sum.  At
-    resonant probe points lint_integral uses max(128, nodes_per_dim) nodes
-    per axis for its moment series.
+    axis, at every kappa; for n = 2 the Vandermonde form is summed by the
+    moment engine and the Cauchy-determinant form by the pointwise tensor
+    sum.
     The seed feeds a counter-based generator, so a given
     (seed, mc_samples, dimension) triple yields an identical sample stream
     regardless of how callers schedule the work.
@@ -314,7 +314,7 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
 
 
 # ---------------------------------------------------------------------------
-# Resonant geometric-series path for the probe integral (n <= 2)
+# Moment series for the n = 2 probe integral
 
 _BM_LOCK = threading.Lock()
 _BM_CACHE: dict = {}
@@ -324,26 +324,20 @@ _BM_CACHE_MAX = 24
 def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
     """B_m for m in [m0, m1): the u^m moments of the non-resonant factor.
 
-    Each u^m moment factorizes into one-dimensional node sums with
-    f_m(x) = wx x^(m+1) and g_m(y) = wy y^(m+1).  For n = 1 it is the single
-    weighted sum G_m = f_m . C^2 . g_m with C(x, y) = 1/(1 - kappa x y).
-    For n = 2 the Vandermonde numerator is kept: since x^p f_m = f_(m+p),
-    one matrix product Q = CC2^T f with CC2[x, (y1, y2)] = C^2(x, y1)
-    C^2(x, y2) gives the x-side moments Q_m, Q_(m+1), Q_(m+2), and
-    2 (Q_m Q_(m+2) - Q_(m+1)^2) is the x-side double sum carrying the
-    factor (x1 - x2)^2.  B_m sums it against g_m(y1) g_m(y2) (y1 - y2)^2
-    over y1 < y2, doubled by symmetry.  Nothing divides by kappa, so small
-    |kappa| loses no digits.  Everything is BLAS-shaped in the m direction.
+    n = 2 only.  Each u^m moment factorizes into one-dimensional node sums
+    with f_m(x) = wx x^(m+1) and g_m(y) = wy y^(m+1), and C(x, y) =
+    1/(1 - kappa x y).  The Vandermonde numerator is kept: since
+    x^p f_m = f_(m+p), one matrix product Q = CC2^T f with CC2[x, (y1, y2)]
+    = C^2(x, y1) C^2(x, y2) gives the x-side moments Q_m, Q_(m+1),
+    Q_(m+2), and 2 (Q_m Q_(m+2) - Q_(m+1)^2) is the x-side double sum
+    carrying the factor (x1 - x2)^2.  B_m sums it against
+    g_m(y1) g_m(y2) (y1 - y2)^2 over y1 < y2, doubled by symmetry.
+    Nothing divides by kappa, so small |kappa| loses no digits.
+    Everything is BLAS-shaped in the m direction.
     """
     x, wx, wy = _axis_nodes(G, kappa)
     C = 1.0 / (1.0 - kappa * np.outer(x, x))
     C2 = C * C
-    if n == 1:
-        mm = np.arange(m0, m1)
-        Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
-        fx = wx[:, None] * Xp
-        gy = wy[:, None] * Xp
-        return np.einsum("am,ab,bm->m", fx, C2, gy, optimize=True)
     mm = np.arange(m0, m1 + 2)
     Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
     i, j = np.triu_indices(G, 1)
@@ -362,8 +356,8 @@ def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
         return have
     start = 0 if have is None else len(have)
     parts = [] if have is None else [have]
-    # the n=2 kernel holds G(G-1)/2 x chunk arrays: ~35 MB each at G = 128
-    chunk = 2048 if n == 1 else 256
+    # the kernel holds G(G-1)/2 x chunk arrays: ~35 MB each at G = 128
+    chunk = 256
     for m0 in range(start, upto, chunk):
         parts.append(_bm_chunk(kappa, n, G, m0, min(m0 + chunk, upto)))
     full = np.concatenate(parts)
@@ -374,61 +368,46 @@ def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
     return full
 
 
-def _lint_series(kappa: complex, n: int, ells, G: int, rtol: float):
-    """Probe values for every requested ell at once via the m expansion.
+def _lint_series(kappa: complex, n: int, ell: int, G: int, rtol: float) -> complex:
+    """Probe value at order ell via the m expansion (n = 2).
 
-    1/(1 - kappa^n u)^(l+1) = sum_m binom(m+l, l) (kappa^n u)^m turns the
-    integral into sum_m binom(m+l, l) kappa^(n m) B_m, the same G-node rule
-    as _tensor_core summed in another order.  The summed length starts at
-    64 moments and doubles until the tail estimate drops below rtol
-    relative to the sum, so it overshoots the length it needs by at most 2x.
+    1/(1 - kappa^n u)^(ell+1) = sum_m binom(m+ell, ell) (kappa^n u)^m turns
+    the integral into sum_m binom(m+ell, ell) kappa^(n m) B_m, the same
+    G-node rule as _tensor_core summed in another order.  The summed length
+    starts at 64 moments and doubles until the tail estimate drops below
+    rtol relative to the sum, so it overshoots the length it needs by at
+    most 2x.
     """
     kn = kappa**n
     q = abs(kn)
     if q >= 1.0:
         raise DomainError("|kappa^n| must be < 1")
-    ells = tuple(int(e) for e in ells)
-    lmax = max(ells)
-    totals = {e: 0.0 + 0.0j for e in ells}
-    done = {e: False for e in ells}
+    total = 0.0 + 0.0j
     m0, m1 = 0, 64
     while True:
         bm = _bm_prefix(kappa, n, G, m1)[m0:m1]
         mm = np.arange(m0, m1)
         # at kappa = 0 only the m = 0 term survives (and log 0 is undefined)
         powers = np.exp(mm * cmath.log(kn)) if q > 0.0 else (mm == 0) * 1.0
-        base = powers * bm
-        # binom(m+l, l) built incrementally over l from the l=0 row of ones
-        row = np.ones(m1 - m0)
-        binom_prev_end = 1.0
-        for e in range(lmax + 1):
-            if e > 0:
-                row = row * (mm + e) / e
-            if e in totals:
-                t = base * row
-                totals[e] += t.sum()
-                last = abs(t[-1])
-                ratio = q * (1.0 + e / max(1.0, float(mm[-1])))
-                if ratio < 1.0:
-                    tail = last * ratio / (1.0 - ratio)
-                    if tail <= rtol * max(abs(totals[e]), _TINY):
-                        done[e] = True
-        if all(done.values()):
-            return {e: complex(totals[e]) for e in ells}
+        # binom(m+ell, ell) as a running product over l = 1..ell
+        binom = np.ones(m1 - m0)
+        for e in range(1, ell + 1):
+            binom = binom * (mm + e) / e
+        t = powers * bm * binom
+        total += t.sum()
+        ratio = q * (1.0 + ell / max(1.0, float(mm[-1])))
+        if ratio < 1.0:
+            tail = abs(t[-1]) * ratio / (1.0 - ratio)
+            if tail <= rtol * max(abs(total), _TINY):
+                return complex(total)
         if m1 >= _SERIES_M_CAP:
             raise ConvergenceError(
-                f"resonant series did not converge within {_SERIES_M_CAP} terms "
+                f"moment series did not converge within {_SERIES_M_CAP} terms "
                 f"at kappa={kappa}",
-                best={e: complex(totals[e]) for e in ells},
+                best=complex(total),
                 gap=rtol,
             )
         m0, m1 = m1, min(2 * m1, _SERIES_M_CAP)
-
-
-def _is_resonant(kappa: complex, n: int) -> bool:
-    kn = kappa**n
-    q = abs(kn)
-    return q >= _RESONANT_MIN_ABS and abs(cmath.phase(kn)) <= 0.1 * (1.0 - q)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +423,11 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
     spec : QuadratureSpec
     form : {"Sn2", "Sn1"}
         Vandermonde form (default) or Cauchy-determinant form.  The two
-        must agree within combined error estimates.  For n = 2 with
-        tensor_gauss, Sn2 is summed by the moment engine (the same node
-        rule as the tensor sum, series truncated at 1e-14 relative), while
-        Sn1 evaluates the Cauchy determinant pointwise in the tensor sum,
-        so the comparison stays an independent cross-check.
+        must agree within combined error estimates.  With tensor_gauss,
+        Sn2 is lint_integral at ell = 0 (for n = 2 the moment engine: the
+        same node rule as the tensor sum, series truncated at 1e-14
+        relative), while Sn1 evaluates the Cauchy determinant pointwise in
+        the tensor sum, so the comparison stays an independent cross-check.
 
     Returns
     -------
@@ -469,9 +448,10 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
     pref = _prefactor(kappa, n, form)
     if spec.method == "tensor_gauss":
         nodes = (spec.nodes_per_dim, _refined_nodes(spec.nodes_per_dim))
-        if n == 2 and form == "Sn2":
+        if form == "Sn2":
             coarse, fine = (
-                _lint_series(kappa, 2, (0,), G, _GAUSS_RTOL)[0] for G in nodes
+                lint_integral(kappa, n, 0, replace(spec, nodes_per_dim=G))
+                for G in nodes
             )
         else:
             coarse, fine = (_tensor_core(kappa, n, 1, G, form) for G in nodes)
@@ -541,19 +521,21 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
 
     At ell = 0 this is exactly the Vandermonde-form S_n integral without
     its constant prefactor, and for n = 2 it shares cached moments with
-    s_n at equal (kappa, G).  This is the only place that picks the probe
-    evaluator:
+    s_n at equal (kappa, G).  This is the only place that picks how the
+    Vandermonde-form rule is evaluated, and resonant points are not a
+    special case:
 
     * spec.method == "monte_carlo": Monte Carlo.
-    * Resonant radial approach (|kappa^n| >= 0.9, within 0.1 (1 - |kappa^n|)
-      of the positive real axis): the moment series with
-      max(128, nodes_per_dim) nodes per axis and relative tolerance
-      min(1e-8, max(target_rel_error, 1e-12)), whatever its length.
-    * Otherwise the nodes_per_dim-node Gauss rule: for n = 2 summed by the
-      moment series (tolerance 1e-14), for n = 1 by the O(G^2) tensor sum.
-      The series needs more moments as |kappa^2| -> 1 off the positive
-      axis, and raises ConvergenceError past 2^17; no probe on a boundary
-      ray reaches that, since n = 2 rays end at a resonant point.
+    * Otherwise the nodes_per_dim-node Gauss rule at every kappa: for
+      n = 2 summed by the moment series to relative tolerance 1e-14, for
+      n = 1 by the O(G^2) tensor sum.
+
+    The series needs more moments as |kappa^2| -> 1 and raises
+    ConvergenceError past 2^18 of them; the ray toward -1 reaches
+    r = 1 - 2^-14.  Near that ray's end the G-node rule itself limits the
+    accuracy: G = 64 is within 2e-13 relative of G = 96 and 128 up to
+    r = 1 - 2^-10, then 1.5e-10 at 2^-11, 2.4e-9 at 2^-12, ~2e-8 at 2^-13
+    and ~1.3e-7 at 2^-14, so use 96 nodes past 2^-10.
     """
     kappa = _check_kappa(kappa)
     if n < 1:
@@ -571,12 +553,8 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
     if spec.method == "monte_carlo":
         raw, _ = _mc_core(kappa, n, ell + 1, spec, "Sn2")
         return raw
-    if _is_resonant(kappa, n):
-        G = max(128, spec.nodes_per_dim)
-        rtol = min(1e-8, max(spec.target_rel_error, 1e-12))
-        return _lint_series(kappa, n, (ell,), G, rtol)[ell]
     if n == 2:
-        return _lint_series(kappa, 2, (ell,), spec.nodes_per_dim, _GAUSS_RTOL)[ell]
+        return _lint_series(kappa, 2, ell, spec.nodes_per_dim, _GAUSS_RTOL)
     return _tensor_core(kappa, n, ell + 1, spec.nodes_per_dim, "Sn2")
 
 
@@ -585,6 +563,8 @@ def d_ell_s_n(kappa: complex, n: int, ell: int, radius: float) -> complex:
 
     Trapezoidal sampling on the contour circle is spectrally accurate for
     this analytic integrand; the contour must stay inside |kappa| < 1.
+    Each contour point evaluates the Vandermonde form through
+    lint_integral at ell = 0 with 64 nodes per axis.
     """
     kappa = _check_kappa(kappa)
     if n < 1:
@@ -606,12 +586,12 @@ def d_ell_s_n(kappa: complex, n: int, ell: int, radius: float) -> complex:
             stacklevel=2,
         )
     P = max(32, 8 * ell)
-    G = 64 if n == 1 else 48
+    spec = QuadratureSpec(nodes_per_dim=64)
     theta = 2.0 * math.pi * np.arange(P) / P
     acc = 0.0 + 0.0j
     for j in range(P):
         z = kappa + radius * cmath.exp(1j * theta[j])
         pref = _prefactor(z, n, "Sn2")
-        sval = pref * _tensor_core(z, n, 1, G, "Sn2")
+        sval = pref * lint_integral(z, n, 0, spec)
         acc += sval * cmath.exp(-1j * ell * theta[j])
     return math.factorial(ell) * acc / (P * radius**ell)

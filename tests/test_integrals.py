@@ -178,11 +178,12 @@ class TestSTotal:
 
 
 class TestCauchyDerivatives:
-    def test_against_finite_differences(self):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_against_finite_differences(self, n):
         kappa, h = 0.2, 1e-4
-        d = d_ell_s_n(kappa, 1, 1, 0.3)
+        d = d_ell_s_n(kappa, n, 1, 0.3)
         fd = (
-            s_n(kappa + h, 1, _SPEC).value - s_n(kappa - h, 1, _SPEC).value
+            s_n(kappa + h, n, _SPEC).value - s_n(kappa - h, n, _SPEC).value
         ) / (2.0 * h)
         assert abs(d - fd) < 1e-5 * abs(fd)
 
@@ -270,15 +271,37 @@ class TestMomentEngine:
     @pytest.mark.parametrize("G", [32, 48])
     @pytest.mark.parametrize("kappa", [1e-4, 1e-2, 0.5j, -0.7, 0.7 + 0.3j])
     def test_series_matches_tensor_sum(self, kappa, G):
-        series = _lint_series(kappa, 2, (0,), G, 1e-14)[0]
+        series = _lint_series(kappa, 2, 0, G, 1e-14)
         tensor = _tensor_core(kappa, 2, 1, G, "Sn2")
         assert abs(series - tensor) <= 1e-12 * abs(tensor)
 
     def test_resonant_order_seven_matches_tensor_sum(self):
         r = 1.0 - 2.0 ** -8
-        series = _lint_series(-r, 2, (7,), 48, 1e-12)[7]
+        series = _lint_series(-r, 2, 7, 48, 1e-12)
         tensor = _tensor_core(-r, 2, 8, 48, "Sn2")
         assert abs(series - tensor) <= 1e-12 * abs(tensor)
+
+    def test_resonant_probe_is_the_node_rule(self):
+        # no resonant override: the probe is the nodes_per_dim-node rule
+        r = 1.0 - 2.0 ** -8
+        value = lint_integral(-r, 2, 7, QuadratureSpec(nodes_per_dim=48))
+        tensor = _tensor_core(-r, 2, 8, 48, "Sn2")
+        assert abs(value - tensor) <= 1e-12 * abs(tensor)
+
+    def test_resonant_n1_probe_is_the_tensor_sum(self, monkeypatch):
+        kappa, ell, G = 0.95, 3, 32
+        tensor = _tensor_core(kappa, 1, ell + 1, G, "Sn2")
+
+        def forbidden(*args):
+            raise AssertionError("moment series called")
+
+        monkeypatch.setattr(integrals, "_lint_series", forbidden)
+        value = lint_integral(kappa, 1, ell, QuadratureSpec(nodes_per_dim=G))
+        assert abs(value - tensor) <= 1e-13 * abs(tensor)
+
+    def test_resonant_n1_probe_near_the_circle(self):
+        value = lint_integral(0.9999, 1, 7, _SPEC)
+        assert np.isfinite(complex(value))
 
     def test_off_axis_probe_uses_series(self, monkeypatch):
         # kappa^2 = -0.9025 is not resonant; the series runs all the same
