@@ -28,6 +28,7 @@ import cmath
 import math
 import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -317,8 +318,10 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
 # Moment series for the n = 2 probe integral
 
 _BM_LOCK = threading.Lock()
-_BM_CACHE: dict = {}
-_BM_CACHE_MAX = 24
+_BM_CACHE: OrderedDict = OrderedDict()
+# total moments kept (16 bytes each): the README ray j = 4..10 stores 32512
+# and one d_ell_s_n contour 2048, and one series reaches at most 2^18
+_BM_CACHE_MOMENTS = 1 << 18
 
 
 def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
@@ -348,10 +351,16 @@ def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
 
 
 def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
-    """Cached B_m array covering m = 0..upto-1, extended on demand."""
+    """Cached B_m array covering m = 0..upto-1, extended on demand.
+
+    Keys are evicted least recently used first once the cache holds more
+    than _BM_CACHE_MOMENTS moments; the key just stored always stays.
+    """
     key = (kappa, n, G)
     with _BM_LOCK:
         have = _BM_CACHE.get(key)
+        if have is not None:
+            _BM_CACHE.move_to_end(key)
     if have is not None and len(have) >= upto:
         return have
     start = 0 if have is None else len(have)
@@ -362,9 +371,11 @@ def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
         parts.append(_bm_chunk(kappa, n, G, m0, min(m0 + chunk, upto)))
     full = np.concatenate(parts)
     with _BM_LOCK:
-        if len(_BM_CACHE) >= _BM_CACHE_MAX:
-            _BM_CACHE.clear()
         _BM_CACHE[key] = full
+        _BM_CACHE.move_to_end(key)
+        stored = sum(len(v) for v in _BM_CACHE.values())
+        while stored > _BM_CACHE_MOMENTS and len(_BM_CACHE) > 1:
+            stored -= len(_BM_CACHE.popitem(last=False)[1])
     return full
 
 

@@ -40,6 +40,25 @@ class TestRouteAgreement:
             chi_d(CouplingK.physical(0.3), 1e-8, "bogus")
 
 
+class TestNearCritical:
+    """The fredholm route holds its tolerance as k -> 1."""
+
+    @pytest.mark.parametrize("kv", [0.95, 0.97])
+    def test_tolerances_agree_within_error(self, kv):
+        k = CouplingK.physical(kv)
+        loose = chi_d(k, 1e-8, "fredholm")
+        tight = chi_d(k, 1e-10, "fredholm")
+        assert not loose.flagged and not tight.flagged
+        gap = abs(loose.beta_inv_chi_d - tight.beta_inv_chi_d)
+        assert gap <= loose.est_error + tight.est_error
+
+    def test_routes_agree_at_09(self):
+        k = CouplingK.physical(0.9)
+        a = chi_d(k, 1e-8, "fredholm").beta_inv_chi_d
+        b = chi_d(k, 1e-8, "toeplitz_direct").beta_inv_chi_d
+        assert abs(a - b) < 1e-6 * abs(a)
+
+
 class TestResultContract:
     def test_metadata_populated(self):
         res = chi_d(CouplingK.physical(0.4), 1e-8, "fredholm")

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from ising_lab import (
+    ConvergenceError,
     CouplingK,
+    chi_d,
     diagonal_correlation,
     fredholm_det,
     hankel_matrix,
@@ -12,6 +14,8 @@ from ising_lab import (
     s_via_fredholm,
     suggest_length,
 )
+from ising_lab import fredholm
+from ising_lab.fredholm import _det_at, _lu_pivots
 
 # frozen from an early tight-tolerance run; guards the whole summation chain
 _S_AT_03 = 0.00043373685662451145
@@ -152,3 +156,37 @@ class TestCorrelationSum:
         lo = s_via_fredholm(CouplingK.physical(0.1), 1e-12)
         ratio = abs(hi) / abs(lo)
         assert 10.0 < ratio < 22.0
+
+
+class TestTrailingMinors:
+    """One truncated I - K_N carries det(I - K_N') for every N' >= N."""
+
+    @pytest.mark.parametrize("kv", [0.5, 0.9, 0.5 + 0.3j])
+    def test_sequence_matches_per_n_determinants(self, kv):
+        k = CouplingK.analytic(kv) if isinstance(kv, complex) else CouplingK.physical(kv)
+        seq = _det_at(complex(kv), 1, 200)
+        for N in range(1, 13):
+            assert abs(seq[N - 1] - fredholm_det(k, N, 1e-14).det_value) <= 1e-13
+
+    def test_pivots_give_leading_minors(self):
+        rng = np.random.default_rng(7)
+        n = 150  # spans more than two factorization blocks
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mat = np.eye(n) + 0.02 * noise
+        minors = np.cumprod(_lu_pivots(mat.copy()))
+        for p in (1, 2, 63, 64, 65, 129, n):
+            want = np.linalg.det(mat[:p, :p])
+            assert abs(minors[p - 1] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("bad", [np.ones((3, 3)), np.diag([1.0, np.nan, 1.0])])
+    def test_singular_or_nonfinite_pivot_raises(self, bad):
+        with pytest.raises(ConvergenceError):
+            _lu_pivots(bad)
+
+    def test_kernel_failure_flags_chi(self, monkeypatch):
+        def failing(kval, N, cutoff):
+            raise ConvergenceError("pivot 0 at step 3 of the unpivoted LU of I - K_N")
+
+        monkeypatch.setattr(fredholm, "_det_at", failing)
+        res = chi_d(CouplingK.analytic(0.5 + 0.3j), 1e-8, "fredholm")
+        assert res.flagged

@@ -343,3 +343,10 @@ class TestMomentEngine:
                 res = s_n(0.0, n, spec, form=form)
                 assert res.value == 0.0
                 assert res.rel_error_est == 0.0
+
+    def test_contour_keeps_probe_moments_cached(self):
+        # a d_ell_s_n contour stores 32 kappas; the ray's moments must survive
+        r = 1.0 - 2.0 ** -6
+        lint_integral(-r, 2, 7, QuadratureSpec())
+        d_ell_s_n(0.3, 2, 2, 0.2)
+        assert (complex(-r), 2, QuadratureSpec().nodes_per_dim) in integrals._BM_CACHE
