@@ -17,10 +17,11 @@ from .fredholm import _s_fredholm_terms
 from .integrals import QuadratureSpec, _sn_sum
 from .params import CouplingK, magnetization
 from .parallel import parallel_map
-from .toeplitz import diagonal_correlation
+from .toeplitz import _correlations
 
 _ROUTES = ("fredholm", "toeplitz_direct", "integral")
-_N_MAX_TOEPLITZ = 64
+_TOEPLITZ_N_START = 64
+_TOEPLITZ_N_CAP = 4096
 _INTEGRAL_N_MAX = 2
 
 
@@ -57,15 +58,15 @@ def chi_d(k: CouplingK, tol: float, route: str) -> ChiResult:
         raise DomainError("tol must be positive")
     m = magnetization(k)
     m2 = m * m
-    if route == "fredholm":
-        try:
+    try:
+        if route == "fredholm":
             s, terms, s_err = _s_fredholm_terms(k, tol)
-        except ConvergenceError as exc:
-            return _flagged(k, route, exc)
-        value = _assemble(m2, s)
-        return _finish(k, value, route, terms, 2.0 * abs(m2) * s_err)
-    if route == "toeplitz_direct":
-        return _chi_toeplitz(k, tol, m2)
+            value = _assemble(m2, s)
+            return _finish(k, value, route, terms, 2.0 * abs(m2) * s_err)
+        if route == "toeplitz_direct":
+            return _chi_toeplitz(k, tol, m2)
+    except ConvergenceError as exc:
+        return _flagged(k, route, exc)
     return _chi_integral(k, tol, m2)
 
 
@@ -81,26 +82,42 @@ def _flagged(k: CouplingK, route: str, exc: ConvergenceError) -> ChiResult:
 
 
 def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
-    total = 1.0 - m2
+    """1 - M^2 + 2 sum_N (D(N) - M^2) over the toeplitz kernel's D(1..n).
+
+    The sum stops at the first N whose term is exactly zero or whose
+    geometric tail estimate 2|dev_N| q / (1 - q), q = min(0.98,
+    |dev_N / dev_(N-1)|), is below tol/4; that estimate is est_error.
+    D(1..n) come from one run of the toeplitz kernel with n = 64; while
+    no N <= n stops the sum, n doubles and the kernel runs again, up to
+    _TOEPLITZ_N_CAP.  At the cap the partial sum comes back flagged when
+    its tail estimate exceeds tol.
+    """
+    n = _TOEPLITZ_N_START
+    while True:
+        dets, _ = _correlations(k, n)
+        total, used, tail, stopped = _toeplitz_sum((dets - m2).tolist(), 1.0 - m2, tol)
+        if stopped or n >= _TOEPLITZ_N_CAP:
+            break
+        n *= 2
+    return _finish(k, total, "toeplitz_direct", used, float(tail), tail > tol)
+
+
+def _toeplitz_sum(devs, total, tol: float):
+    """(total, terms used, tail, stopped) of the stopping rule over devs."""
     dev_prev = None
     tail = math.inf
-    used = 0
-    for N in range(1, _N_MAX_TOEPLITZ + 1):
-        dev = diagonal_correlation(k, N).value - m2
+    for N, dev in enumerate(devs, start=1):
         total = total + 2.0 * dev
-        used = N
         mag = abs(dev)
         if dev_prev not in (None, 0.0):
             ratio = min(0.98, mag / dev_prev)
             tail = 2.0 * mag * ratio / (1.0 - ratio)
             if tail < tol / 4.0:
-                break
+                return total, N, tail, True
         if mag == 0.0:
-            tail = 0.0
-            break
+            return total, N, 0.0, True
         dev_prev = mag
-    flagged = tail > tol
-    return _finish(k, total, "toeplitz_direct", used, float(tail), flagged)
+    return total, len(devs), tail, False
 
 
 def _chi_integral(k: CouplingK, tol: float, m2) -> ChiResult:

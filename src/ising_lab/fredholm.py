@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
-from .params import CouplingK, SeriesCoeffs, _lambda_pair
+from .params import CouplingK, SeriesCoeffs, _cache_length, _lambda_pair
 
 _CUTOFF_CAP = 4096
 _DET_TOL_FLOOR = 1e-15
@@ -61,6 +61,14 @@ def hankel_matrix(coeffs: SeriesCoeffs, N: int, cutoff: int) -> HankelTruncation
     Raises a hard error naming the required degree when the series is too
     short to fill the window.
     """
+    band = _band(coeffs, N, cutoff)
+    tail = _geometric_tail_from(coeffs, N + 2 * cutoff - 1)
+    return HankelTruncation(N=N, cutoff=cutoff, entries=_hankel(band), tail_bound=tail)
+
+
+def _band(coeffs: SeriesCoeffs, N: int, cutoff: int) -> np.ndarray:
+    """Coefficients at degrees N + 1 .. N + 2*cutoff - 1, which fill the
+    cutoff x cutoff Hankel window with shift N."""
     if N < 1 or cutoff < 1:
         raise DomainError("N and cutoff must be >= 1")
     need = N + 2 * cutoff - 1
@@ -69,10 +77,13 @@ def hankel_matrix(coeffs: SeriesCoeffs, N: int, cutoff: int) -> HankelTruncation
             f"series too short: need coefficients up to degree {need}, "
             f"series ends at degree {coeffs.max_degree}"
         )
-    band = coeffs.window(N + 1, need)
-    mat = scipy.linalg.hankel(band[:cutoff], band[cutoff - 1 :])
-    tail = _geometric_tail_from(coeffs, need)
-    return HankelTruncation(N=N, cutoff=cutoff, entries=mat, tail_bound=tail)
+    return coeffs.window(N + 1, need)
+
+
+def _hankel(band: np.ndarray) -> np.ndarray:
+    """Square Hankel matrix whose entry (i, j) is band[i + j]."""
+    cutoff = (len(band) + 1) // 2
+    return scipy.linalg.hankel(band[:cutoff], band[cutoff - 1 :])
 
 
 def _geometric_tail_from(coeffs: SeriesCoeffs, beyond: int) -> float:
@@ -142,12 +153,14 @@ def _det_at(kval: complex, N: int, cutoff: int) -> np.ndarray:
     minor: a running product of the pivots of one unpivoted LU of the
     matrix with rows and columns reversed.  Entry 0 is det(I - K_N) at
     this cutoff; later entries are truncated more coarsely, by j rows and
-    columns.
+    columns.  For real k every coefficient is real, so both Hankel
+    matrices are built, multiplied and factored in float64.
     """
-    length = N + 2 * cutoff + 2
-    lam, lam_inv = _lambda_pair(kval, length)
-    a = hankel_matrix(lam, N, cutoff).entries
-    w = a @ hankel_matrix(lam_inv, N, cutoff).entries
+    lam, lam_inv = _lambda_pair(kval, _cache_length(N + 2 * cutoff + 2))
+    a, b = _band(lam, N, cutoff), _band(lam_inv, N, cutoff)
+    if kval.imag == 0:
+        a, b = a.real, b.real
+    w = _hankel(a) @ _hankel(b)
     w *= -1.0
     w.flat[:: cutoff + 1] += 1.0
     # reversed, I - K_N has the trailing minors as its leading minors

@@ -147,6 +147,12 @@ def suggest_length(k: complex, target: float = _TAIL_TARGET) -> int:
     return int(min(_MAX_LEN, max(_MIN_LEN, math.ceil(n) + 2)))
 
 
+def _cache_length(n: int) -> int:
+    """The power of two at or above n: the length internal callers ask the
+    cached series for, so that all of one k's requests share a few keys."""
+    return 1 << max(0, n - 1).bit_length()
+
+
 def binomial_half_series(exponent: float, k: complex, length: int) -> SeriesCoeffs:
     """Taylor coefficients of (1 - k x)^exponent for exponent = +-1/2.
 

@@ -1,13 +1,19 @@
-"""Diagonal spin-spin correlation as an N x N Toeplitz determinant."""
+"""Diagonal spin-spin correlation as an N x N Toeplitz determinant.
+
+D(n) = det(phi_{i-j})_{1 <= i,j <= n} is the leading principal minor of
+size n of one N x N Toeplitz matrix, for every n <= N.  So one run of the
+non-symmetric Levinson recursion (Trench, J. SIAM 12 (1964) 515) on one
+phi series gives D(1..N) in O(N^2), as running products of its pivots
+eps_n = D(n)/D(n-1).  _levinson is the only determinant code here.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DomainError
-from .params import CouplingK, magnetization, _phi_series, suggest_length
+from .errors import ConvergenceError, DomainError
+from .params import CouplingK, magnetization, _cache_length, _phi_series, suggest_length
 
 _COND_FLAG = 1e12
 
@@ -16,9 +22,9 @@ _COND_FLAG = 1e12
 class CorrelationResult:
     """Value of <sigma_00 sigma_NN> with a conditioning diagnostic.
 
-    cond_estimate is the spread max|u_ii| / min|u_ii| of the pivoted
-    triangular factor; past 1e12 the determinant digits are suspect and
-    the result is flagged but still returned.
+    cond_estimate is the spread max|eps_n| / min|eps_n| of the Levinson
+    pivots eps_n = D(n)/D(n-1), n = 1..N; past 1e12 the determinant digits
+    are suspect and the result is flagged but still returned.
     """
 
     N: int
@@ -30,20 +36,70 @@ class CorrelationResult:
         return self.cond_estimate > _COND_FLAG
 
 
-def _det_via_lu(mat: np.ndarray):
-    """Determinant through row-pivoted LU, accumulating log magnitude and
-    phase separately so large N cannot underflow."""
-    lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return 0.0, np.inf
-    mags = np.abs(diag)
-    sign = 1.0 if np.sum(piv != np.arange(len(piv))) % 2 == 0 else -1.0
-    logmag = float(np.sum(np.log(mags)))
-    phase = np.prod(diag / mags)
-    value = sign * np.exp(logmag) * phase
-    cond = float(np.max(mags) / np.min(mags))
-    return value, cond
+def _levinson(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Pivots eps_n = D(n)/D(n-1), n = 1..len(col), of a Toeplitz matrix.
+
+    The matrix is T[i, j] = t_(i-j) with first column col = t_0 .. t_(N-1)
+    and first row row = t_0, t_-1, .. t_-(N-1); D(n) is its leading
+    principal minor of size n.  At size n, a (a[0] = 1) solves
+    T_n a = eps_n e_0 and b (b[n-1] = 1) solves T_n b = eps_n e_(n-1): by
+    Cramer's rule both right-hand sides carry D(n)/D(n-1).  Padding a with
+    a trailing zero and b with a leading zero leaves one stray entry each
+    in T_(n+1), alpha and beta, and one combination of the two cancels
+    them: eps_(n+1) = eps_n - alpha beta / eps_n.  b is kept reversed as r
+    so that both vectors grow at the end.  There is no pivoting: a zero or
+    non-finite pivot raises ConvergenceError.
+    """
+    size = len(col)
+    eps = np.empty(size, dtype=col.dtype)
+    a = np.zeros(size, dtype=col.dtype)
+    r = np.zeros(size, dtype=col.dtype)
+    a[0] = r[0] = 1.0
+    e = col[0]
+    for n in range(1, size + 1):
+        if e == 0 or not np.isfinite(e):
+            raise ConvergenceError(
+                f"pivot {e} at step {n} of the Levinson recursion for D(N)"
+            )
+        eps[n - 1] = e
+        if n == size:
+            break
+        alpha = col[n:0:-1] @ a[:n]
+        beta = row[n:0:-1] @ r[:n]
+        old = a[: n + 1].copy()
+        a[: n + 1] -= (alpha / e) * r[n::-1]
+        r[: n + 1] -= (beta / e) * old[::-1]
+        e = e - alpha * beta / e
+    return eps
+
+
+def _correlations(k: CouplingK, N: int):
+    """(D(1..N), eps_1..eps_N) from one Levinson run on one phi series.
+
+    For physical k the phi coefficients must be real to 1e-12, which makes
+    every D(n) real, and the recursion runs on their real parts; every
+    D(n) must then satisfy M^2 <= D(n) <= 1 to 1e-12.  A failed check
+    raises RuntimeError naming the first bad n.
+    """
+    phi = _phi_series(complex(k.k), _cache_length(suggest_length(k.k) + N))
+    col = phi.window(0, N - 1)           # phi_0 .. phi_(N-1)
+    row = phi.window(-(N - 1), 0)[::-1]  # phi_0, phi_-1, .., phi_-(N-1)
+    if k.mode == "physical":
+        imag = max(np.max(np.abs(col.imag)), np.max(np.abs(row.imag)))
+        if imag > 1e-12:
+            raise RuntimeError(f"real-k phi coefficients came out complex: |imag| {imag!r}")
+        col, row = col.real, row.real
+    eps = _levinson(col, row)
+    dets = np.cumprod(eps)
+    if k.mode == "physical":
+        m2 = magnetization(k) ** 2
+        bad = np.flatnonzero((dets < m2 - 1e-12) | (dets > 1.0 + 1e-12))
+        if bad.size:
+            n = int(bad[0]) + 1
+            raise RuntimeError(
+                f"correlation {dets[n - 1]!r} violates M^2 <= D(N) <= 1 at N={n}"
+            )
+    return dets, eps
 
 
 def diagonal_correlation(k: CouplingK, N: int) -> CorrelationResult:
@@ -58,32 +114,18 @@ def diagonal_correlation(k: CouplingK, N: int) -> CorrelationResult:
     Returns
     -------
     CorrelationResult
-        In physical mode the value is real with M^2 <= value <= 1.
+        The last entry of the Levinson sequence D(1..N).  In physical mode
+        the value is real with M^2 <= value <= 1.
     """
     if N < 0:
         raise DomainError("N must be >= 0")
     if N == 0:
         return CorrelationResult(N=0, value=1.0, cond_estimate=1.0)
-    length = suggest_length(k.k) + N
-    phi = _phi_series(complex(k.k), length)
-    col = phi.window(0, N - 1)          # phi_0 .. phi_{N-1}
-    row = phi.window(-(N - 1), 0)[::-1]  # phi_0, phi_{-1}, ..., phi_{-(N-1)}
-    value, cond = _det_via_lu(scipy.linalg.toeplitz(col, row))
-    if k.mode == "physical":
-        value = complex(value)
-        scale = max(1.0, abs(value))
-        if abs(value.imag) > 1e-12 * scale:
-            raise RuntimeError(
-                f"real-k correlation came out complex: {value!r} at N={N}"
-            )
-        v = value.real
-        m2 = magnetization(k) ** 2
-        if not (m2 - 1e-12 <= v <= 1.0 + 1e-12):
-            raise RuntimeError(
-                f"correlation {v!r} violates M^2 <= D(N) <= 1 at N={N}"
-            )
-        return CorrelationResult(N=N, value=v, cond_estimate=cond)
-    return CorrelationResult(N=N, value=complex(value), cond_estimate=cond)
+    dets, eps = _correlations(k, N)
+    mags = np.abs(eps)
+    cond = float(np.max(mags) / np.min(mags))
+    value = float(dets[-1]) if k.mode == "physical" else complex(dets[-1])
+    return CorrelationResult(N=N, value=value, cond_estimate=cond)
 
 
 def correlation_deviation(k: CouplingK, N: int) -> complex:

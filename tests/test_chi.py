@@ -1,5 +1,6 @@
 """Diagonal susceptibility assembly and the route cross-checks."""
 import math
+import time
 
 import pytest
 
@@ -7,6 +8,8 @@ from ising_lab import CouplingK, DomainError, chi_d, sweep
 
 # frozen regression value for the Fredholm route at tol 1e-8
 _CHI_03 = 0.024149147835178963
+# the fredholm route at k = 0.99, tol 1e-10 (974 terms, est_error 3.9e-11)
+_CHI_099 = 4.673981727614708
 
 
 class TestFreeLimit:
@@ -57,6 +60,26 @@ class TestNearCritical:
         a = chi_d(k, 1e-8, "fredholm").beta_inv_chi_d
         b = chi_d(k, 1e-8, "toeplitz_direct").beta_inv_chi_d
         assert abs(a - b) < 1e-6 * abs(a)
+
+
+class TestNearCriticalBand:
+    """Both determinant routes hold 1e-8 as k -> 1."""
+
+    @pytest.mark.parametrize("kv", [0.9, 0.95, 0.97])
+    def test_determinant_routes_agree(self, kv):
+        k = CouplingK.physical(kv)
+        a = chi_d(k, 1e-8, "fredholm")
+        b = chi_d(k, 1e-8, "toeplitz_direct")
+        assert not a.flagged and not b.flagged
+        assert abs(a.beta_inv_chi_d - b.beta_inv_chi_d) <= 1e-8 * abs(a.beta_inv_chi_d)
+
+    def test_toeplitz_at_099(self):
+        start = time.perf_counter()
+        res = chi_d(CouplingK.physical(0.99), 1e-8, "toeplitz_direct")
+        elapsed = time.perf_counter() - start
+        assert not res.flagged
+        assert elapsed < 2.0
+        assert abs(res.beta_inv_chi_d - _CHI_099) <= 1e-8 * _CHI_099
 
 
 class TestResultContract:

@@ -1,14 +1,21 @@
 """Toeplitz determinant route for the diagonal correlation."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ising_lab import (
+    ConvergenceError,
     CouplingK,
+    chi_d,
     correlation_deviation,
     diagonal_correlation,
     magnetization,
     phi_m,
+    suggest_length,
 )
+from ising_lab import toeplitz
+from ising_lab.params import _cache_length
+from ising_lab.toeplitz import _correlations, _levinson
 
 
 class TestSmallDeterminants:
@@ -89,3 +96,56 @@ class TestAnalyticMode:
     def test_bad_separation_rejected(self):
         with pytest.raises(Exception):
             diagonal_correlation(CouplingK.physical(0.3), -1)
+
+
+def _coupling(kv):
+    if isinstance(kv, complex) or kv < 0:
+        return CouplingK.analytic(kv)
+    return CouplingK.physical(kv)
+
+
+class TestLevinsonKernel:
+    """One recursion gives D(1..N); a pivoted LU per N is the oracle."""
+
+    @pytest.mark.parametrize("kv", [0.5, 0.9, 0.95, 0.5 + 0.3j, 0.7j, -0.6])
+    def test_sequence_matches_pivoted_determinants(self, kv):
+        k = _coupling(kv)
+        dets, _ = _correlations(k, 64)
+        length = _cache_length(suggest_length(k.k) + 64)
+        t = {m: phi_m(k, m, length) for m in range(-63, 64)}
+        for N in range(1, 65):
+            col = [t[m] for m in range(N)]
+            row = [t[-m] for m in range(N)]
+            want = scipy.linalg.det(scipy.linalg.toeplitz(col, row))
+            assert abs(dets[N - 1] - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize(
+        "col, row",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 3.0, 4.0]),  # D(1) = 0
+            ([1.0, 1.0, 2.0], [1.0, 1.0, 4.0]),  # D(2) = 0
+            ([1.0, np.nan, 2.0], [1.0, 0.5, 4.0]),
+        ],
+    )
+    def test_zero_or_nonfinite_pivot_raises(self, col, row):
+        with pytest.raises(ConvergenceError):
+            _levinson(np.array(col), np.array(row))
+
+    def test_kernel_failure_flags_chi(self, monkeypatch):
+        def failing(col, row):
+            raise ConvergenceError("pivot 0 at step 3 of the Levinson recursion")
+
+        monkeypatch.setattr(toeplitz, "_levinson", failing)
+        res = chi_d(CouplingK.physical(0.5), 1e-8, "toeplitz_direct")
+        assert res.flagged
+
+    @pytest.mark.parametrize("kv", [0.5, 0.5 + 0.3j])
+    def test_correlation_is_last_entry(self, kv):
+        k = _coupling(kv)
+        long, _ = _correlations(k, 40)
+        for N in (1, 7, 40):
+            dets, eps = _correlations(k, N)
+            res = diagonal_correlation(k, N)
+            assert res.value == dets[-1]
+            assert res.cond_estimate == np.max(np.abs(eps)) / np.min(np.abs(eps))
+            assert abs(res.value - long[N - 1]) <= 1e-14
