@@ -5,13 +5,16 @@ from coefficients at degrees N + i + j + 1.  The identity
 D(N) = M^2 det(I - K_N) ties this module to the Toeplitz route and is the
 central cross-check of the library.
 
-Since H_(N+1)(a) = S^T H_N(a) and H_(N+1)(b) = H_N(b) S, with S the
-shift, I - K_(N+1) is I - K_N with its first row and column deleted.  So
-every det(I - K_N') with N' >= N is a trailing principal minor of one
-truncated I - K_N, and _det_at, the only determinant kernel here, returns
-them all from the pivots of one unpivoted LU.  The sum S takes every term
-from the factorizations at one cutoff C and at 2C; fredholm_det doubles
-the cutoff for a single N.
+Both Hankel operators have geometrically decaying singular values (for
+real k they are one-signed moment matrices; Beckermann and Townsend,
+SIAM J. Matrix Anal. Appl. 38 (2017) 1227), so _det_at, the only
+determinant kernel here, factors their L x L sections as s_a U U^T and
+s_b V V^T with r << L columns.  H_(N+j)(a) is H_N(a) without its first j
+rows and H_(N+j)(b) is H_N(b) without its first j columns, so Sylvester's
+identity det(I - XY) = det(I - YX) makes every det(I - K_(N+j)) the r x r
+determinant det(I - s_a s_b (U^T V) W_j), W_j = sum_(i >= j) v_i u_i^T,
+with v_i, u_i the rows of V and U.  The W_j are one reversed cumulative
+sum.  The sum S takes every term from one such call.
 """
 from __future__ import annotations
 
@@ -19,14 +22,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
 from .params import CouplingK, SeriesCoeffs, _cache_length, _lambda_pair
 
-_CUTOFF_CAP = 4096
-_DET_TOL_FLOOR = 1e-15
-_BLOCK = 64
+_ENTRY_TARGET = 1e-17   # bound on every Hankel entry left out of the section
+_MAX_SIZE = 1 << 17     # largest section L
+_STOP = 1e-15           # the factorization stops at this residual, relative to its start
+_COARSE = 1e-12         # the coarser stop that est_error compares against
+_NOISE = 10.0           # complex k: the factorization also stops at this many
+                        # times the rounding noise of the Hankel coefficients
+_CHUNK = 256            # shifts per block of the reversed cumulative sum
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,8 @@ def _band(coeffs: SeriesCoeffs, N: int, cutoff: int) -> np.ndarray:
 
 def _hankel(band: np.ndarray) -> np.ndarray:
     """Square Hankel matrix whose entry (i, j) is band[i + j]."""
-    cutoff = (len(band) + 1) // 2
-    return scipy.linalg.hankel(band[:cutoff], band[cutoff - 1 :])
+    i = np.arange((len(band) + 1) // 2)
+    return band[i[:, None] + i]
 
 
 def _geometric_tail_from(coeffs: SeriesCoeffs, beyond: int) -> float:
@@ -98,148 +104,253 @@ def _geometric_tail_from(coeffs: SeriesCoeffs, beyond: int) -> float:
     return last * ratio / (1.0 - ratio)
 
 
-def _start_cutoff(a: float, N: int, tol: float) -> int:
-    """First cutoff tried for det(I - K_N) to tol at |k| = a.
+def _section_size(a: float, N: int, count: int):
+    """(L, length): the L x L sections of H_N at |k| = a and the series
+    length they read.
 
-    Entries decay like |k|^(N+i+j+1), so this is where the dropped corner
-    falls below tol; at k = 0 every entry vanishes.
+    length is a power of two, so the series cache sees few keys, and L is
+    the largest section it fills, (length - N) // 2: at least count, with
+    every entry left out (degree >= N + L + 1) below _ENTRY_TARGET by
+    |c_m| <= |k|^m / (1 - |k|^2).  An L past _MAX_SIZE raises
+    ConvergenceError.
     """
-    if a == 0.0:
-        return 4
-    la = math.log(a)
-    return max(4, math.ceil((math.log(tol * (1.0 - a)) - N * la) / (2.0 * la)))
+    length = _cache_length(N + 2 * max(count, 4))
+    L = (length - N) // 2
+    while a > 0.0 and L <= _MAX_SIZE and a ** (N + L + 1) / (1.0 - a * a) > _ENTRY_TARGET:
+        length *= 2
+        L = (length - N) // 2
+    if L > _MAX_SIZE:
+        raise ConvergenceError(
+            f"det(I - K_N) at |k| = {a!r} needs Hankel sections of size {L}, "
+            f"past the cap {_MAX_SIZE}"
+        )
+    return L, length
 
 
-def _lu_pivots(w: np.ndarray) -> np.ndarray:
-    """Pivots of the unpivoted LU of the square matrix w, overwriting w.
+def _cross(h: np.ndarray, L: int):
+    """Symmetric pivoted cross approximation A ~ s U U^T of the Hankel
+    matrix A[i, j] = h[i + j], i, j < L.
 
-    The product of the first p pivots is the leading principal minor of
-    size p.  Blocked so that most of the work is BLAS-3: a column loop
-    factors each _BLOCK-wide diagonal block, two triangular solves give
-    the block row of U and the block column of L, and one matrix product
-    updates the trailing matrix.  There is no pivoting to fall back on: a
-    zero or non-finite pivot raises ConvergenceError.  For physical k every
-    trailing minor of I - K_N lies in [1, M^-2], so no pivot can vanish.
+    Reads the diagonal h[2i] and one column h[p : p + L] per pivot p.  For
+    real h, s = +-1 makes s A positive semidefinite and this is pivoted
+    Cholesky: it stops at a non-positive pivot or when the residual trace
+    falls to _STOP of its start; rounding shows as a non-positive pivot.
+    For complex h, s = 1, pivots are complex with no conjugation, and it
+    stops when the largest modulus on the residual diagonal falls to _STOP
+    of its start (a sum of L moduli would stall at L rounding errors) or to
+    _NOISE times the largest |h[m]|, m >= L.  Those coefficients are below
+    _ENTRY_TARGET by the choice of L, so their size is the rounding noise
+    of the series; without this floor a complex factorization whose start
+    is small runs on to rank L on noise.  Returns (s, U, coarse, ratio):
+    the first `coarse` columns of U are where the residual first fell to
+    _COARSE of its start, and ratio, in [0, 1], is the residual at the stop
+    over the residual there.
     """
-    n = len(w)
-    for k0 in range(0, n, _BLOCK):
-        k1 = min(k0 + _BLOCK, n)
-        d = w[k0:k1, k0:k1]
-        for j in range(k1 - k0):
-            p = d[j, j]
-            if p == 0 or not np.isfinite(p):
-                raise ConvergenceError(
-                    f"pivot {p} at step {k0 + j} of the unpivoted LU of I - K_N"
-                )
-            d[j + 1 :, j] /= p
-            d[j + 1 :, j + 1 :] -= np.outer(d[j + 1 :, j], d[j, j + 1 :])
-        if k1 < n:
-            w[k0:k1, k1:] = scipy.linalg.solve_triangular(
-                d, w[k0:k1, k1:], lower=True, unit_diagonal=True, check_finite=False
-            )
-            w[k1:, k0:k1] = scipy.linalg.solve_triangular(
-                d, w[k1:, k0:k1].T, trans="T", check_finite=False
-            ).T
-            w[k1:, k1:] -= w[k1:, k0:k1] @ w[k0:k1, k1:]
-    return np.diagonal(w).copy()
+    real = h.dtype.kind == "f"
+    d = h[: 2 * L - 1 : 2].copy()
+    s = -1.0 if real and d.sum() < 0 else 1.0
+    d *= s
+
+    def residual():
+        return d.sum() if real else np.abs(d).max()
+
+    start = residual()
+    floor = max(_STOP * start, 0.0 if real else _NOISE * np.abs(h[L:]).max(initial=0.0))
+    # row j of Ut is column j of U; Ut grows and shrinks in place by
+    # ndarray.resize, so no second copy of the factor is ever held
+    Ut = np.zeros((min(L, 32), L), dtype=h.dtype)
+    r = 0
+    coarse = None
+    while r < L:
+        res = residual()
+        if coarse is None and res <= _COARSE * start:
+            coarse, at_coarse = r, res
+        if res <= floor:
+            break
+        p = int(np.argmax(d if real else np.abs(d)))
+        piv = d[p]
+        if (real and piv <= 0.0) or piv == 0:
+            break
+        if r == len(Ut):
+            Ut.resize((min(L, 2 * r), L), refcheck=False)
+        u = (s * h[p : p + L] - Ut[:r, p] @ Ut[:r]) / np.sqrt(piv)
+        Ut[r] = u
+        d -= u * u
+        r += 1
+    Ut.resize((r, L), refcheck=False)
+    if coarse is None:
+        return s, Ut.T, r, 1.0
+    ratio = residual() / at_coarse if at_coarse > 0.0 else 1.0
+    return s, Ut.T, coarse, min(1.0, max(0.0, ratio))
 
 
-def _det_at(kval: complex, N: int, cutoff: int) -> np.ndarray:
-    """det(I - K_N') for N' = N .. N + cutoff - 1 from one truncation.
+def _shift_dets(g: np.ndarray, U: np.ndarray, V: np.ndarray, count: int,
+                ca: int, cb: int):
+    """det(I - g W_j) for j = 0 .. count-1, W_j = sum_(i >= j) v_i u_i^T,
+    and the same determinants from the first ca columns of U and cb of V.
 
-    Builds I - K_N at the given cutoff.  Deleting its first j rows and
-    columns leaves I - K_(N+j) with cutoff - j rows and columns and inner
-    dimension cutoff, so entry j of the result is that trailing principal
-    minor: a running product of the pivots of one unpivoted LU of the
-    matrix with rows and columns reversed.  Entry 0 is det(I - K_N) at
-    this cutoff; later entries are truncated more coarsely, by j rows and
-    columns.  For real k every coefficient is real, so both Hankel
-    matrices are built, multiplied and factored in float64.
+    W_count is one matrix product; the others are a reversed cumulative
+    sum, taken _CHUNK shifts at a time so no L x r x r stack is formed.
+    The prefix determinants read the leading cb x ca block of the same W_j.
     """
-    lam, lam_inv = _lambda_pair(kval, _cache_length(N + 2 * cutoff + 2))
-    a, b = _band(lam, N, cutoff), _band(lam_inv, N, cutoff)
-    if kval.imag == 0:
-        a, b = a.real, b.real
-    w = _hankel(a) @ _hankel(b)
-    w *= -1.0
-    w.flat[:: cutoff + 1] += 1.0
-    # reversed, I - K_N has the trailing minors as its leading minors
-    return np.cumprod(_lu_pivots(w[::-1, ::-1]))[::-1]
+    if g.size == 0:
+        return np.ones(count, dtype=g.dtype), np.ones(count, dtype=g.dtype)
+    W = V[count:].T @ U[count:]
+    eye, eye_c = np.eye(len(g), dtype=g.dtype), np.eye(ca, dtype=g.dtype)
+    fine = np.empty(count, dtype=g.dtype)
+    coarse = np.empty(count, dtype=g.dtype)
+    for hi in range(count, 0, -_CHUNK):
+        lo = max(0, hi - _CHUNK)
+        steps = V[lo:hi, :, None] * U[lo:hi, None, :]
+        Ws = np.cumsum(steps[::-1], axis=0)[::-1] + W   # Ws[i - lo] = W_i
+        fine[lo:hi] = np.linalg.det(eye - g @ Ws)
+        coarse[lo:hi] = np.linalg.det(eye_c - g[:ca, :cb] @ Ws[:, :cb, :ca])
+        W = Ws[0]
+    return fine, coarse
+
+
+@dataclass(frozen=True)
+class _DetSequence:
+    """det(I - K_N') for N' = N .. N + count - 1 from one factorization.
+
+    values[j] is the value at N' = N + j (also seq[j]).  move[j], the
+    estimate behind est_error, has two parts.  The first is the move of
+    values[j] when both factors stop at _COARSE instead of _STOP, scaled
+    by the larger ratio of their residuals at the two stops: to first
+    order the error of a determinant is linear in the residual that the
+    factorization leaves.  For real k the tracked residual trace usually
+    ends at or below zero, at the rounding floor; the ratio is then 0 and
+    the first part vanishes.  The second is (r_a + r_b) eps |values[j]|, a
+    relative eps for each of the r_a + r_b rank-one updates, for rounding.
+    size is the section size L.
+    """
+
+    values: np.ndarray
+    move: np.ndarray
+    size: int
+
+    def __getitem__(self, j):
+        return self.values[j]
+
+
+def _det_at(kval: complex, N: int, cutoff: int) -> _DetSequence:
+    """det(I - K_N') for N' = N .. N + cutoff - 1 from one factorization.
+
+    Factors the L x L sections of H_N(Lambda) and H_N(Lambda^-1) by _cross,
+    L from _section_size, and reads every det(I - K_N') from the rank-r
+    form of the module docstring.  The coarser stop is a prefix of the same
+    factors, and its determinants come from the same cumulative sums, so
+    move costs no second factorization.  For real k every coefficient is
+    real and the work runs in float64.  A non-finite coefficient raises
+    ConvergenceError.
+    """
+    L, length = _section_size(abs(kval), N, cutoff)
+    lam, lam_inv = _lambda_pair(kval, length)
+    a, b = _band(lam, N, L), _band(lam_inv, N, L)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ConvergenceError(f"non-finite Hankel coefficient at k={kval}")
+    sa, U, ca, ratio_a = _cross(a, L)
+    sb, V, cb, ratio_b = _cross(b, L)
+    g = sa * sb * (U.T @ V)
+    ratio = max(ratio_a, ratio_b)
+    if ratio == 0.0:
+        ca = cb = 0   # the scaled move vanishes: skip the prefix determinants
+    fine, coarse = _shift_dets(g, U, V, cutoff, ca, cb)
+    rounding = (U.shape[1] + V.shape[1]) * np.finfo(float).eps
+    move = ratio * np.abs(fine - coarse) + rounding * np.abs(fine)
+    return _DetSequence(values=fine, move=move, size=L)
 
 
 def fredholm_det(k: CouplingK, N: int, tol: float) -> FredholmResult:
-    """det(I - K_N), truncation cutoff chosen adaptively.
+    """det(I - K_N): the first entry of _det_at's sequence.
 
-    The cutoff doubles until a doubling moves the value by less than tol;
-    that final move is recorded as est_error.  Entries decay like
-    |k|^(N+i+j+1), which fixes the starting cutoff.  Each value is the
-    leading entry of _det_at, the one determinant kernel of this module.
+    est_error is that entry's move, an estimate (see _DetSequence), and
+    cutoff_used is the section size L.  An est_error above tol raises
+    ConvergenceError carrying the value.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    cutoff = _start_cutoff(abs(k.k), N, tol)
-    kval = complex(k.k)
-    value = None
-    while 2 * cutoff <= _CUTOFF_CAP:
-        if value is None:
-            value = complex(_det_at(kval, N, cutoff)[0])
-        refined = complex(_det_at(kval, N, 2 * cutoff)[0])
-        gap = abs(refined - value)
-        cutoff *= 2
-        value = refined
-        if gap < tol:
-            return FredholmResult(
-                N=N, det_value=value, cutoff_used=cutoff, est_error=gap
-            )
-    raise ConvergenceError(
-        f"cutoff cap {_CUTOFF_CAP} reached at N={N} without meeting "
-        f"tol={tol:.3g}",
-        best=value,
-        gap=tol,
+    seq = _det_at(complex(k.k), N, 1)
+    if seq.move[0] > tol:
+        raise ConvergenceError(
+            f"det(I - K_N) at k={k.k}, N={N}: error estimate {seq.move[0]:.3g} "
+            f"exceeds tol={tol:.3g}",
+            best=complex(seq[0]),
+            gap=float(seq.move[0]),
+        )
+    return FredholmResult(
+        N=N, det_value=complex(seq[0]), cutoff_used=seq.size, est_error=float(seq.move[0])
     )
+
+
+def _terms_bound(a: float, tol: float) -> int:
+    """N past which |det(I - K_N) - 1| < tol/100 at |k| = a, proven.
+
+    |det(I - K_N) - 1| <= t e^(1 + t) with t = ||H_N(Lambda)||_HS
+    ||H_N(Lambda^-1)||_HS, and ||H_N(c)||_HS^2 = sum_(m > N) (m - N)|c_m|^2.
+    With b_j = binom(2j, j)/4^j, the coefficients of (1 - x)^(-1/2), and
+    b_j/(2j - 1), the moduli of those of (1 - x)^(1/2), both decreasing,
+    |c_m(Lambda^-1)| <= |k|^m b_m (1 - |k|^2)^(-1/2) and
+    |c_m(Lambda)| <= 2 |k|^m b_m/(2m - 1).  So
+    t <= 2 b^2/(2N + 1) |k|^(2N + 2) (1 - |k|^2)^(-5/2) with b = b_(N+1).
+    The target sits below 1, so e^(1 + t) <= e^2.  The bound falls with
+    N; the cruder |c_m| <= |k|^m/(1 - |k|^2) gives the bracket to bisect.
+    """
+    if a == 0.0:
+        return 1
+    log_target = math.log(min(tol, 1.0) / (100.0 * math.e ** 2))
+    la, lq = math.log(a), math.log1p(-a * a)
+
+    def log_t(n):
+        lb = math.lgamma(2 * n + 3) - 2.0 * math.lgamma(n + 2) - (n + 1) * math.log(4.0)
+        return math.log(2.0 / (2 * n + 1)) + 2.0 * lb + (2 * n + 2) * la - 2.5 * lq
+
+    lo, hi = 0, max(1, math.ceil((log_target + 4.0 * lq) / (2.0 * la) - 1.0))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_t(mid) <= log_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _s_fredholm_terms(k: CouplingK, tol: float):
     """Sum det(I - K_N) - 1 over N, every term from one factorization.
 
-    Returns (S, terms_used, est_error).  The terms N = 1..C are the
-    trailing minors of one truncated I - K_1: values from _det_at(k, 1, 2C),
-    per-N doubling moves gap_N against _det_at(k, 1, C).  C starts where
-    fredholm_det would for the first term at its share tol (1 - q)/2 of
-    the budget, q = min(0.98, |k|^2), and doubles until the stopping N
-    lies within C and sum_N |gap_N| <= tol.  The sum stops at the first N
-    with |term| < tol/2 whose geometric tail estimate, from the last term
-    ratio, is also < tol/2.  est_error is sum_N |gap_N| plus that tail, so
-    the accumulated error stays below 2*tol as promised by s_via_fredholm.
-    Terms growing for 3 consecutive N raise ConvergenceError (divergence
-    suspected), as does a cutoff past _CUTOFF_CAP.
+    Returns (S, terms_used, est_error).  The terms N = 1 .. _terms_bound
+    come from one call of _det_at.  The sum stops at the first N with
+    |term| < tol/2 whose geometric tail estimate, from the last term ratio
+    capped at 0.98, is also < tol/2; every term past _terms_bound is below
+    tol/100, so the stop always comes within the computed terms.
+    est_error is the summed move of the used terms plus that tail, an
+    estimate; a summed move above tol raises ConvergenceError, so
+    est_error stays below 2*tol as promised by s_via_fredholm.  Terms
+    growing for 3 consecutive N raise ConvergenceError (divergence
+    suspected), as does a section size past the cap.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     a = abs(k.k)
-    q = min(0.98, a * a)
-    cutoff = _start_cutoff(a, 1, max(tol * (1.0 - q) / 2.0, _DET_TOL_FLOOR))
-    kval = complex(k.k)
-    coarse = best = None
-    while 2 * cutoff <= _CUTOFF_CAP:
-        if coarse is None:
-            coarse = _det_at(kval, 1, cutoff)
-        fine = _det_at(kval, 1, 2 * cutoff)
-        best, N, tail = _stopping_term(fine[:cutoff].tolist(), q, tol, k)
-        if N is not None:
-            moved = float(np.sum(np.abs(fine[:N] - coarse[:N])))
-            if moved <= tol:
-                return best, N, moved + tail
-        cutoff *= 2
-        coarse = fine
-    raise ConvergenceError(
-        f"cutoff cap {_CUTOFF_CAP} reached in the correlation sum at k={k.k} "
-        f"without meeting tol={tol:.3g}",
-        best=best,
-        gap=tol,
-    )
+    seq = _det_at(complex(k.k), 1, _terms_bound(a, tol))
+    best, N, tail = _stopping_term(seq.values.tolist(), min(0.98, a * a), tol, k)
+    if N is None:
+        raise ConvergenceError(
+            f"no stop within {len(seq.values)} terms of the correlation sum at k={k.k}",
+            best=best,
+            gap=tol,
+        )
+    moved = float(np.sum(seq.move[:N]))
+    if moved > tol:
+        raise ConvergenceError(
+            f"the summed error estimate {moved:.3g} of the {N} terms of the "
+            f"correlation sum at k={k.k} exceeds tol={tol:.3g}",
+            best=best,
+            gap=moved,
+        )
+    return best, N, moved + tail
 
 
 def _stopping_term(dets, q: float, tol: float, k: CouplingK):

@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: import it here, not in the first Monte Carlo call
 
 from .errors import ConvergenceError, DomainError, PrecisionWarning
 

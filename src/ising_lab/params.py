@@ -15,11 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PhaseError
+from .errors import ConvergenceError, DomainError, PhaseError
 
 _TAIL_TARGET = 1e-16
 _MIN_LEN = 8
 _MAX_LEN = 1 << 15
+_ALIAS_TARGET = 1e-17
+_MAX_CIRCLE = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,8 @@ class SeriesCoeffs:
     """Truncated coefficient sequence, possibly with negative degrees.
 
     coeffs[i] is the coefficient at degree min_degree + i.  truncation_error
-    bounds the sup norm on the unit circle of the dropped tail.
+    bounds the sup norm on the unit circle of the dropped tail, plus the
+    aliases for series taken by FFT.
     """
 
     kind: str
@@ -128,7 +131,7 @@ class SeriesCoeffs:
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients for degrees lo..hi inclusive, zero padded."""
-        out = np.zeros(hi - lo + 1, dtype=complex)
+        out = np.zeros(hi - lo + 1, dtype=self.coeffs.dtype)
         a = max(lo, self.min_degree)
         b = min(hi, self.max_degree)
         if a <= b:
@@ -156,8 +159,8 @@ def _cache_length(n: int) -> int:
 def binomial_half_series(exponent: float, k: complex, length: int) -> SeriesCoeffs:
     """Taylor coefficients of (1 - k x)^exponent for exponent = +-1/2.
 
-    Uses the recurrence c_0 = 1, c_{m+1} = c_m * k * (m - exponent)/(m + 1),
-    exact in exact arithmetic.  truncation_error is the geometric bound on
+    c_0 = 1 and c_(m+1) = c_m * k * (m - exponent)/(m + 1), one cumulative
+    product.  truncation_error is the geometric bound on
     sum_{m >= length} |c_m|; when it exceeds the library tail target the
     result is still returned and the bound simply reports the fact.
     """
@@ -167,10 +170,10 @@ def binomial_half_series(exponent: float, k: complex, length: int) -> SeriesCoef
         raise DomainError("|k| must be < 1")
     if length < 1:
         raise DomainError("length must be >= 1")
-    c = np.zeros(length, dtype=complex)
+    m = np.arange(length - 1)
+    c = np.empty(length, dtype=complex)
     c[0] = 1.0
-    for m in range(length - 1):
-        c[m + 1] = c[m] * k * (m - exponent) / (m + 1)
+    c[1:] = np.cumprod(k * (m - exponent) / (m + 1))
     a = abs(k)
     if a == 0.0 or length == 1:
         tail = 0.0 if a == 0.0 else a / (1.0 - a)
@@ -182,24 +185,61 @@ def binomial_half_series(exponent: float, k: complex, length: int) -> SeriesCoef
     return SeriesCoeffs(kind=kind, coeffs=c, min_degree=0, truncation_error=tail)
 
 
-def _laurent_product(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Coefficients of (sum_a pos[a] x^a) * (sum_b neg[b] x^-b).
+# Every binomial-1/2 coefficient has modulus <= 1, so the Laurent
+# coefficients of phi, Lambda and Lambda^-1 obey |c_m| <= |k|^|m| / (1 - |k|^2).
+# Sampled at the M-th roots of unity, one FFT returns c_m plus the aliases
+# sum_(j != 0) c_(m + jM), which that bound caps at
+# 2 |k|^(M - |m|) / ((1 - |k|^2)(1 - |k|^M)).
 
-    Returns degrees -(len(neg)-1) .. len(pos)-1 as one array.
-    """
-    la, lb = len(pos), len(neg)
-    out = np.zeros(la + lb - 1, dtype=complex)
-    for b in range(lb):
-        out[lb - 1 - b : la + lb - 1 - b] += neg[b] * pos
-    return out
+
+def _circle_size(a: float, top: int) -> int:
+    """Power of two M > 2*top whose alias bound at degree top is below
+    _ALIAS_TARGET.  M depends on |k| as well as on top, so a short request
+    close to |k| = 1 still samples the circle finely enough."""
+    M = _cache_length(2 * top + 2)
+    if a == 0.0:
+        return M
+    while 2.0 * a ** (M - top) / ((1.0 - a * a) * (1.0 - a ** M)) > _ALIAS_TARGET:
+        M *= 2
+        if M > _MAX_CIRCLE:
+            raise ConvergenceError(
+                f"the series at |k| = {a!r} needs more than {_MAX_CIRCLE} points "
+                "on the unit circle"
+            )
+    return M
+
+
+def _series_error(a: float, length: int, M: int) -> float:
+    """Sup norm on the unit circle of the error of degrees -(length-1) ..
+    length-1 taken from an M-point FFT: the dropped tail plus every alias."""
+    if a == 0.0:
+        return 0.0
+    tail = 2.0 * a ** length / ((1.0 - a * a) * (1.0 - a))
+    alias = 2.0 * (2 * length - 1) * a ** (M - length + 1) / ((1.0 - a * a) * (1.0 - a ** M))
+    return tail + alias
+
+
+def _circle_coeffs(kval: complex, length: int, *symbols):
+    """Coefficients of each symbol(xi) at degrees -(length-1) .. length-1,
+    from its values at the M-th roots of unity, one FFT each.  For real k
+    the coefficients are real and only their real parts are kept."""
+    M = _circle_size(abs(kval), length - 1)
+    xi = np.exp(2j * np.pi * np.arange(M) / M)
+    out = []
+    for symbol in symbols:
+        c = np.fft.fft(symbol(xi)) / M
+        c = np.concatenate([c[M - length + 1 :], c[:length]])
+        out.append(c.real.copy() if kval.imag == 0 else c)
+    return out, _series_error(abs(kval), length, M)
 
 
 @lru_cache(maxsize=64)
 def _phi_series(kval: complex, length: int) -> SeriesCoeffs:
-    plus = binomial_half_series(-0.5, kval, length)   # phi+ = (1 - k xi)^(-1/2)
-    minus = binomial_half_series(0.5, kval, length)   # phi- = (1 - k/xi)^(1/2)
-    coeffs = _laurent_product(plus.coeffs, minus.coeffs)
-    err = _product_tail(plus, minus)
+    # both 1 - k/xi and 1 - k xi have positive real part on |xi| = 1, so
+    # the principal square roots are the branches fixed by phi+(0) = 1
+    (coeffs,), err = _circle_coeffs(
+        kval, length, lambda xi: np.sqrt(1.0 - kval / xi) / np.sqrt(1.0 - kval * xi)
+    )
     return SeriesCoeffs(
         kind="phi_full", coeffs=coeffs, min_degree=-(length - 1), truncation_error=err
     )
@@ -207,24 +247,24 @@ def _phi_series(kval: complex, length: int) -> SeriesCoeffs:
 
 @lru_cache(maxsize=64)
 def _lambda_pair(kval: complex, length: int):
-    half_pos = binomial_half_series(0.5, kval, length)
-    half_neg = binomial_half_series(-0.5, kval, length)
-    lam = _laurent_product(half_pos.coeffs, half_pos.coeffs)
-    inv = _laurent_product(half_neg.coeffs, half_neg.coeffs)
-    err_lam = _product_tail(half_pos, half_pos)
-    err_inv = _product_tail(half_neg, half_neg)
+    def lam(xi):
+        return np.sqrt(1.0 - kval * xi) * np.sqrt(1.0 - kval / xi)
+
+    (c_lam, c_inv), err = _circle_coeffs(kval, length, lam, lambda xi: 1.0 / lam(xi))
     lo = -(length - 1)
+    # Lambda(1/xi) = Lambda(xi): degrees >= 0 mirrored make the symmetry exact
     return (
-        SeriesCoeffs(kind="lambda", coeffs=lam, min_degree=lo, truncation_error=err_lam),
-        SeriesCoeffs(kind="lambda_inv", coeffs=inv, min_degree=lo, truncation_error=err_inv),
+        SeriesCoeffs(kind="lambda", coeffs=_mirror(c_lam, length), min_degree=lo,
+                     truncation_error=err),
+        SeriesCoeffs(kind="lambda_inv", coeffs=_mirror(c_inv, length), min_degree=lo,
+                     truncation_error=err),
     )
 
 
-def _product_tail(a: SeriesCoeffs, b: SeriesCoeffs) -> float:
-    na = float(np.sum(np.abs(a.coeffs)))
-    nb = float(np.sum(np.abs(b.coeffs)))
-    ea, eb = a.truncation_error, b.truncation_error
-    return na * eb + nb * ea + ea * eb
+def _mirror(c: np.ndarray, length: int) -> np.ndarray:
+    """Degrees -(length-1) .. length-1 of c with degree -m set to degree m."""
+    pos = c[length - 1 :]
+    return np.concatenate([pos[:0:-1], pos])
 
 
 def phi_plus_series(k: CouplingK, length: int | None = None) -> SeriesCoeffs:
@@ -247,9 +287,10 @@ def phi_minus_series(k: CouplingK, length: int | None = None) -> SeriesCoeffs:
 def phi_m(k: CouplingK, m: int, length: int | None = None) -> complex:
     """m-th Fourier coefficient of the symbol phi.
 
-    Computed as the degree-m coefficient of the Laurent product of the
-    phi+ and phi- series; agrees with the unit-circle contour integral of
-    the symbol to within the recorded truncation error.
+    Computed by one FFT of the symbol on the unit circle, with enough
+    points that the aliases stay below 1e-17 at every stored degree;
+    truncation_error of the cached series bounds the dropped tail plus
+    the aliases.
     """
     length = length or suggest_length(k.k)
     return _phi_series(complex(k.k), int(length)).coeff(m)

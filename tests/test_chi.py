@@ -82,6 +82,23 @@ class TestNearCriticalBand:
         assert abs(res.beta_inv_chi_d - _CHI_099) <= 1e-8 * _CHI_099
 
 
+class TestNearCriticalFredholm:
+    """The rank-r fredholm route holds 1e-8 against toeplitz_direct past k = 0.99."""
+
+    @pytest.mark.parametrize("kv", [0.99, 0.995])
+    def test_determinant_routes_agree(self, kv):
+        k = CouplingK.physical(kv)
+        a = chi_d(k, 1e-10, "fredholm")
+        b = chi_d(k, 1e-10, "toeplitz_direct")
+        assert not a.flagged and not b.flagged
+        assert abs(a.beta_inv_chi_d - b.beta_inv_chi_d) <= 1e-8 * abs(b.beta_inv_chi_d)
+
+    def test_frozen_value_at_099(self):
+        res = chi_d(CouplingK.physical(0.99), 1e-10, "fredholm")
+        assert not res.flagged
+        assert abs(res.beta_inv_chi_d - _CHI_099) <= 1e-9
+
+
 class TestResultContract:
     def test_metadata_populated(self):
         res = chi_d(CouplingK.physical(0.4), 1e-8, "fredholm")

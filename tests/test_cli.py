@@ -1,8 +1,13 @@
 """Command-line surface: schemas, determinism, config handling, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ising_lab
 from ising_lab.cli import main
 
 
@@ -253,3 +258,16 @@ class TestWarnings:
         assert lines[0].startswith("warning: monte carlo standard error")
         assert ".py" not in lines[0]
         assert captured.out.startswith("kappa_re,kappa_im,n,form,method")
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        # the runtime needs numpy only; scipy is a test dependency
+        src = str(Path(ising_lab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import ising_lab.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

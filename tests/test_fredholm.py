@@ -1,10 +1,13 @@
 """Hankel-product determinants det(I - K_N) and the correlation-sum S."""
+import math
+
 import numpy as np
 import pytest
 
 from ising_lab import (
     ConvergenceError,
     CouplingK,
+    SeriesCoeffs,
     chi_d,
     diagonal_correlation,
     fredholm_det,
@@ -15,7 +18,7 @@ from ising_lab import (
     suggest_length,
 )
 from ising_lab import fredholm
-from ising_lab.fredholm import _det_at, _lu_pivots
+from ising_lab.fredholm import _det_at
 
 # frozen from an early tight-tolerance run; guards the whole summation chain
 _S_AT_03 = 0.00043373685662451145
@@ -168,21 +171,6 @@ class TestTrailingMinors:
         for N in range(1, 13):
             assert abs(seq[N - 1] - fredholm_det(k, N, 1e-14).det_value) <= 1e-13
 
-    def test_pivots_give_leading_minors(self):
-        rng = np.random.default_rng(7)
-        n = 150  # spans more than two factorization blocks
-        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mat = np.eye(n) + 0.02 * noise
-        minors = np.cumprod(_lu_pivots(mat.copy()))
-        for p in (1, 2, 63, 64, 65, 129, n):
-            want = np.linalg.det(mat[:p, :p])
-            assert abs(minors[p - 1] - want) <= 1e-12 * abs(want)
-
-    @pytest.mark.parametrize("bad", [np.ones((3, 3)), np.diag([1.0, np.nan, 1.0])])
-    def test_singular_or_nonfinite_pivot_raises(self, bad):
-        with pytest.raises(ConvergenceError):
-            _lu_pivots(bad)
-
     def test_kernel_failure_flags_chi(self, monkeypatch):
         def failing(kval, N, cutoff):
             raise ConvergenceError("pivot 0 at step 3 of the unpivoted LU of I - K_N")
@@ -190,3 +178,74 @@ class TestTrailingMinors:
         monkeypatch.setattr(fredholm, "_det_at", failing)
         res = chi_d(CouplingK.analytic(0.5 + 0.3j), 1e-8, "fredholm")
         assert res.flagged
+
+
+_KERNEL_GRID = [0.5, 0.9, 0.95, 0.5 + 0.3j, 0.7j, -0.6, 0.9 * np.exp(0.3j)]
+
+
+class TestRankKernel:
+    """The rank-r kernel against dense determinants of the Hankel product."""
+
+    @staticmethod
+    def _dense(kv, N):
+        # every omitted entry is below |k|^(2 cut) ~ 1e-18
+        cut = math.ceil(math.log(1e-18) / (2.0 * math.log(abs(kv))))
+        lam, lam_inv = lambda_series(CouplingK.analytic(kv), N + 2 * cut + 4)
+        A = hankel_matrix(lam, N, cut).entries
+        B = hankel_matrix(lam_inv, N, cut).entries
+        return np.linalg.det(np.eye(cut) - A @ B)
+
+    @pytest.mark.parametrize("kv", _KERNEL_GRID)
+    def test_sequence_matches_dense_and_estimate_covers(self, kv):
+        seq = _det_at(complex(kv), 1, 12)
+        for N in range(1, 13):
+            gap = abs(seq[N - 1] - self._dense(kv, N))
+            assert gap <= 1e-13
+            assert gap <= seq.move[N - 1]
+
+    @pytest.mark.parametrize("kv", _KERNEL_GRID)
+    def test_fredholm_det_estimate_covers_dense(self, kv):
+        for N in (1, 4, 12):
+            res = fredholm_det(CouplingK.analytic(kv), N, 1e-10)
+            assert abs(res.det_value - self._dense(kv, N)) <= res.est_error
+
+    def test_zero_modulus_gives_exact_one(self):
+        seq = _det_at(0j, 1, 5)
+        assert np.all(seq.values == 1.0)
+        assert np.all(seq.move == 0.0)
+
+    def test_nonfinite_coefficient_raises(self, monkeypatch):
+        lam, lam_inv = fredholm._lambda_pair(0.5 + 0j, 256)
+        bad = np.array(lam.coeffs)
+        bad[10 - lam.min_degree] = np.nan  # degree 10 lies in every section
+        poisoned = SeriesCoeffs(lam.kind, bad, lam.min_degree, lam.truncation_error)
+        monkeypatch.setattr(fredholm, "_lambda_pair", lambda kval, length: (poisoned, lam_inv))
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            _det_at(0.5 + 0j, 1, 8)
+
+
+class TestToleranceGate:
+    """An error estimate above tol is reported, never returned as met."""
+
+    def test_fredholm_det_raises_below_its_estimate(self):
+        k = CouplingK.physical(0.5)
+        res = fredholm_det(k, 2, 1e-10)
+        assert res.est_error > 0.0
+        with pytest.raises(ConvergenceError, match="exceeds tol"):
+            fredholm_det(k, 2, res.est_error / 2)
+
+    def test_sum_estimate_above_tol_is_flagged(self):
+        # the rounding allowance of ~1160 terms at k = 0.99 sums past 1e-12
+        res = chi_d(CouplingK.physical(0.99), 1e-12, "fredholm")
+        assert res.flagged
+        assert res.est_error > 1e-12
+
+    @pytest.mark.parametrize("kv", [0.5 + 0.3j, 0.7j, 0.9 * np.exp(0.3j)])
+    def test_complex_factorization_stops_at_noise(self, kv):
+        # a factorization that runs on rounding noise reaches rank L (up to 506 here)
+        for N in (1, 2, 4, 11):
+            L, length = fredholm._section_size(abs(kv), N, 1)
+            lam, lam_inv = fredholm._lambda_pair(complex(kv), length)
+            for series in (lam, lam_inv):
+                _, U, _, _ = fredholm._cross(fredholm._band(series, N, L), L)
+                assert U.shape[1] <= 20

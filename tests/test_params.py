@@ -16,7 +16,7 @@ from ising_lab import (
     phi_m,
     suggest_length,
 )
-from ising_lab.params import phi_minus_series, phi_plus_series
+from ising_lab.params import _lambda_pair, _phi_series, phi_minus_series, phi_plus_series
 
 
 class TestCouplingK:
@@ -212,3 +212,49 @@ class TestTruncationControl:
     def test_truncation_error_recorded(self):
         short = phi_plus_series(CouplingK.physical(0.5), 12)
         assert short.truncation_error > 1e-8
+
+
+def _laurent_product(pos, neg):
+    """Exact coefficients of (sum_a pos[a] x^a)(sum_b neg[b] x^-b), degrees
+    -(len(neg)-1) .. len(pos)-1: the test oracle for the FFT series."""
+    return np.convolve(pos, neg[::-1])
+
+
+class TestFFTSeries:
+    """The FFT series engine against the exact Laurent product."""
+
+    @pytest.mark.parametrize("kv", [0.3, 0.9, 0.5 + 0.3j, -0.6])
+    def test_matches_laurent_product(self, kv):
+        n = suggest_length(kv)
+        # the oracle is exact below degree n when its factors run to 2n
+        plus = binomial_half_series(0.5, kv, 2 * n).coeffs
+        minus = binomial_half_series(-0.5, kv, 2 * n).coeffs
+        oracles = (
+            _laurent_product(minus, plus),   # phi = phi+ phi-
+            _laurent_product(plus, plus),    # Lambda
+            _laurent_product(minus, minus),  # Lambda^-1
+        )
+        phi = _phi_series(complex(kv), n)
+        lam, lam_inv = _lambda_pair(complex(kv), n)
+        centre = 2 * n - 1
+        for series, oracle in zip((phi, lam, lam_inv), oracles):
+            want = oracle[centre - (n - 1) : centre + n]
+            assert np.max(np.abs(series.window(-(n - 1), n - 1) - want)) <= 2e-15
+
+    def test_short_request_does_not_alias(self):
+        # M follows |k| as well as the length: 16 coefficients at k = 0.99
+        k = CouplingK.physical(0.99)
+        long = _phi_series(0.99 + 0j, 4096)
+        for m in range(-15, 16):
+            assert abs(phi_m(k, m, length=16) - long.coeff(m)) <= 1e-15
+
+    @pytest.mark.parametrize("kv", [0.5, 0.99])
+    def test_truncation_error_bounds_the_dropped_tail(self, kv):
+        lam, _ = _lambda_pair(complex(kv), 64)
+        plus = binomial_half_series(0.5, kv, 4096).coeffs
+        exact = _laurent_product(plus, plus)[4095:4095 + 2048]  # degrees 0 .. 2047
+        dropped = 2.0 * np.sum(np.abs(exact[64:]))
+        a = abs(kv)
+        tail_bound = 2.0 * a ** 64 / ((1.0 - a * a) * (1.0 - a))
+        # every alias of the 127 stored degrees is below 1e-17
+        assert dropped <= lam.truncation_error <= tail_bound + 127 * 1e-17
