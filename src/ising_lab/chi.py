@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError
 from .fredholm import _s_fredholm_terms
 from .integrals import QuadratureSpec, _sn_sum
-from .params import CouplingK, magnetization
+from .params import CouplingK, _tail_bound, _terms_needed, magnetization
 from .parallel import parallel_map
 from .toeplitz import _correlations
 
 _ROUTES = ("fredholm", "toeplitz_direct", "integral")
-_TOEPLITZ_N_START = 64
 _TOEPLITZ_N_CAP = 4096
 _INTEGRAL_N_MAX = 2
 
@@ -67,7 +66,7 @@ def chi_d(k: CouplingK, tol: float, route: str) -> ChiResult:
             return _chi_toeplitz(k, tol, m2)
     except ConvergenceError as exc:
         return _flagged(k, route, exc)
-    return _chi_integral(k, tol, m2)
+    return _chi_integral(k, m2)
 
 
 def _flagged(k: CouplingK, route: str, exc: ConvergenceError) -> ChiResult:
@@ -82,48 +81,25 @@ def _flagged(k: CouplingK, route: str, exc: ConvergenceError) -> ChiResult:
 
 
 def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
-    """1 - M^2 + 2 sum_N (D(N) - M^2) over the toeplitz kernel's D(1..n).
+    """1 - M^2 + 2 sum_N (D(N) - M^2) over D(1..n) from one run of the
+    toeplitz kernel.
 
-    The sum stops at the first N whose term is exactly zero or whose
-    geometric tail estimate 2|dev_N| q / (1 - q), q = min(0.98,
-    |dev_N / dev_(N-1)|), is below tol/4; that estimate is est_error.
-    D(1..n) come from one run of the toeplitz kernel with n = 64; while
-    no N <= n stops the sum, n doubles and the kernel runs again, up to
-    _TOEPLITZ_N_CAP.  At the cap the partial sum comes back flagged when
-    its tail estimate exceeds tol.
+    n = _terms_needed(|k|, tol), the count the fredholm sum uses, and
+    est_error is the proven tail past n, 2 |M^2| _tail_bound(|k|, n).  An
+    n past _TOEPLITZ_N_CAP is cut to the cap, and the partial sum comes
+    back flagged with the proven tail past the cap as est_error.
     """
-    n = _TOEPLITZ_N_START
-    while True:
-        dets, _ = _correlations(k, n)
-        total, used, tail, stopped = _toeplitz_sum((dets - m2).tolist(), 1.0 - m2, tol)
-        if stopped or n >= _TOEPLITZ_N_CAP:
-            break
-        n *= 2
-    return _finish(k, total, "toeplitz_direct", used, float(tail), tail > tol)
+    a = abs(k.k)
+    n = _terms_needed(a, tol)
+    used = min(n, _TOEPLITZ_N_CAP)
+    dets, _ = _correlations(k, used)
+    total = 1.0 - m2 + 2.0 * (dets - m2).sum()
+    tail = 2.0 * abs(m2) * _tail_bound(a, used)
+    return _finish(k, total, "toeplitz_direct", used, tail, n > used)
 
 
-def _toeplitz_sum(devs, total, tol: float):
-    """(total, terms used, tail, stopped) of the stopping rule over devs."""
-    dev_prev = None
-    tail = math.inf
-    for N, dev in enumerate(devs, start=1):
-        total = total + 2.0 * dev
-        mag = abs(dev)
-        if dev_prev not in (None, 0.0):
-            ratio = min(0.98, mag / dev_prev)
-            tail = 2.0 * mag * ratio / (1.0 - ratio)
-            if tail < tol / 4.0:
-                return total, N, tail, True
-        if mag == 0.0:
-            return total, N, 0.0, True
-        dev_prev = mag
-    return total, len(devs), tail, False
-
-
-def _chi_integral(k: CouplingK, tol: float, m2) -> ChiResult:
-    spec = QuadratureSpec(method="tensor_gauss", nodes_per_dim=64,
-                          target_rel_error=tol)
-    total, err, tail = _sn_sum(k.kappa, _INTEGRAL_N_MAX, spec)
+def _chi_integral(k: CouplingK, m2) -> ChiResult:
+    total, err, tail = _sn_sum(k.kappa, _INTEGRAL_N_MAX, QuadratureSpec())
     value = _assemble(m2, total)
     return _finish(k, value, "integral", _INTEGRAL_N_MAX, 2.0 * abs(m2) * (err + tail))
 

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import CouplingK, SeriesCoeffs, _cache_length, _lambda_pair
+from .params import (
+    CouplingK, SeriesCoeffs, _cache_length, _lambda_pair, _tail_bound, _terms_needed,
+)
 
 _ENTRY_TARGET = 1e-17   # bound on every Hankel entry left out of the section
 _MAX_SIZE = 1 << 17     # largest section L
@@ -285,103 +287,38 @@ def fredholm_det(k: CouplingK, N: int, tol: float) -> FredholmResult:
     )
 
 
-def _terms_bound(a: float, tol: float) -> int:
-    """N past which |det(I - K_N) - 1| < tol/100 at |k| = a, proven.
-
-    |det(I - K_N) - 1| <= t e^(1 + t) with t = ||H_N(Lambda)||_HS
-    ||H_N(Lambda^-1)||_HS, and ||H_N(c)||_HS^2 = sum_(m > N) (m - N)|c_m|^2.
-    With b_j = binom(2j, j)/4^j, the coefficients of (1 - x)^(-1/2), and
-    b_j/(2j - 1), the moduli of those of (1 - x)^(1/2), both decreasing,
-    |c_m(Lambda^-1)| <= |k|^m b_m (1 - |k|^2)^(-1/2) and
-    |c_m(Lambda)| <= 2 |k|^m b_m/(2m - 1).  So
-    t <= 2 b^2/(2N + 1) |k|^(2N + 2) (1 - |k|^2)^(-5/2) with b = b_(N+1).
-    The target sits below 1, so e^(1 + t) <= e^2.  The bound falls with
-    N; the cruder |c_m| <= |k|^m/(1 - |k|^2) gives the bracket to bisect.
-    """
-    if a == 0.0:
-        return 1
-    log_target = math.log(min(tol, 1.0) / (100.0 * math.e ** 2))
-    la, lq = math.log(a), math.log1p(-a * a)
-
-    def log_t(n):
-        lb = math.lgamma(2 * n + 3) - 2.0 * math.lgamma(n + 2) - (n + 1) * math.log(4.0)
-        return math.log(2.0 / (2 * n + 1)) + 2.0 * lb + (2 * n + 2) * la - 2.5 * lq
-
-    lo, hi = 0, max(1, math.ceil((log_target + 4.0 * lq) / (2.0 * la) - 1.0))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if log_t(mid) <= log_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _s_fredholm_terms(k: CouplingK, tol: float):
-    """Sum det(I - K_N) - 1 over N, every term from one factorization.
+    """Sum det(I - K_N) - 1 over N = 1 .. n, every term from one
+    factorization.
 
-    Returns (S, terms_used, est_error).  The terms N = 1 .. _terms_bound
-    come from one call of _det_at.  The sum stops at the first N with
-    |term| < tol/2 whose geometric tail estimate, from the last term ratio
-    capped at 0.98, is also < tol/2; every term past _terms_bound is below
-    tol/100, so the stop always comes within the computed terms.
-    est_error is the summed move of the used terms plus that tail, an
-    estimate; a summed move above tol raises ConvergenceError, so
-    est_error stays below 2*tol as promised by s_via_fredholm.  Terms
-    growing for 3 consecutive N raise ConvergenceError (divergence
-    suspected), as does a section size past the cap.
+    Returns (S, n, est_error).  n = _terms_needed(|k|, tol), so the proven
+    tail past n, _tail_bound, is at most tol/2.  est_error is the summed
+    move of the n terms, an estimate, plus that tail.  A summed move above
+    tol, a sum that is not finite or a section size past the cap raises
+    ConvergenceError, so est_error stays below 2*tol as promised by
+    s_via_fredholm.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     a = abs(k.k)
-    seq = _det_at(complex(k.k), 1, _terms_bound(a, tol))
-    best, N, tail = _stopping_term(seq.values.tolist(), min(0.98, a * a), tol, k)
-    if N is None:
+    n = _terms_needed(a, tol)
+    seq = _det_at(complex(k.k), 1, n)
+    s = complex(np.sum(seq.values - 1.0))
+    moved = float(np.sum(seq.move))
+    if not np.isfinite(s):
         raise ConvergenceError(
-            f"no stop within {len(seq.values)} terms of the correlation sum at k={k.k}",
-            best=best,
-            gap=tol,
+            f"the sum of the {n} terms of the correlation sum at k={k.k} is {s}",
+            best=s,
+            gap=math.inf,
         )
-    moved = float(np.sum(seq.move[:N]))
-    if moved > tol:
+    if not moved <= tol:
         raise ConvergenceError(
-            f"the summed error estimate {moved:.3g} of the {N} terms of the "
+            f"the summed error estimate {moved:.3g} of the {n} terms of the "
             f"correlation sum at k={k.k} exceeds tol={tol:.3g}",
-            best=best,
+            best=s,
             gap=moved,
         )
-    return best, N, moved + tail
-
-
-def _stopping_term(dets, q: float, tol: float, k: CouplingK):
-    """(S, N, tail) at the first N meeting the stopping rule.
-
-    When no term meets it, N and tail are None and S sums every term.
-    """
-    s = 0.0 + 0.0j
-    prev = None
-    rising = 0
-    for N, det in enumerate(dets, start=1):
-        t = det - 1.0
-        s += t
-        mag = abs(t)
-        if prev is not None and mag > prev:
-            rising += 1
-            if rising >= 3:
-                raise ConvergenceError(
-                    f"terms det(I-K_N)-1 grew for 3 consecutive N at k={k.k}: "
-                    "divergence suspected",
-                    best=s,
-                    gap=mag,
-                )
-        else:
-            rising = 0
-        q_emp = q if prev in (None, 0.0) else min(0.98, mag / prev)
-        tail = mag * q_emp / (1.0 - q_emp)
-        if mag < tol / 2.0 and tail < tol / 2.0:
-            return s, N, tail
-        prev = mag
-    return s, None, None
+    return s, n, moved + _tail_bound(a, n)
 
 
 def s_via_fredholm(k: CouplingK, tol: float) -> complex:

@@ -219,6 +219,50 @@ def _series_error(a: float, length: int, M: int) -> float:
     return tail + alias
 
 
+# With b_j = binom(2j, j)/4^j, the coefficients of (1 - x)^(-1/2), and
+# b_j/(2j - 1), the moduli of those of (1 - x)^(1/2), both decreasing in j,
+# |c_m(Lambda^-1)| <= |k|^m b_m (1 - |k|^2)^(-1/2) and
+# |c_m(Lambda)| <= 2 |k|^m b_m/(2m - 1).  So t_N = ||H_N(Lambda)||_HS
+# ||H_N(Lambda^-1)||_HS, where ||H_N(c)||_HS^2 = sum_(m > N) (m - N)|c_m|^2,
+# obeys t_N <= T_N = 2 b_(N+1)^2/(2N + 1) |k|^(2N + 2) (1 - |k|^2)^(-5/2),
+# and |det(I - K_N) - 1| <= B_N = T_N e^(1 + T_N) (Simon, Trace Ideals,
+# 2nd ed., Thm 3.4, with ||K_N||_1 <= t_N).  Every factor of T_N falls
+# with N, so B_(N+1) <= |k|^2 B_N and the tail past n is at most
+# B_(n+1)/(1 - |k|^2).  D(N) - M^2 = M^2 (det(I - K_N) - 1) carries the
+# same bound, times |M^2|, to the Toeplitz sum.
+
+
+def _tail_bound(a: float, n: int) -> float:
+    """Proven bound on sum_(N > n) |det(I - K_N) - 1| at |k| = a < 1;
+    inf where it overflows a float."""
+    if a == 0.0:
+        return 0.0
+    N = n + 1   # log T_N, with log b_(N+1) from lgamma
+    log_b = math.lgamma(2 * N + 3) - 2.0 * math.lgamma(N + 2) - (N + 1) * math.log(4.0)
+    q = math.log1p(-a * a)
+    log_t = math.log(2.0 / (2 * N + 1)) + 2.0 * log_b + (2 * N + 2) * math.log(a) - 2.5 * q
+    try:
+        return math.exp(log_t + 1.0 + math.exp(log_t) - q)
+    except OverflowError:
+        return math.inf
+
+
+def _terms_needed(a: float, tol: float) -> int:
+    """The smallest n >= 1 whose _tail_bound at |k| = a is <= tol/2, by
+    bisection between doublings of n."""
+    hi = 1
+    while _tail_bound(a, hi) > tol / 2.0:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _tail_bound(a, mid) <= tol / 2.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _circle_coeffs(kval: complex, length: int, *symbols):
     """Coefficients of each symbol(xi) at degrees -(length-1) .. length-1,
     from its values at the M-th roots of unity, one FFT each.  For real k

@@ -1,10 +1,13 @@
 """Diagonal susceptibility assembly and the route cross-checks."""
+import functools
 import math
 import time
 
+import numpy as np
 import pytest
 
-from ising_lab import CouplingK, DomainError, chi_d, sweep
+from ising_lab import CouplingK, DomainError, chi_d, fredholm, magnetization, sweep
+from ising_lab.params import _terms_needed
 
 # frozen regression value for the Fredholm route at tol 1e-8
 _CHI_03 = 0.024149147835178963
@@ -97,6 +100,50 @@ class TestNearCriticalFredholm:
         res = chi_d(CouplingK.physical(0.99), 1e-10, "fredholm")
         assert not res.flagged
         assert abs(res.beta_inv_chi_d - _CHI_099) <= 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(kv):
+    """1 + M^2 (2S - 1), S summed from _det_at over the terms whose proven
+    tail is below 5e-15."""
+    seq = fredholm._det_at(complex(kv), 1, _terms_needed(kv, 1e-14))
+    m2 = magnetization(CouplingK.physical(kv)) ** 2
+    return 1.0 + m2 * (2.0 * float(np.sum(seq.values - 1.0)) - 1.0)
+
+
+class TestProvenTail:
+    """est_error covers the real error of both determinant routes near k = 1."""
+
+    @pytest.mark.parametrize("route, tol", [
+        ("fredholm", 1e-8), ("toeplitz_direct", 1e-8), ("fredholm", 1e-10),
+    ])
+    @pytest.mark.parametrize("kv", [0.99, 0.995])
+    def test_est_error_covers_error(self, kv, route, tol):
+        res = chi_d(CouplingK.physical(kv), tol, route)
+        assert not res.flagged
+        assert abs(res.beta_inv_chi_d - _reference(kv)) <= res.est_error
+
+    def test_toeplitz_cap_flagged_with_proven_tail(self):
+        k = CouplingK.physical(0.999)
+        capped = chi_d(k, 1e-8, "toeplitz_direct")
+        full = chi_d(k, 1e-8, "fredholm")
+        assert capped.flagged and not full.flagged
+        assert capped.terms_used == 4096
+        assert abs(capped.beta_inv_chi_d - full.beta_inv_chi_d) <= capped.est_error
+
+    def test_non_finite_term_flagged(self, monkeypatch):
+        real = fredholm._det_at
+
+        def with_nan(kval, N, count):
+            seq = real(kval, N, count)
+            values = seq.values.copy()
+            values[-1] = math.nan
+            return fredholm._DetSequence(values=values, move=seq.move, size=seq.size)
+
+        monkeypatch.setattr(fredholm, "_det_at", with_nan)
+        res = chi_d(CouplingK.physical(0.5), 1e-8, "fredholm")
+        assert res.flagged
+        assert math.isnan(res.beta_inv_chi_d.real)
 
 
 class TestResultContract:

@@ -16,7 +16,10 @@ from ising_lab import (
     phi_m,
     suggest_length,
 )
-from ising_lab.params import _lambda_pair, _phi_series, phi_minus_series, phi_plus_series
+from ising_lab.fredholm import _det_at
+from ising_lab.params import (
+    _lambda_pair, _phi_series, _tail_bound, _terms_needed, phi_minus_series, phi_plus_series,
+)
 
 
 class TestCouplingK:
@@ -258,3 +261,33 @@ class TestFFTSeries:
         tail_bound = 2.0 * a ** 64 / ((1.0 - a * a) * (1.0 - a))
         # every alias of the 127 stored degrees is below 1e-17
         assert dropped <= lam.truncation_error <= tail_bound + 127 * 1e-17
+
+
+class TestTailBound:
+    """The proven tail of the correlation sum against computed terms."""
+
+    @pytest.mark.parametrize("kv", [
+        0.1, 0.5, 0.9, 0.95, 0.99, 0.995, 0.5 + 0.3j, 0.7j, -0.6,
+        0.9 * cmath.exp(0.3j), 0.99j,
+    ])
+    def test_bounds_the_real_tail(self, kv):
+        a = abs(kv)
+        count = max(1001, _terms_needed(a, 1e-18))   # the rest is below 1e-18
+        terms = np.abs(_det_at(complex(kv), 1, count).values - 1.0)
+        tails = np.cumsum(terms[::-1])[::-1]         # tails[n] = sum over N > n
+        # for complex k the computed terms end at a rounding floor near 1e-30
+        # each, which no bound on the exact terms has to cover
+        for n in range(1, 1001):
+            assert tails[n] <= _tail_bound(a, n) + 1e-25
+
+    def test_no_overflow_near_one(self):
+        assert _tail_bound(0.995, 1) == math.inf
+
+    def test_one_term_at_zero(self):
+        assert _terms_needed(0.0, 1e-8) == 1
+        assert _tail_bound(0.0, 1) == 0.0
+
+    @pytest.mark.parametrize("kv", [0.3, 0.9, 0.99])
+    def test_terms_needed_is_the_smallest(self, kv):
+        n = _terms_needed(kv, 1e-8)
+        assert _tail_bound(kv, n) <= 5e-9 < _tail_bound(kv, n - 1)
