@@ -12,7 +12,11 @@ and d_ell_s_n evaluate it through lint_integral.  For n = 2 the rule is
 summed by the moment engine at every kappa: 1/(1 - kappa^2 u)^(l+1) is
 expanded as a geometric series in u = x1 x2 y1 y2, and each power reduces
 to one-dimensional node sums, the moments B_m (_bm_chunk), in O(G^3 M)
-instead of the O(G^4) tensor sum.  The B_m are cached per (kappa, n, G)
+instead of the O(G^4) tensor sum.  As m grows, x^(m+1) drives the small
+nodes to nothing, and each chunk of moments runs on the nodes left after
+dropping the smallest ones whose whole share of B_m is proven below 2^-52
+of the sum of the moduli of its terms (_bm_drop): at G = 64, all 64 nodes
+at m < 256 and 12 at m = 4096.  The B_m are cached per (kappa, n, G)
 and shared by every order l, so S_2 and the probe integral at every ell
 reuse one set.  This is the same G-node rule summed in another order, not
 a finer one: it agrees with the tensor sum to ~1e-15 relative, and near a
@@ -325,6 +329,70 @@ _BM_CACHE: OrderedDict = OrderedDict()
 _BM_CACHE_MOMENTS = 1 << 18
 
 
+@lru_cache(maxsize=64)
+def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
+    """How many of the smallest nodes _bm_chunk drops for m in [m0, m1).
+
+    The nodes ascend, and the same nodes leave both axes.  Write
+    p_x(a) = |wx_a| x_a^(m+1) and p_y(a) = |wy_a| x_a^(m+1); S_x, S_y for
+    their sums over all nodes and D_x, D_y over the dropped ones; cmax and
+    cmin for the largest and smallest |C| on the grid.  Every tuple term
+    of B_m is at most cmax^8 p_x(a) p_x(b) p_y(i) p_y(j) in modulus, so
+    dropping changes B_m by at most
+
+        E_m = 2 cmax^8 (D_x S_x S_y^2 + D_y S_y S_x^2).
+
+    A kept x pair (a, b) and y pair (i, j) give four tuple terms, so the
+    sum T_m of all term moduli, the rounding scale of any evaluation of
+    B_m, is at least
+
+        R_m = 4 cmin^8 p_x(a) p_x(b) (x_a - x_b)^2 p_y(i) p_y(j) (x_i - x_j)^2.
+
+    The count returned keeps E_m <= 2^-52 R_m at every column m0..m1+1,
+    with the pairs that are best at column m1+1, and stops below both
+    pairs, so at least two nodes stay.  The test costs O(G^2 + (G - t)
+    (m1 - m0)), t the lower pair node: for any split of ascending nodes
+    the shares D/S and S/K (K: the sum from node t up) only fall as m
+    grows, so both are read at column m0, and only the nodes from t up are
+    summed at every column.  The test is exact at m0 and overstates E_m
+    after it; against the exact test at every column it keeps at most one
+    node more on the test grid.  Cached so that _bm_prefix reads the count
+    of the chunk it has just computed.
+    """
+    x, wx, wy = _axis_nodes(G, kappa)
+    absC = np.abs(1.0 / (1.0 - kappa * np.outer(x, x)))
+    scale = 2.0**-51 * (absC.min() / absC.max()) ** 8
+    logx = np.log(x)
+    d2 = (x[:, None] - x[None, :]) ** 2
+    first = np.exp(logx * (m0 + 1))
+    last = np.exp(logx * (m1 + 2))
+
+    def best_pair(w):
+        p = np.abs(w) * last
+        return np.unravel_index(np.argmax(np.triu(np.outer(p, p) * d2, 1)), (G, G))
+
+    (a, b), (i, j) = best_pair(wx), best_pair(wy)
+    t = min(a, i)
+    # one row per column m, the nodes from t up
+    Xp = np.exp(np.arange(m0 + 1, m1 + 3)[:, None] * logx[t:])
+
+    def shares(w, a, b):
+        """Dropped share D/S at m0 per count 1..t; R / (bound on S)^2 per column."""
+        w = np.abs(w)
+        D = np.cumsum(w * first)
+        K = Xp @ w[t:]
+        R = w[a] * w[b] * d2[a, b] * Xp[:, a - t] * Xp[:, b - t]
+        return D[:t] / D[-1], R / (K * (D[-1] / K[0])) ** 2
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hx, rx = shares(wx, a, b)
+        hy, ry = shares(wy, i, j)
+        # E_m / (2 cmax^8) <= S_x^2 S_y^2 (hx + hy); NaN (all x^(m+1)
+        # underflowing) fails the test and keeps every node
+        fits = hx + hy <= scale * np.min(rx * ry)
+    return int(t if fits.all() else np.argmin(fits))
+
+
 def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
     """B_m for m in [m0, m1): the u^m moments of the non-resonant factor.
 
@@ -338,13 +406,21 @@ def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
     g_m(y1) g_m(y2) (y1 - y2)^2 over y1 < y2, doubled by symmetry.
     Nothing divides by kappa, so small |kappa| loses no digits.
     Everything is BLAS-shaped in the m direction.
+
+    The kernel runs on the nodes _bm_drop keeps, on both axes.  The part
+    of B_m it leaves out is proven below 2^-52 of the sum of the moduli
+    of its terms, the scale of the rounding error of any double-precision
+    evaluation, so this is the same G-node rule to rounding: on the test
+    grid it equals the full-node kernel bit for bit.  A 256-moment chunk keeps
+    all 64 nodes of G = 64 at m = 0, 25 at m = 256 and 12 at m = 4096.
     """
-    x, wx, wy = _axis_nodes(G, kappa)
+    c = _bm_drop(kappa, G, m0, m1)
+    x, wx, wy = (v[c:] for v in _axis_nodes(G, kappa))
     C = 1.0 / (1.0 - kappa * np.outer(x, x))
     C2 = C * C
     mm = np.arange(m0, m1 + 2)
     Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
-    i, j = np.triu_indices(G, 1)
+    i, j = np.triu_indices(len(x), 1)
     Q = (C2[:, i] * C2[:, j]).T @ (wx[:, None] * Xp)
     xside = Q[:, :-2] * Q[:, 2:] - Q[:, 1:-1] * Q[:, 1:-1]
     yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * (Xp[i, :-2] * Xp[j, :-2])
@@ -356,6 +432,10 @@ def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
 
     Keys are evicted least recently used first once the cache holds more
     than _BM_CACHE_MOMENTS moments; the key just stored always stays.
+    A chunk is as long as 256 G(G-1)/2 array entries allow, the size of
+    one full-node 256-moment chunk: the kernel holds kept pairs x chunk
+    entries and the node selection up to G x chunk.  The kept count of
+    the chunk before sizes the next, since fewer nodes stay as m grows.
     """
     key = (kappa, n, G)
     with _BM_LOCK:
@@ -366,10 +446,15 @@ def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
         return have
     start = 0 if have is None else len(have)
     parts = [] if have is None else [have]
-    # the kernel holds G(G-1)/2 x chunk arrays: ~35 MB each at G = 128
-    chunk = 256
-    for m0 in range(start, upto, chunk):
-        parts.append(_bm_chunk(kappa, n, G, m0, min(m0 + chunk, upto)))
+    # ~35 MB per complex array at G = 128
+    entries = 256 * (G * (G - 1) // 2)
+    kept = G
+    m0 = start
+    while m0 < upto:
+        m1 = min(upto, m0 + entries // max(G, kept * (kept - 1) // 2))
+        parts.append(_bm_chunk(kappa, n, G, m0, m1))
+        kept = G - _bm_drop(kappa, G, m0, m1)
+        m0 = m1
     full = np.concatenate(parts)
     with _BM_LOCK:
         _BM_CACHE[key] = full
@@ -540,7 +625,9 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
     * spec.method == "monte_carlo": Monte Carlo.
     * Otherwise the nodes_per_dim-node Gauss rule at every kappa: for
       n = 2 summed by the moment series to relative tolerance 1e-14, for
-      n = 1 by the O(G^2) tensor sum.
+      n = 1 by the O(G^2) tensor sum.  The moments run on fewer nodes as
+      m grows, dropping only nodes whose share of B_m is proven below
+      2^-52 of its terms' moduli: the same G-node rule to rounding.
 
     The series needs more moments as |kappa^2| -> 1 and raises
     ConvergenceError past 2^18 of them; the ray toward -1 reaches

@@ -247,8 +247,8 @@ class TestArgumentErrors:
 
 class TestWarnings:
     def test_one_line_per_warning(self, capsys):
-        # the README Monte Carlo example misses the default 1e-9 target
-        argv = ["sn", "--kappa", "0.2,0.3", "--n", "3", "--mc-samples", "200000",
+        # 2000 samples leave a standard error of ~21%, above the 5% target
+        argv = ["sn", "--kappa", "0.2,0.3", "--n", "3", "--mc-samples", "2000",
                 "--seed", "1"]
         code = main(argv)
         captured = capsys.readouterr()
@@ -258,6 +258,16 @@ class TestWarnings:
         assert lines[0].startswith("warning: monte carlo standard error")
         assert ".py" not in lines[0]
         assert captured.out.startswith("kappa_re,kappa_im,n,form,method")
+
+    def test_readme_monte_carlo_example_is_quiet(self, capsys):
+        # 200 000 samples reach a 2.8% standard error, within the target
+        argv = ["sn", "--kappa", "0.2,0.3", "--n", "3", "--mc-samples", "200000",
+                "--seed", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert float(captured.out.splitlines()[1].split(",")[-1]) < 0.05
 
 
 class TestRuntimeDependencies:

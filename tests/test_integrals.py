@@ -350,3 +350,123 @@ class TestMomentEngine:
         lint_integral(-r, 2, 7, QuadratureSpec())
         d_ell_s_n(0.3, 2, 2, 0.2)
         assert (complex(-r), 2, QuadratureSpec().nodes_per_dim) in integrals._BM_CACHE
+
+
+def _full_bm_chunk(kappa, G, m0, m1):
+    """The unpruned n = 2 moment kernel on all G nodes: oracle for _bm_chunk."""
+    x, wx, wy = integrals._axis_nodes(G, kappa)
+    C = 1.0 / (1.0 - kappa * np.outer(x, x))
+    C2 = C * C
+    mm = np.arange(m0, m1 + 2)
+    Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
+    i, j = np.triu_indices(G, 1)
+    Q = (C2[:, i] * C2[:, j]).T @ (wx[:, None] * Xp)
+    xside = Q[:, :-2] * Q[:, 2:] - Q[:, 1:-1] * Q[:, 1:-1]
+    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * (Xp[i, :-2] * Xp[j, :-2])
+    return 4.0 * np.einsum("pm,pm->m", yside, xside)
+
+
+def _tuple_terms(kappa, G, m):
+    """Every ordered tuple term (a, b, i, j) of B_m, x pair (a, b), y pair (i, j)."""
+    x, wx, wy = integrals._axis_nodes(G, kappa)
+    C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
+    f = wx * x ** (m + 1)
+    g = wy * x ** (m + 1)
+    dx2 = (x[:, None] - x[None, :]) ** 2
+    xpair = f[:, None] * f[None, :] * dx2
+    ypair = g[:, None] * g[None, :] * dx2
+    cross = np.einsum("ai,aj,bi,bj->abij", C2, C2, C2, C2)
+    return xpair[:, :, None, None] * ypair[None, None, :, :] * cross
+
+
+def _drop_bound(kappa, G, m, c):
+    """E_m for dropping the c smallest nodes."""
+    x, wx, wy = integrals._axis_nodes(G, kappa)
+    cmax = np.abs(1.0 / (1.0 - kappa * np.outer(x, x))).max()
+    px = np.abs(wx) * x ** (m + 1)
+    py = np.abs(wy) * x ** (m + 1)
+    Sx, Sy, Dx, Dy = px.sum(), py.sum(), px[:c].sum(), py[:c].sum()
+    return 2.0 * cmax**8 * (Dx * Sx * Sy**2 + Dy * Sy * Sx**2)
+
+
+def _kept_pair_bound(kappa, G, m, c):
+    """R_m of the best x pair and the best y pair among the kept nodes."""
+    x, wx, wy = integrals._axis_nodes(G, kappa)
+    cmin = np.abs(1.0 / (1.0 - kappa * np.outer(x, x))).min()
+    dx2 = np.triu((x[c:, None] - x[None, c:]) ** 2, 1)
+    best = [(np.outer(p, p) * dx2).max()
+            for p in (np.abs(w[c:]) * x[c:] ** (m + 1) for w in (wx, wy))]
+    return 4.0 * cmin**8 * best[0] * best[1]
+
+
+_PRUNE_KAPPAS = [1e-4, 1e-2, 0.5j, -0.7, 0.7 + 0.3j, 0.97, 0.95j, -(1.0 - 2.0**-10),
+                 0.99 * np.exp(0.4j)]
+
+
+class TestPrunedMoments:
+    """_bm_chunk drops only nodes whose share is proven below rounding."""
+
+    @pytest.mark.parametrize("G", [16, 48])
+    @pytest.mark.parametrize("kappa", _PRUNE_KAPPAS)
+    def test_matches_full_kernel(self, kappa, G):
+        for m0 in range(0, 4096, 256):
+            pruned = integrals._bm_chunk(complex(kappa), 2, G, m0, m0 + 256)
+            full = _full_bm_chunk(complex(kappa), G, m0, m0 + 256)
+            assert np.all(np.abs(pruned - full) <= 1e-15 * np.abs(full))
+
+    @pytest.mark.parametrize("kappa", [-0.7, 0.7 + 0.3j, -(1.0 - 2.0**-10)])
+    def test_prefix_chunks(self, kappa, monkeypatch):
+        # the chunks _bm_prefix asks for: each within 256 G(G-1)/2 kept pair
+        # entries, and each the full-node rule to rounding
+        kappa, G = complex(kappa), 48
+        chunks = []
+        kernel = integrals._bm_chunk
+
+        def spy(kappa, n, G, m0, m1):
+            chunks.append((m0, m1))
+            return kernel(kappa, n, G, m0, m1)
+
+        monkeypatch.setattr(integrals, "_bm_chunk", spy)
+        integrals._BM_CACHE.pop((kappa, 2, G), None)
+        bm = integrals._bm_prefix(kappa, 2, G, 8192)
+        assert chunks[0] == (0, 256) and chunks[-1][1] == 8192
+        assert len(chunks) < 8192 // 256
+        for m0, m1 in chunks:
+            kept = G - integrals._bm_drop(kappa, G, m0, m1)
+            assert kept * (kept - 1) // 2 * (m1 - m0) <= 256 * G * (G - 1) // 2
+            full = _full_bm_chunk(kappa, G, m0, m1)
+            assert np.all(np.abs(bm[m0:m1] - full) <= 1e-15 * np.abs(full))
+
+    @pytest.mark.parametrize("G", [16, 48])
+    @pytest.mark.parametrize("kappa", _PRUNE_KAPPAS)
+    def test_dropped_counts(self, kappa, G):
+        drops = [integrals._bm_drop(complex(kappa), G, m0, m0 + 256)
+                 for m0 in range(0, 4096, 256)]
+        assert all(G - c >= 2 for c in drops)
+        assert drops == sorted(drops)
+        assert drops[0] < drops[-1]
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.7 + 0.3j, 0.97, -(1.0 - 2.0**-10)])
+    def test_bound_covers_brute_force(self, kappa):
+        kappa, G = complex(kappa), 12
+        full = _tuple_terms(kappa, G, 0).sum()
+        assert abs(full - _full_bm_chunk(kappa, G, 0, 1)[0]) <= 1e-14 * abs(full)
+        lowest = np.indices((G,) * 4).min(axis=0)
+        for m in (0, 40, 300, 2000):
+            terms = _tuple_terms(kappa, G, m)
+            scale = np.abs(terms).sum()
+            for c in range(1, G - 1):
+                dropped = terms[lowest < c].sum()
+                assert abs(dropped) <= _drop_bound(kappa, G, m, c)
+                assert _kept_pair_bound(kappa, G, m, c) <= scale
+
+    @pytest.mark.parametrize("G", [16, 48])
+    @pytest.mark.parametrize("kappa", _PRUNE_KAPPAS)
+    def test_drop_bound_below_kept_pairs(self, kappa, G):
+        # the best kept pairs give at least the R_m that _bm_drop tests with
+        kappa = complex(kappa)
+        for m0 in range(0, 4096, 256):
+            c = integrals._bm_drop(kappa, G, m0, m0 + 256)
+            for m in range(m0, m0 + 258, 16):
+                bound = _drop_bound(kappa, G, m, c)
+                assert bound <= 2.0**-52 * _kept_pair_bound(kappa, G, m, c)
