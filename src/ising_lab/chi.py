@@ -21,6 +21,8 @@ from .toeplitz import _correlations
 
 _ROUTES = ("fredholm", "toeplitz_direct", "integral")
 _TOEPLITZ_N_CAP = 4096
+# rounding allowance of the Toeplitz sum over n terms, per n(n+1)
+_TOEPLITZ_ROUNDING = 8.0 * 2.0**-52
 _INTEGRAL_N_MAX = 2
 
 
@@ -85,9 +87,17 @@ def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
     toeplitz kernel.
 
     n = _terms_needed(|k|, tol), the count the fredholm sum uses, and
-    est_error is the proven tail past n, 2 |M^2| _tail_bound(|k|, n).  An
-    n past _TOEPLITZ_N_CAP is cut to the cap, and the partial sum comes
-    back flagged with the proven tail past the cap as est_error.
+    est_error is the proven tail past n, 2 |M^2| _tail_bound(|k|, n), plus
+    a rounding allowance.  An n past _TOEPLITZ_N_CAP is cut to the cap,
+    and the partial sum comes back flagged with the proven tail past the
+    cap in est_error.
+
+    The allowance is an estimate, not a bound.  The Levinson D(N) carry an
+    absolute rounding error that grows like N eps with a mostly constant
+    sign; each is allowed 8 N eps, so the sum 2 sum_N (D(N) - M^2) is
+    allowed 8 eps n(n+1).  Against a deep fredholm sum, at k from 0.3 to
+    0.997 and on complex k of modulus 0.9 to 0.995, tol 1e-8 to 1e-12, the
+    real error reached at most 4.1 eps n(n+1) (at k = 0.995 exp(0.05i)).
     """
     a = abs(k.k)
     n = _terms_needed(a, tol)
@@ -95,7 +105,8 @@ def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
     dets, _ = _correlations(k, used)
     total = 1.0 - m2 + 2.0 * (dets - m2).sum()
     tail = 2.0 * abs(m2) * _tail_bound(a, used)
-    return _finish(k, total, "toeplitz_direct", used, tail, n > used)
+    rounding = _TOEPLITZ_ROUNDING * used * (used + 1)
+    return _finish(k, total, "toeplitz_direct", used, tail + rounding, n > used)
 
 
 def _chi_integral(k: CouplingK, m2) -> ChiResult:

@@ -5,7 +5,9 @@ x^(-1/2)(1-x)^(1/2) on the x axes and y^(1/2)(1-y)^(-1/2)(1-kappa y)^(-1/2)
 on the y axes.  The substitution x = sin^2(pi t / 2) absorbs both endpoint
 exponents, leaving smooth transformed axes that a single Gauss-Legendre
 node set handles for every axis.  Dimensions beyond four (n >= 3) switch
-to importance-sampled Monte Carlo with Beta-distributed coordinates.
+to importance-sampled Monte Carlo with Beta-distributed coordinates, drawn
+from uniforms alone and evaluated in fixed chunks (_mc_core), so memory
+does not grow with the sample count.
 
 lint_integral owns the G-node rule of the Vandermonde form (Sn2), and s_n
 and d_ell_s_n evaluate it through lint_integral.  For n = 2 the rule is
@@ -19,9 +21,13 @@ of the sum of the moduli of its terms (_bm_drop): at G = 64, all 64 nodes
 at m < 256 and 12 at m = 4096.  The B_m are cached per (kappa, n, G)
 and shared by every order l, so S_2 and the probe integral at every ell
 reuse one set.  This is the same G-node rule summed in another order, not
-a finer one: it agrees with the tensor sum to ~1e-15 relative, and near a
-resonant direction (kappa^n approaching the positive real axis) it
-resolves the spike no better than the tensor product.  n = 1 keeps its
+a finer one: the summed rule agrees with the tensor sum to ~1e-15
+relative, and near a resonant direction (kappa^n approaching the positive
+real axis) it resolves the spike no better than the tensor product.  A
+single B_m is less accurate than the sum: its x-side difference
+Q_m Q_(m+2) - Q_(m+1)^2 cancels once a few top nodes dominate, and against
+the brute-force tuple sum at G = 12 the B_m are off by ~1e-10 relative at
+m = 300 and 1e-9 to 1e-8 at m = 2000.  n = 1 keeps its
 O(G^2) tensor sum.  The Cauchy-determinant form (Sn1) keeps the pointwise
 tensor sum (_tensor_core), so comparing the two forms stays an
 independent cross-check.
@@ -57,9 +63,9 @@ class QuadratureSpec:
     axis, at every kappa; for n = 2 the Vandermonde form is summed by the
     moment engine and the Cauchy-determinant form by the pointwise tensor
     sum.
-    The seed feeds a counter-based generator, so a given
-    (seed, mc_samples, dimension) triple yields an identical sample stream
-    regardless of how callers schedule the work.
+    The seed feeds a counter-based generator that is read in fixed-size
+    chunks, so a given (seed, mc_samples, n) triple yields an identical
+    sample stream regardless of how callers schedule the work.
     """
 
     method: str = "tensor_gauss"
@@ -262,25 +268,40 @@ def _refined_nodes(G: int) -> int:
 # ---------------------------------------------------------------------------
 # Monte Carlo path (any n; the production route for n >= 3)
 
+# samples per Monte Carlo chunk: each chunk is drawn and evaluated whole,
+# so the working set stays near cache size and memory is flat in mc_samples
+_MC_CHUNK = 8192
+
+
 def _draw_points(rng, m: int, n: int):
-    X = rng.beta(0.5, 1.5, size=(m, n))
-    Y = rng.beta(1.5, 0.5, size=(m, n))
-    if n > 1:
-        # coincident coordinates have probability zero but are resampled
-        # anyway; redraws continue the same deterministic stream
-        for _ in range(100):
-            bad = np.zeros(m, dtype=bool)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    bad |= X[:, i] == X[:, j]
-                    bad |= Y[:, i] == Y[:, j]
-            bad |= np.any((X <= 0) | (X >= 1), axis=1)
-            bad |= np.any((Y <= 0) | (Y >= 1), axis=1)
-            cnt = int(bad.sum())
-            if cnt == 0:
-                break
-            X[bad] = rng.beta(0.5, 1.5, size=(cnt, n))
-            Y[bad] = rng.beta(1.5, 0.5, size=(cnt, n))
+    """m points of n coordinates each, X ~ Beta(1/2, 3/2), Y ~ Beta(3/2, 1/2).
+
+    Returned as (n, m) arrays, one row per coordinate.  X = U cos^2(pi V)
+    with U, V uniform: cos^2(pi V) has the arcsine law Beta(1/2, 1/2), and
+    Beta(1/2, 1/2) Beta(1, 1) = Beta(1/2, 3/2) for independent factors.
+    Y = 1 - U' cos^2(pi V') likewise: four uniforms per coordinate pair
+    and no rejection loop.  Points with a coordinate outside (0, 1) (U = 0
+    is possible) or two coincident coordinates are redrawn; redraws
+    continue the same deterministic stream.
+    """
+
+    def draw(k):
+        U = rng.random((4, n, k))
+        c = np.cos(np.pi * U[1])
+        X = U[0] * (c * c)
+        c = np.cos(np.pi * U[3])
+        return X, 1.0 - U[2] * (c * c)
+
+    X, Y = draw(m)
+    for _ in range(100):
+        bad = np.any((X <= 0.0) | (X >= 1.0) | (Y <= 0.0) | (Y >= 1.0), axis=0)
+        for i in range(n):
+            for j in range(i + 1, n):
+                bad |= (X[i] == X[j]) | (Y[i] == Y[j])
+        cnt = int(np.count_nonzero(bad))
+        if cnt == 0:
+            break
+        X[:, bad], Y[:, bad] = draw(cnt)
     return X, Y
 
 
@@ -289,33 +310,51 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
 
     The Beta(1/2, 3/2) and Beta(3/2, 1/2) proposal densities absorb the
     endpoint weights exactly; each axis contributes the Beta normalization
-    pi/2, restored here as (pi/2)^(2n).
+    pi/2, restored here as (pi/2)^(2n).  The samples are drawn and
+    evaluated in chunks of _MC_CHUNK, one stream for the whole run, and
+    each chunk's mean and centred sum of squares are merged by Chan's
+    pairwise formula, so memory is O(chunk) at any mc_samples.  Sn2 forms
+    the Vandermonde factor prod_{i<j} (x_j - x_i)(y_j - y_i) in real
+    arithmetic, divides it by the pair product prod_{i,j} (1 - kappa x_i
+    y_j) and squares the ratio; Sn1 takes the Cauchy determinant of each
+    chunk's (chunk, n, n) matrices from the same draws.  The smooth factor
+    is prod_i sqrt((1 - kappa x_i)/(1 - kappa y_i)), equal to the ratio of
+    the two root products since both have positive real part.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     m = spec.mc_samples
-    X, Y = _draw_points(rng, m, n)
-    u = np.prod(X, axis=1) * np.prod(Y, axis=1)
-    first = u / (1.0 - kappa**n * u) ** power
-    A = 1.0 - kappa * np.einsum("mi,mj->mij", X, Y)
-    if form == "Sn2":
-        pair = np.ones(m, dtype=complex)
+    kn = kappa**n
+    done, mean, m2 = 0, 0j, 0.0
+    while done < m:
+        c = min(_MC_CHUNK, m - done)
+        X, Y = _draw_points(rng, c, n)
+        u = np.prod(X, axis=0) * np.prod(Y, axis=0)
+        vals = u / (1.0 - kn * u) ** power
+        if form == "Sn2":
+            vdm = np.ones(c)
+            pair = np.ones(c, dtype=complex)
+            for i in range(n):
+                for j in range(n):
+                    pair *= 1.0 - kappa * (X[i] * Y[j])
+                    if i < j:
+                        vdm *= (X[j] - X[i]) * (Y[j] - Y[i])
+            core = vdm / pair
+        else:
+            A = 1.0 - kappa * (X.T[:, :, None] * Y.T[:, None, :])
+            core = np.linalg.det(1.0 / A)
+        vals = vals * (core * core)
         for i in range(n):
-            for j in range(n):
-                pair *= A[:, i, j]
-        core = 1.0 / (pair * pair)
-        for i in range(n):
-            for j in range(i + 1, n):
-                core *= (X[:, j] - X[:, i]) ** 2 * (Y[:, j] - Y[:, i]) ** 2
-    else:
-        det = np.linalg.det(1.0 / A)
-        core = det * det
-    smooth = np.prod(np.sqrt(1.0 - kappa * X), axis=1) / np.prod(
-        np.sqrt(1.0 - kappa * Y), axis=1
-    )
-    vals = first * core * smooth
+            vals *= np.sqrt((1.0 - kappa * X[i]) / (1.0 - kappa * Y[i]))
+        # Chan et al.: merge this chunk's mean and centred sum of squares
+        cmean = complex(vals.mean())
+        d = vals - cmean
+        total = done + c
+        delta = cmean - mean
+        mean += delta * (c / total)
+        m2 += float(np.vdot(d, d).real) + abs(delta) ** 2 * (done * c / total)
+        done = total
     scale = (math.pi / 2.0) ** (2 * n)
-    mean = complex(np.mean(vals))
-    se = float(np.std(vals) / math.sqrt(m))
+    se = math.sqrt(m2 / m) / math.sqrt(m)
     return mean * scale, se * scale
 
 

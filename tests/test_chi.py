@@ -116,6 +116,7 @@ class TestProvenTail:
 
     @pytest.mark.parametrize("route, tol", [
         ("fredholm", 1e-8), ("toeplitz_direct", 1e-8), ("fredholm", 1e-10),
+        ("toeplitz_direct", 1e-10),
     ])
     @pytest.mark.parametrize("kv", [0.99, 0.995])
     def test_est_error_covers_error(self, kv, route, tol):

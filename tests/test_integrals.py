@@ -1,5 +1,6 @@
 """Form-factor integrals: integrands, quadrature, derivatives, probe integral."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,6 +160,98 @@ class TestMonteCarlo:
         with pytest.warns(PrecisionWarning):
             s_n(0.3, 2, spec)
 
+    def test_sampler_marginals(self):
+        # Kolmogorov-Smirnov at the 1% level against the closed-form CDFs
+        N = 100_000
+        rng = np.random.Generator(np.random.Philox(key=2024))
+        X, Y = integrals._draw_points(rng, N, 1)
+        limit = 1.63 / math.sqrt(N)
+        assert _ks_distance(X[0], _beta_half_cdf) < limit
+        assert _ks_distance(Y[0], lambda y: 1.0 - _beta_half_cdf(1.0 - y)) < limit
+
+    def test_sampler_redraws_degenerate_points(self):
+        class Stub:
+            """Uniforms whose first draw holds U = 0, U' = 0 and a tie."""
+
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(1), 0
+
+            def random(self, shape):
+                self.calls += 1
+                u = self.rng.random(shape)
+                if self.calls == 1:
+                    u[0, 0, 3] = 0.0       # x = 0
+                    u[2, 1, 5] = 0.0       # y = 1
+                    u[:, 1, 7] = u[:, 0, 7]  # x_1 = x_2 and y_1 = y_2
+                return u
+
+        stub = Stub()
+        X, Y = integrals._draw_points(stub, 10, 2)
+        assert stub.calls == 2
+        assert np.all((X > 0) & (X < 1) & (Y > 0) & (Y < 1))
+        assert np.all(X[0] != X[1]) and np.all(Y[0] != Y[1])
+
+    def test_chunked_statistics_match_one_pass(self):
+        # the same draws evaluated point by point through the public
+        # integrand, divided by the proposal density, then one mean and std
+        n, seed, m = 2, 4, integrals._MC_CHUNK + 500
+        kappa = 0.4 + 0.2j
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        vals = []
+        for c in (integrals._MC_CHUNK, 500):
+            X, Y = integrals._draw_points(rng, c, n)
+            for x, y in zip(X.T, Y.T):
+                density = np.prod(np.sqrt((1.0 - x) / x) * np.sqrt(y / (1.0 - y)))
+                vals.append(sn_integrand_vandermonde(x, y, kappa, n) / density)
+        vals = np.array(vals) * (math.pi / 2.0) ** (2 * n)
+        spec = QuadratureSpec(method="monte_carlo", mc_samples=m, seed=seed)
+        mean, se = integrals._mc_core(kappa, n, 1, spec, "Sn2")
+        assert abs(mean - vals.mean()) <= 1e-12 * abs(mean)
+        assert abs(se - np.std(vals) / math.sqrt(m)) <= 1e-10 * se
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_forms_agree_on_same_draws(self, n):
+        spec = QuadratureSpec(
+            method="monte_carlo", mc_samples=20000, seed=9, target_rel_error=1.0
+        )
+        sn2 = s_n(0.2 + 0.3j, n, spec, form="Sn2").value
+        sn1 = s_n(0.2 + 0.3j, n, spec, form="Sn1").value
+        assert abs(sn1 - sn2) <= 1e-12 * abs(sn2)
+
+    def test_three_particle_term_against_reference(self):
+        # 40 x 500k samples drawn with numpy's gamma-ratio Beta sampler,
+        # independent of the sampler under test
+        ref, ref_se = complex(5.2080388102566976e-18, 2.0190310495494974e-17), 5.80e-20
+        spec = QuadratureSpec(
+            method="monte_carlo", mc_samples=200_000, seed=1, target_rel_error=1.0
+        )
+        res = s_n(0.2 + 0.3j, 3, spec)
+        se = res.rel_error_est * abs(res.value)
+        assert abs(res.value - ref) < 5.0 * math.hypot(se, ref_se)
+
+    def test_memory_flat_in_samples(self):
+        spec = QuadratureSpec(method="monte_carlo", mc_samples=1_000_000, seed=1)
+        tracemalloc.start()
+        try:
+            integrals._mc_core(0.5, 4, 1, spec, "Sn2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+def _beta_half_cdf(x):
+    """CDF of Beta(1/2, 3/2)."""
+    return (2.0 / math.pi) * (np.arcsin(np.sqrt(x)) + np.sqrt(x * (1.0 - x)))
+
+
+def _ks_distance(sample, cdf):
+    """Kolmogorov-Smirnov distance between a sample and a continuous CDF."""
+    s = np.sort(sample)
+    F = cdf(s)
+    i = np.arange(1, len(s) + 1)
+    return max(np.max(i / len(s) - F), np.max(F - (i - 1) / len(s)))
+
 
 class TestSTotal:
     def test_two_terms_dominate(self):
@@ -226,12 +319,13 @@ class TestProbeIntegral:
             assert abs(pref * li - sn) < 1e-12 * abs(sn)
 
     def test_series_matches_direct_quadrature(self):
-        # resonant expansion vs plain tensor sum away from the cache path
+        # the G = 64 probe against the finer G = 96 rule at a resonant point;
+        # TestMomentEngine checks the series against the tensor sum at equal G
         r = 1.0 - 2.0 ** -6
         for ell in (6, 7):
             series = lint_integral(-r, 2, ell, _SPEC)
-            direct = _tensor_core(-r, 2, ell + 1, 96, "Sn2")
-            assert abs(series - direct) < 1e-7 * abs(direct)
+            finer = lint_integral(-r, 2, ell, QuadratureSpec(nodes_per_dim=96))
+            assert abs(series - finer) < 1e-7 * abs(finer)
 
     def test_monte_carlo_route(self):
         spec = QuadratureSpec(method="monte_carlo", mc_samples=200000, seed=21)
