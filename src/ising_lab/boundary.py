@@ -39,6 +39,14 @@ class RootOfUnity:
 
     @property
     def value(self) -> complex:
+        """exp(2 pi i p/q), exactly -1 or +-i when q is 2 or 4.
+
+        cmath.exp(1j * pi) is -1 + 1.2e-16i; the exact value keeps a ray
+        toward -1 on the real axis, where the probe runs in float64.
+        """
+        if self.q in (2, 4):
+            # i^(4p/q), p odd
+            return (1 + 0j, 1j, -1 + 0j, complex(0.0, -1.0))[4 * self.p // self.q % 4]
         return cmath.exp(2j * math.pi * self.p / self.q)
 
 

@@ -17,12 +17,10 @@ from .fredholm import _s_fredholm_terms
 from .integrals import QuadratureSpec, _sn_sum
 from .params import CouplingK, _tail_bound, _terms_needed, magnetization
 from .parallel import parallel_map
-from .toeplitz import _correlations
+from .toeplitz import _LEVINSON_ROUNDING, _correlations
 
 _ROUTES = ("fredholm", "toeplitz_direct", "integral")
 _TOEPLITZ_N_CAP = 4096
-# rounding allowance of the Toeplitz sum over n terms, per n(n+1)
-_TOEPLITZ_ROUNDING = 8.0 * 2.0**-52
 _INTEGRAL_N_MAX = 2
 
 
@@ -94,10 +92,12 @@ def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
 
     The allowance is an estimate, not a bound.  The Levinson D(N) carry an
     absolute rounding error that grows like N eps with a mostly constant
-    sign; each is allowed 8 N eps, so the sum 2 sum_N (D(N) - M^2) is
-    allowed 8 eps n(n+1).  Against a deep fredholm sum, at k from 0.3 to
-    0.997 and on complex k of modulus 0.9 to 0.995, tol 1e-8 to 1e-12, the
-    real error reached at most 4.1 eps n(n+1) (at k = 0.995 exp(0.05i)).
+    sign; each is allowed 8 N eps (_LEVINSON_ROUNDING N, the allowance
+    the kernel's own M^2 <= D(N) <= 1 check adds), so the sum
+    2 sum_N (D(N) - M^2) is allowed 8 eps n(n+1).  Against a deep fredholm
+    sum, at k from 0.3 to 0.997 and on complex k of modulus 0.9 to 0.995,
+    tol 1e-8 to 1e-12, the real error reached at most 4.1 eps n(n+1) (at
+    k = 0.995 exp(0.05i)).
     """
     a = abs(k.k)
     n = _terms_needed(a, tol)
@@ -105,7 +105,7 @@ def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
     dets, _ = _correlations(k, used)
     total = 1.0 - m2 + 2.0 * (dets - m2).sum()
     tail = 2.0 * abs(m2) * _tail_bound(a, used)
-    rounding = _TOEPLITZ_ROUNDING * used * (used + 1)
+    rounding = _LEVINSON_ROUNDING * used * (used + 1)
     return _finish(k, total, "toeplitz_direct", used, tail + rounding, n > used)
 
 

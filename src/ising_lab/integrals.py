@@ -23,13 +23,13 @@ and shared by every order l, so S_2 and the probe integral at every ell
 reuse one set.  This is the same G-node rule summed in another order, not
 a finer one: the summed rule agrees with the tensor sum to ~1e-15
 relative, and near a resonant direction (kappa^n approaching the positive
-real axis) it resolves the spike no better than the tensor product.  A
-single B_m is less accurate than the sum: its x-side difference
-Q_m Q_(m+2) - Q_(m+1)^2 cancels once a few top nodes dominate, and against
-the brute-force tuple sum at G = 12 the B_m are off by ~1e-10 relative at
-m = 300 and 1e-9 to 1e-8 at m = 2000.  n = 1 keeps its
-O(G^2) tensor sum.  The Cauchy-determinant form (Sn1) keeps the pointwise
-tensor sum (_tensor_core), so comparing the two forms stays an
+real axis) it resolves the spike no better than the tensor product.
+Each single B_m is accurate to rounding too, ~1e-15 relative against the
+brute-force tuple sum at G = 12 up to m = 2000: its x side is formed
+about the top node, which dominates as m grows and so cannot cancel.
+For real kappa the nodes, the moments and the sums are float64.  n = 1
+keeps its O(G^2) tensor sum.  The Cauchy-determinant form (Sn1) keeps the
+pointwise tensor sum (_tensor_core), so comparing the two forms stays an
 independent cross-check.
 """
 from __future__ import annotations
@@ -137,6 +137,15 @@ def _gauss01(G: int):
     return t, w
 
 
+def _real(kappa: complex):
+    """kappa as a float when its imaginary part is exactly 0, else as is.
+
+    Real kappa then keeps the node weights, the tensor sum and the moment
+    engine in float64, as fredholm._det_at does for real k.
+    """
+    return kappa.real if kappa.imag == 0.0 else kappa
+
+
 @lru_cache(maxsize=64)
 def _axis_nodes(G: int, kappa: complex):
     """Nodes on (0,1) plus weights with the axis densities folded in.
@@ -145,11 +154,12 @@ def _axis_nodes(G: int, kappa: complex):
     smooth after x = sin^2(pi t / 2): the half-power endpoint factors
     cancel against the substitution Jacobian, and sqrt(1 - kappa x) is
     analytic on the node range because Re(1 - kappa x) > 1 - |kappa| > 0.
+    The weights are float64 for real kappa and complex otherwise.
     """
     t, w = _gauss01(G)
     s2 = np.sin(np.pi * t / 2.0) ** 2
     c2 = 1.0 - s2
-    root = np.sqrt(1.0 - kappa * s2)
+    root = np.sqrt(1.0 - _real(kappa) * s2)
     wx = w * np.pi * c2 * root
     wy = w * np.pi * s2 / root
     for arr in (s2, wx, wy):
@@ -222,8 +232,10 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int, form: str = "Sn2"):
     """Raw 2n-dimensional integral with resonant exponent `power`.
 
     The axis weights already carry the Lambda_1 densities, so this is the
-    plain weighted tensor sum of the remaining smooth factor.
+    plain weighted tensor sum of the remaining smooth factor, in float64
+    for real kappa.
     """
+    kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
     if n == 1:
         # for n = 1 both forms reduce to the same pair factor 1/den^2
@@ -363,8 +375,9 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
 
 _BM_LOCK = threading.Lock()
 _BM_CACHE: OrderedDict = OrderedDict()
-# total moments kept (16 bytes each): the README ray j = 4..10 stores 32512
-# and one d_ell_s_n contour 2048, and one series reaches at most 2^18
+# total moments kept (8 bytes each for real kappa, 16 for complex): the
+# README ray j = 4..10 stores 32512 and one d_ell_s_n contour 512, and one
+# series reaches at most 2^18
 _BM_CACHE_MOMENTS = 1 << 18
 
 
@@ -398,6 +411,7 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     node more on the test grid.  Cached so that _bm_prefix reads the count
     of the chunk it has just computed.
     """
+    kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
     absC = np.abs(1.0 / (1.0 - kappa * np.outer(x, x)))
     scale = 2.0**-51 * (absC.min() / absC.max()) ** 8
@@ -437,32 +451,54 @@ def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
 
     n = 2 only.  Each u^m moment factorizes into one-dimensional node sums
     with f_m(x) = wx x^(m+1) and g_m(y) = wy y^(m+1), and C(x, y) =
-    1/(1 - kappa x y).  The Vandermonde numerator is kept: since
-    x^p f_m = f_(m+p), one matrix product Q = CC2^T f with CC2[x, (y1, y2)]
-    = C^2(x, y1) C^2(x, y2) gives the x-side moments Q_m, Q_(m+1),
-    Q_(m+2), and 2 (Q_m Q_(m+2) - Q_(m+1)^2) is the x-side double sum
-    carrying the factor (x1 - x2)^2.  B_m sums it against
+    1/(1 - kappa x y).  The Vandermonde numerator is kept, about a shift
+    s: with h(x) = C^2(x, y1) C^2(x, y2) and R_k = sum_x (x - s)^k h f_m,
+    the x-side double sum carrying (x1 - x2)^2 = ((x1 - s) - (x2 - s))^2
+    is 2 (R_0 R_2 - R_1^2).  The matrix CC2[(y1, y2), x] = C^2(x, y1)
+    C^2(x, y2) times the columns f_m, (x - s) f_m and (x - s)^2 f_m gives
+    the three, one product each, which keeps at most three pairs x chunk
+    arrays live at once.  B_m sums the x side against
     g_m(y1) g_m(y2) (y1 - y2)^2 over y1 < y2, doubled by symmetry.
     Nothing divides by kappa, so small |kappa| loses no digits.
-    Everything is BLAS-shaped in the m direction.
+    Everything is BLAS-shaped in the m direction, and in float64 for real
+    kappa.
 
-    The kernel runs on the nodes _bm_drop keeps, on both axes.  The part
-    of B_m it leaves out is proven below 2^-52 of the sum of the moduli
-    of its terms, the scale of the rounding error of any double-precision
-    evaluation, so this is the same G-node rule to rounding: on the test
-    grid it equals the full-node kernel bit for bit.  A 256-moment chunk keeps
-    all 64 nodes of G = 64 at m = 0, 25 at m = 256 and 12 at m = 4096.
+    The shift is the top node, s = x[-1].  As m grows x^(m+1) lets a few
+    top nodes dominate; with s = 0 the difference R_0 R_2 - R_1^2 then
+    cancels to about 1e-8 of its terms, but the top node adds nothing to
+    R_1 and R_2, so it cannot cancel, and each B_m is accurate to
+    rounding: within 1e-13 relative (4e-15 seen) of the brute-force tuple
+    sum at G = 12 up to m = 2000, and the same to 1e-14 however the
+    moments are chunked.
+
+    The kernel runs on the nodes _bm_drop keeps, on both axes, and the top
+    node is always kept.  The part of B_m it leaves out is proven below
+    2^-52 of the sum of the moduli of its terms, the scale of the
+    rounding error of any double-precision evaluation, so this is the same
+    G-node rule to rounding: on the test grid it equals the full-node
+    kernel to 1e-15 relative.  A 256-moment chunk keeps all 64 nodes of
+    G = 64 at m = 0, 25 at m = 256 and 12 at m = 4096.
     """
     c = _bm_drop(kappa, G, m0, m1)
+    kappa = _real(kappa)
     x, wx, wy = (v[c:] for v in _axis_nodes(G, kappa))
-    C = 1.0 / (1.0 - kappa * np.outer(x, x))
-    C2 = C * C
-    mm = np.arange(m0, m1 + 2)
-    Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
+    C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
+    d = x - x[-1]
+    Xp = np.exp(np.log(x)[:, None] * np.arange(m0 + 1, m1 + 1))
+    f = wx[:, None] * Xp
     i, j = np.triu_indices(len(x), 1)
-    Q = (C2[:, i] * C2[:, j]).T @ (wx[:, None] * Xp)
-    xside = Q[:, :-2] * Q[:, 2:] - Q[:, 1:-1] * Q[:, 1:-1]
-    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * (Xp[i, :-2] * Xp[j, :-2])
+    # C2 is symmetric, so its rows i, j give CC2 with one gathered copy
+    CC2 = C2[i]
+    CC2 *= C2[j]
+    # one product per R_k: at most three pairs x chunk arrays live at once
+    xside = CC2 @ f
+    xside *= CC2 @ ((d * d)[:, None] * f)
+    R1 = CC2 @ (d[:, None] * f)
+    R1 *= R1
+    xside -= R1
+    del R1
+    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i]
+    yside *= Xp[j]
     return 4.0 * np.einsum("pm,pm->m", yside, xside)
 
 
@@ -472,9 +508,10 @@ def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
     Keys are evicted least recently used first once the cache holds more
     than _BM_CACHE_MOMENTS moments; the key just stored always stays.
     A chunk is as long as 256 G(G-1)/2 array entries allow, the size of
-    one full-node 256-moment chunk: the kernel holds kept pairs x chunk
-    entries and the node selection up to G x chunk.  The kept count of
-    the chunk before sizes the next, since fewer nodes stay as m grows.
+    one full-node 256-moment chunk: the kernel holds at most three arrays
+    of kept pairs x chunk entries and the node selection up to G x chunk.
+    The kept count of the chunk before sizes the next, since fewer nodes
+    stay as m grows.  The arrays are float64 for real kappa.
     """
     key = (kappa, n, G)
     with _BM_LOCK:
@@ -485,7 +522,7 @@ def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
         return have
     start = 0 if have is None else len(have)
     parts = [] if have is None else [have]
-    # ~35 MB per complex array at G = 128
+    # ~35 MB per complex array at G = 128, half that for real kappa
     entries = 256 * (G * (G - 1) // 2)
     kept = G
     m0 = start
@@ -510,21 +547,22 @@ def _lint_series(kappa: complex, n: int, ell: int, G: int, rtol: float) -> compl
     1/(1 - kappa^n u)^(ell+1) = sum_m binom(m+ell, ell) (kappa^n u)^m turns
     the integral into sum_m binom(m+ell, ell) kappa^(n m) B_m, the same
     G-node rule as _tensor_core summed in another order.  The summed length
-    starts at 64 moments and doubles until the tail estimate drops below
-    rtol relative to the sum, so it overshoots the length it needs by at
-    most 2x.
+    starts at 16 moments (S_2 at |kappa| = 0.5 needs about 23) and doubles
+    until the tail estimate drops below rtol relative to the sum, so it
+    overshoots the length it needs by at most 2x.  For real kappa the sum
+    runs in float64, since kappa^2 > 0.
     """
-    kn = kappa**n
+    kn = _real(kappa) ** n
     q = abs(kn)
     if q >= 1.0:
         raise DomainError("|kappa^n| must be < 1")
-    total = 0.0 + 0.0j
-    m0, m1 = 0, 64
+    total = 0.0
+    m0, m1 = 0, 16
     while True:
         bm = _bm_prefix(kappa, n, G, m1)[m0:m1]
         mm = np.arange(m0, m1)
         # at kappa = 0 only the m = 0 term survives (and log 0 is undefined)
-        powers = np.exp(mm * cmath.log(kn)) if q > 0.0 else (mm == 0) * 1.0
+        powers = np.exp(mm * np.log(kn)) if q > 0.0 else (mm == 0) * 1.0
         # binom(m+ell, ell) as a running product over l = 1..ell
         binom = np.ones(m1 - m0)
         for e in range(1, ell + 1):

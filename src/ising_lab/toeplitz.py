@@ -16,6 +16,9 @@ from .errors import ConvergenceError, DomainError
 from .params import CouplingK, magnetization, _cache_length, _phi_series, suggest_length
 
 _COND_FLAG = 1e12
+# absolute rounding allowance of one Levinson D(N), per N: the D(N) carry
+# an error that grows like N eps with a mostly constant sign
+_LEVINSON_ROUNDING = 8.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,9 @@ def _correlations(k: CouplingK, N: int):
 
     For physical k the phi coefficients must be real to 1e-12, which makes
     every D(n) real, and the recursion runs on their real parts; every
-    D(n) must then satisfy M^2 <= D(n) <= 1 to 1e-12.  A failed check
-    raises RuntimeError naming the first bad n.
+    D(n) must then satisfy M^2 <= D(n) <= 1 to 1e-12 plus the rounding
+    allowance _LEVINSON_ROUNDING n.  A failed check raises RuntimeError
+    naming the first bad n.
     """
     phi = _phi_series(complex(k.k), _cache_length(suggest_length(k.k) + N))
     col = phi.window(0, N - 1)           # phi_0 .. phi_(N-1)
@@ -93,7 +97,8 @@ def _correlations(k: CouplingK, N: int):
     dets = np.cumprod(eps)
     if k.mode == "physical":
         m2 = magnetization(k) ** 2
-        bad = np.flatnonzero((dets < m2 - 1e-12) | (dets > 1.0 + 1e-12))
+        slack = 1e-12 + _LEVINSON_ROUNDING * np.arange(1, N + 1)
+        bad = np.flatnonzero((dets < m2 - slack) | (dets > 1.0 + slack))
         if bad.size:
             n = int(bad[0]) + 1
             raise RuntimeError(

@@ -1,4 +1,5 @@
 """Radial scans toward roots of unity and the divergence classifier."""
+import cmath
 import math
 
 import numpy as np
@@ -22,6 +23,14 @@ class TestRootOfUnity:
     def test_minus_one(self):
         eps = RootOfUnity(1, 2)
         assert abs(eps.value + 1.0) < 1e-15
+
+    def test_exact_on_the_axes(self):
+        # exp(i pi) is -1 + 1.2e-16i in floating point; these are exact
+        assert RootOfUnity(1, 2).value == -1
+        assert RootOfUnity(1, 4).value == 1j
+        assert RootOfUnity(3, 4).value == -1j
+        assert RootOfUnity(-1, 4).value == -1j
+        assert RootOfUnity(1, 3).value == cmath.exp(2j * math.pi / 3)
 
     def test_power_closes(self):
         for p, q in ((1, 3), (2, 5), (3, 7)):

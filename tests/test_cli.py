@@ -70,6 +70,17 @@ class TestChi:
         code, _ = _run(capsys, ["chi", "--k", "1.2", "--route", "fredholm"])
         assert code == 1
 
+    @pytest.mark.parametrize("k, tol", [("0.995", "1e-12"), ("0.996", "1e-10")])
+    def test_near_critical_toeplitz_row(self, capsys, k, tol):
+        # the last D(N) lie within Levinson rounding of M^2: a row, no traceback
+        code, out = _run(
+            capsys, ["chi", "--k", k, "--route", "toeplitz_direct", "--tol", tol]
+        )
+        lines = out.strip().splitlines()
+        assert code in (0, 2)
+        assert len(lines) == 2
+        assert lines[1].split(",")[1] == "toeplitz_direct"
+
 
 class TestSn:
     def test_tensor_row(self, capsys):
@@ -113,6 +124,15 @@ class TestBoundaryScan:
         assert len(lines) == 5
         labels = {line.split(",")[-1] for line in lines[1:]}
         assert len(labels) == 1
+
+    def test_readme_scan_is_real(self, capsys):
+        # the ray toward exactly -1 stays on the real axis
+        code, out = _run(capsys, ["boundary-scan", "--eps", "1/2", "--n", "2",
+                                  "--ell", "7", "--radii", "4..10"])
+        lines = out.strip().splitlines()
+        assert code == 0
+        assert len(lines) == 8
+        assert all(line.split(",")[6] == "0" for line in lines[1:])
 
     def test_bad_eps_rejected(self, capsys):
         code, _ = _run(capsys, ["boundary-scan", "--eps", "2/4", "--n", "4",

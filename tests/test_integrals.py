@@ -448,15 +448,17 @@ class TestMomentEngine:
 
 def _full_bm_chunk(kappa, G, m0, m1):
     """The unpruned n = 2 moment kernel on all G nodes: oracle for _bm_chunk."""
+    kappa = integrals._real(kappa)
     x, wx, wy = integrals._axis_nodes(G, kappa)
-    C = 1.0 / (1.0 - kappa * np.outer(x, x))
-    C2 = C * C
-    mm = np.arange(m0, m1 + 2)
-    Xp = np.exp(np.log(x)[:, None] * (mm[None, :] + 1))
+    C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
+    d = x - x[-1]
+    Xp = np.exp(np.log(x)[:, None] * np.arange(m0 + 1, m1 + 1))
+    f = wx[:, None] * Xp
     i, j = np.triu_indices(G, 1)
-    Q = (C2[:, i] * C2[:, j]).T @ (wx[:, None] * Xp)
-    xside = Q[:, :-2] * Q[:, 2:] - Q[:, 1:-1] * Q[:, 1:-1]
-    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * (Xp[i, :-2] * Xp[j, :-2])
+    Q = (C2[:, i] * C2[:, j]).T @ np.hstack((f, d[:, None] * f, (d * d)[:, None] * f))
+    k = m1 - m0
+    xside = Q[:, :k] * Q[:, 2 * k:] - Q[:, k:2 * k] * Q[:, k:2 * k]
+    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i] * Xp[j]
     return 4.0 * np.einsum("pm,pm->m", yside, xside)
 
 
@@ -564,3 +566,45 @@ class TestPrunedMoments:
             for m in range(m0, m0 + 258, 16):
                 bound = _drop_bound(kappa, G, m, c)
                 assert bound <= 2.0**-52 * _kept_pair_bound(kappa, G, m, c)
+
+
+class TestMomentAccuracy:
+    """Each B_m to rounding: the x side is formed about the top node."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.7 + 0.3j, 0.97, -(1.0 - 2.0**-10), 0.5j])
+    def test_single_moments_match_tuple_sum(self, kappa):
+        kappa, G = complex(kappa), 12
+        for m in (0, 40, 300, 2000):
+            want = _tuple_terms(kappa, G, m).sum()
+            got = integrals._bm_chunk(kappa, 2, G, m, m + 1)[0]
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.7 + 0.3j, 0.5j, -(1.0 - 2.0**-10)])
+    def test_chunking_does_not_move_moments(self, kappa):
+        kappa, G, M = complex(kappa), 16, 2048
+
+        def chunked(size):
+            return np.concatenate([integrals._bm_chunk(kappa, 2, G, m0, min(M, m0 + size))
+                                   for m0 in range(0, M, size)])
+
+        a, b = chunked(256), chunked(200)
+        assert np.all(np.abs(a - b) <= 1e-14 * np.abs(a))
+
+    def test_off_axis_probe_matches_tensor_sum(self):
+        kappa, G = complex(0.99 * np.exp(0.4j)), 48
+        value = lint_integral(kappa, 2, 7, QuadratureSpec(nodes_per_dim=G))
+        tensor = _tensor_core(kappa, 2, 8, G, "Sn2")
+        assert abs(value - tensor) <= 1e-13 * abs(tensor)
+
+
+class TestRealPath:
+    """Real kappa keeps the nodes and the moments in float64."""
+
+    @pytest.mark.parametrize("kappa, kind", [(0.5, "f"), (-0.9, "f"), (0.5j, "c"),
+                                             (0.3 + 0.2j, "c")])
+    def test_dtypes(self, kappa, kind):
+        kappa, G = complex(kappa), 16
+        assert all(v.dtype.kind == kind for v in integrals._axis_nodes(G, kappa)[1:])
+        integrals._BM_CACHE.pop((kappa, 2, G), None)
+        lint_integral(kappa, 2, 3, QuadratureSpec(nodes_per_dim=G))
+        assert integrals._BM_CACHE[(kappa, 2, G)].dtype.kind == kind

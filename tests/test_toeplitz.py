@@ -139,6 +139,27 @@ class TestLevinsonKernel:
         res = chi_d(CouplingK.physical(0.5), 1e-8, "toeplitz_direct")
         assert res.flagged
 
+    def test_bounds_check_allows_rounding_only(self, monkeypatch):
+        # D(N) may dip below M^2 by the rounding allowance, not by more
+        k, N = CouplingK.physical(0.5), 40
+        m2 = magnetization(k) ** 2
+        allowance = 1e-12 + toeplitz._LEVINSON_ROUNDING * N
+        kernel = toeplitz._levinson
+
+        def ending_at(target):
+            def run(col, row):
+                eps = kernel(col, row)
+                eps[-1] *= target / np.prod(eps)
+                return eps
+            return run
+
+        monkeypatch.setattr(toeplitz, "_levinson", ending_at(m2 - 0.5 * allowance))
+        dets, _ = _correlations(k, N)
+        assert m2 - allowance < dets[-1] < m2
+        monkeypatch.setattr(toeplitz, "_levinson", ending_at(m2 - 2.0 * allowance))
+        with pytest.raises(RuntimeError, match=f"N={N}"):
+            _correlations(k, N)
+
     @pytest.mark.parametrize("kv", [0.5, 0.5 + 0.3j])
     def test_correlation_is_last_entry(self, kv):
         k = _coupling(kv)
