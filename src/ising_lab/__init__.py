@@ -10,44 +10,16 @@ from .boundary import (
     RadialScan,
     RootOfUnity,
     SmoothnessReport,
-    log_fit,
     radial_scan,
     radii_grid,
     smoothness_probe,
 )
 from .chi import ChiResult, chi_d, sweep
 from .errors import ConvergenceError, DomainError, PhaseError, PrecisionWarning
-from .fredholm import (
-    FredholmResult,
-    HankelTruncation,
-    fredholm_det,
-    hankel_matrix,
-    s_via_fredholm,
-)
-from .integrals import (
-    QuadratureSpec,
-    SnResult,
-    d_ell_s_n,
-    lambda1,
-    lint_integral,
-    s_n,
-    s_total,
-    sn_integrand_cauchy,
-    sn_integrand_vandermonde,
-)
-from .params import (
-    CouplingK,
-    SeriesCoeffs,
-    binomial_half_series,
-    k_from_temperature,
-    lambda_series,
-    magnetization,
-    phi_m,
-    phi_minus_series,
-    phi_plus_series,
-    suggest_length,
-)
-from .toeplitz import CorrelationResult, correlation_deviation, diagonal_correlation
+from .fredholm import FredholmResult, fredholm_det, s_via_fredholm
+from .integrals import QuadratureSpec, SnResult, lint_integral, s_n
+from .params import CouplingK, k_from_temperature, magnetization
+from .toeplitz import CorrelationResult, diagonal_correlation
 
 __version__ = "0.1.0"
 
@@ -58,40 +30,24 @@ __all__ = [
     "CouplingK",
     "DomainError",
     "FredholmResult",
-    "HankelTruncation",
     "PhaseError",
     "PrecisionWarning",
     "ProbeEntry",
     "QuadratureSpec",
     "RadialScan",
     "RootOfUnity",
-    "SeriesCoeffs",
     "SmoothnessReport",
     "SnResult",
-    "binomial_half_series",
     "chi_d",
-    "correlation_deviation",
-    "d_ell_s_n",
     "diagonal_correlation",
     "fredholm_det",
-    "hankel_matrix",
     "k_from_temperature",
-    "lambda1",
-    "lambda_series",
     "lint_integral",
-    "log_fit",
     "magnetization",
-    "phi_m",
-    "phi_minus_series",
-    "phi_plus_series",
     "radial_scan",
     "radii_grid",
     "s_n",
-    "s_total",
     "s_via_fredholm",
     "smoothness_probe",
-    "sn_integrand_cauchy",
-    "sn_integrand_vandermonde",
-    "suggest_length",
     "sweep",
 ]

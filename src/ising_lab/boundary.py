@@ -113,15 +113,6 @@ def _ols_log(radii, values):
     }
 
 
-def log_fit(scan: RadialScan):
-    """Least squares of Re(values) against log 1/(1-r).
-
-    Returns (slope, intercept, r2).
-    """
-    st = _ols_log(scan.radii, scan.values)
-    return st["slope"], st["intercept"], st["r2"]
-
-
 def _classify(radii, values) -> str:
     """'diverging' when the positive log slope is statistically real.
 
@@ -203,12 +194,11 @@ def smoothness_probe(
     epsilon: RootOfUnity,
     spec: QuadratureSpec,
     radii=None,
-    n_components: int = 2,
 ) -> SmoothnessReport:
     """Boundedness report for derivative proxies of S_1 + S_2 toward epsilon.
 
     For each ell <= ell_max the divergent candidate of the ell-th
-    derivative of every retained S_n (the probe integral with first-factor
+    derivative of S_1 and of S_2 (the probe integral with first-factor
     power ell+1) is scanned along kappa = r * epsilon and classified; a
     derivative order counts as diverging when any component diverges.
     Numerical differentiation is deliberately avoided here: the probe
@@ -222,7 +212,7 @@ def smoothness_probe(
     entries = []
     for e in range(ell_max + 1):
         per_n = {}
-        for n in range(1, n_components + 1):
+        for n in (1, 2):
             values = _scan_values(epsilon.value, n, e, radii, spec)
             per_n[n] = _classify(radii, values)
         overall = (

@@ -47,12 +47,19 @@ def _emit(columns, rows, fmt: str):
     print("\n".join(out))
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise DomainError(f"cannot parse number {text!r}") from exc
+
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(_float(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(_float(parts[0]), _float(parts[1]))
     raise DomainError(f"cannot parse complex value {text!r}; use re or re,im")
 
 
@@ -64,14 +71,14 @@ def _parse_grid(text: str):
         pieces = text.split(":")
         if len(pieces) != 3:
             raise DomainError("grid range must be start:stop:step")
-        a, b, step = (float(p) for p in pieces)
+        a, b, step = (_float(p) for p in pieces)
         if step <= 0:
             raise DomainError("grid step must be positive")
         count = int(math.floor((b - a) / step + 1e-9)) + 1
         if count < 1:
             return []
         return [a + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    return [_float(p) for p in text.split(",") if p.strip()]
 
 
 def _parse_eps(text: str) -> RootOfUnity:

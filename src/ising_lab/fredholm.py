@@ -38,40 +38,11 @@ _CHUNK = 256            # shifts per block of the reversed cumulative sum
 
 
 @dataclass(frozen=True)
-class HankelTruncation:
-    """cutoff x cutoff window of a Hankel operator with shift N.
-
-    entries[i, j] is the series coefficient at degree N + i + j + 1;
-    tail_bound dominates the summed magnitude of every omitted coefficient
-    (degrees above N + 2*cutoff - 1).
-    """
-
-    N: int
-    cutoff: int
-    entries: np.ndarray
-    tail_bound: float
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class FredholmResult:
     N: int
     det_value: complex
     cutoff_used: int
     est_error: float
-
-
-def hankel_matrix(coeffs: SeriesCoeffs, N: int, cutoff: int) -> HankelTruncation:
-    """Build the truncated Hankel matrix (coeff at degree N+i+j+1).
-
-    Raises a hard error naming the required degree when the series is too
-    short to fill the window.
-    """
-    band = _band(coeffs, N, cutoff)
-    tail = _geometric_tail_from(coeffs, N + 2 * cutoff - 1)
-    return HankelTruncation(N=N, cutoff=cutoff, entries=_hankel(band), tail_bound=tail)
 
 
 def _band(coeffs: SeriesCoeffs, N: int, cutoff: int) -> np.ndarray:
@@ -86,24 +57,6 @@ def _band(coeffs: SeriesCoeffs, N: int, cutoff: int) -> np.ndarray:
             f"series ends at degree {coeffs.max_degree}"
         )
     return coeffs.window(N + 1, need)
-
-
-def _hankel(band: np.ndarray) -> np.ndarray:
-    """Square Hankel matrix whose entry (i, j) is band[i + j]."""
-    i = np.arange((len(band) + 1) // 2)
-    return band[i[:, None] + i]
-
-
-def _geometric_tail_from(coeffs: SeriesCoeffs, beyond: int) -> float:
-    """Sum bound for |coeff(m)|, m > beyond, from the observed decay ratio."""
-    last = abs(coeffs.coeff(beyond))
-    if last == 0.0:
-        return 0.0
-    prev = abs(coeffs.coeff(beyond - 1))
-    if prev == 0.0:
-        return last
-    ratio = min(0.999, last / prev)
-    return last * ratio / (1.0 - ratio)
 
 
 def _section_size(a: float, N: int, count: int):

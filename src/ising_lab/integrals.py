@@ -10,7 +10,7 @@ from uniforms alone and evaluated in fixed chunks (_mc_core), so memory
 does not grow with the sample count.
 
 lint_integral owns the G-node rule of the Vandermonde form (Sn2), and s_n
-and d_ell_s_n evaluate it through lint_integral.  For n = 2 the rule is
+evaluates it through lint_integral.  For n = 2 the rule is
 summed by the moment engine at every kappa: 1/(1 - kappa^2 u)^(l+1) is
 expanded as a geometric series in u = x1 x2 y1 y2, and each power reduces
 to one-dimensional node sums, the moments B_m (_bm_chunk), in O(G^3 M)
@@ -110,23 +110,6 @@ def _check_kappa(kappa: complex) -> complex:
     return kappa
 
 
-def lambda1(x, kappa):
-    """Lambda_1(x) = sqrt((1-x)(1-kappa x)/x), principal branch.
-
-    x must lie strictly inside (0,1); quadrature weights own the endpoint
-    behavior, so the endpoints themselves are never sampled.
-    """
-    xv = np.asarray(x, dtype=float)
-    if np.any(xv <= 0.0) or np.any(xv >= 1.0):
-        raise DomainError("x must lie strictly inside (0, 1)")
-    kappa = _check_kappa(kappa)
-    val = np.sqrt((1.0 - xv) * (1.0 - kappa * xv) / xv)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        v = complex(val)
-        return v.real if kappa.imag == 0.0 and v.imag == 0.0 else v
-    return val
-
-
 @lru_cache(maxsize=32)
 def _gauss01(G: int):
     t, w = np.polynomial.legendre.leggauss(G)
@@ -165,59 +148,6 @@ def _axis_nodes(G: int, kappa: complex):
     for arr in (s2, wx, wy):
         arr.setflags(write=False)
     return s2, wx, wy
-
-
-def _vandermonde_sq(v: np.ndarray) -> float:
-    out = 1.0
-    n = len(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out *= (v[j] - v[i]) ** 2
-    return out
-
-
-def _integrand_parts(x, y, kappa: complex, n: int):
-    """Validated coordinates plus the factors both integrand forms share.
-
-    Returns x, y, kappa, the first factor u / (1 - kappa^n u) with
-    u = prod x_i y_i, and the ratio prod_i Lambda_1(x_i)/Lambda_1(y_i).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (n,) or y.shape != (n,):
-        raise DomainError(f"x and y must be length-{n} vectors")
-    if np.any((x <= 0) | (x >= 1)) or np.any((y <= 0) | (y >= 1)):
-        raise DomainError("coordinates must lie strictly inside (0, 1)")
-    kappa = _check_kappa(kappa)
-    u = np.prod(x) * np.prod(y)
-    first = u / (1.0 - kappa**n * u)
-    lam = np.prod(np.sqrt((1.0 - x) * (1.0 - kappa * x) / x)) / np.prod(
-        np.sqrt((1.0 - y) * (1.0 - kappa * y) / y)
-    )
-    return x, y, kappa, first, lam
-
-
-def sn_integrand_vandermonde(x, y, kappa: complex, n: int):
-    """Integrand of the Vandermonde-form S_n integral, prefactor excluded.
-
-    Equals [prod x_i y_i / (1 - kappa^n prod x_i y_i)] *
-    Delta(x)^2 Delta(y)^2 / prod_{i,j}(1 - kappa x_i y_j)^2 *
-    prod_i Lambda_1(x_i)/Lambda_1(y_i).
-    """
-    x, y, kappa, first, lam = _integrand_parts(x, y, kappa, n)
-    cross = np.prod((1.0 - kappa * np.outer(x, y)) ** 2)
-    return first * _vandermonde_sq(x) * _vandermonde_sq(y) / cross * lam
-
-
-def sn_integrand_cauchy(x, y, kappa: complex, n: int):
-    """Integrand of the Cauchy-determinant form, prefactor excluded.
-
-    Same first factor and Lambda_1 ratios as the Vandermonde form, but the
-    pair interaction enters through det(1/(1 - kappa x_i y_j)) squared.
-    """
-    x, y, kappa, first, lam = _integrand_parts(x, y, kappa, n)
-    det = np.linalg.det(1.0 / (1.0 - kappa * np.outer(x, y)))
-    return first * det * det * lam
 
 
 def _prefactor(kappa: complex, n: int, form: str) -> complex:
@@ -376,8 +306,8 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
 _BM_LOCK = threading.Lock()
 _BM_CACHE: OrderedDict = OrderedDict()
 # total moments kept (8 bytes each for real kappa, 16 for complex): the
-# README ray j = 4..10 stores 32512 and one d_ell_s_n contour 512, and one
-# series reaches at most 2^18
+# README ray j = 4..10 stores 32512, S_2 at kappa = 0.5 stores 16 per node
+# count, and one series reaches at most 2^18
 _BM_CACHE_MOMENTS = 1 << 18
 
 
@@ -670,26 +600,6 @@ def _sn_sum(kappa: complex, n_max: int, spec: QuadratureSpec):
     return total, err, tail
 
 
-def s_total(kappa: complex, n_max: int, spec: QuadratureSpec) -> complex:
-    """Sum of S_n for n <= n_max, with a prefactor-scaling tail check.
-
-    The dropped tail starts at |S_{n_max}| * |kappa|^(2(n_max+1)); when it
-    exceeds the requested relative target a PrecisionWarning is issued.
-    """
-    kappa = _check_kappa(kappa)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    total, _, tail = _sn_sum(kappa, n_max, spec)
-    if tail > spec.target_rel_error * max(abs(total), _TINY):
-        warnings.warn(
-            f"form-factor tail estimate {tail:.2e} above target at "
-            f"kappa={kappa}, n_max={n_max}",
-            PrecisionWarning,
-            stacklevel=2,
-        )
-    return total
-
-
 def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> complex:
     """The probe integral: S_n integrand with first-factor power ell+1.
 
@@ -733,41 +643,3 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
         return _lint_series(kappa, 2, ell, spec.nodes_per_dim, _GAUSS_RTOL)
     return _tensor_core(kappa, n, ell + 1, spec.nodes_per_dim, "Sn2")
 
-
-def d_ell_s_n(kappa: complex, n: int, ell: int, radius: float) -> complex:
-    """ell-th derivative of S_n at kappa by the Cauchy integral formula.
-
-    Trapezoidal sampling on the contour circle is spectrally accurate for
-    this analytic integrand; the contour must stay inside |kappa| < 1.
-    Each contour point evaluates the Vandermonde form through
-    lint_integral at ell = 0 with 64 nodes per axis.
-    """
-    kappa = _check_kappa(kappa)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if ell < 1:
-        raise DomainError("ell must be >= 1")
-    if not radius > 0:
-        raise DomainError("radius must be positive")
-    if abs(kappa) + radius >= 1.0:
-        raise DomainError(
-            f"contour of radius {radius:.6g} around kappa={kappa} crosses "
-            "the unit circle"
-        )
-    if radius < 1e-3:
-        warnings.warn(
-            f"contour radius {radius:.2e} amplifies evaluation noise by "
-            f"{radius ** (-ell):.2e}",
-            PrecisionWarning,
-            stacklevel=2,
-        )
-    P = max(32, 8 * ell)
-    spec = QuadratureSpec(nodes_per_dim=64)
-    theta = 2.0 * math.pi * np.arange(P) / P
-    acc = 0.0 + 0.0j
-    for j in range(P):
-        z = kappa + radius * cmath.exp(1j * theta[j])
-        pref = _prefactor(z, n, "Sn2")
-        sval = pref * lint_integral(z, n, 0, spec)
-        acc += sval * cmath.exp(-1j * ell * theta[j])
-    return math.factorial(ell) * acc / (P * radius**ell)

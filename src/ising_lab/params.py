@@ -2,9 +2,10 @@
 
 Everything downstream consumes the low-temperature modulus k (|k| < 1) and
 the Fourier/Laurent coefficients computed here: the symbol
-phi(xi) = sqrt((1 - k/xi)/(1 - k xi)), its Wiener-Hopf factors phi+/phi-,
-and Lambda = phi-/phi+ together with its reciprocal.  All fractional powers
-take the principal branch, fixed by phi+(0) = phi-(inf) = 1.
+phi(xi) = sqrt((1 - k/xi)/(1 - k xi)) (_phi_series) and
+Lambda = sqrt((1 - k xi)(1 - k/xi)) together with its reciprocal
+(_lambda_pair), each from one FFT on the unit circle.  Both square roots
+take the principal branch, which is 1 at k = 0.
 """
 from __future__ import annotations
 
@@ -17,9 +18,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PhaseError
 
-_TAIL_TARGET = 1e-16
-_MIN_LEN = 8
-_MAX_LEN = 1 << 15
 _ALIAS_TARGET = 1e-17
 _MAX_CIRCLE = 1 << 21
 
@@ -106,8 +104,8 @@ class SeriesCoeffs:
     """Truncated coefficient sequence, possibly with negative degrees.
 
     coeffs[i] is the coefficient at degree min_degree + i.  truncation_error
-    bounds the sup norm on the unit circle of the dropped tail, plus the
-    aliases for series taken by FFT.
+    bounds the sup norm on the unit circle of the dropped tail plus the
+    aliases of the FFT.
     """
 
     kind: str
@@ -141,48 +139,10 @@ class SeriesCoeffs:
         return out
 
 
-def suggest_length(k: complex, target: float = _TAIL_TARGET) -> int:
-    """Series length with geometric tail |k|^len / (1-|k|) below target."""
-    a = abs(k)
-    if a == 0.0:
-        return _MIN_LEN
-    n = math.log(target * (1.0 - a)) / math.log(a)
-    return int(min(_MAX_LEN, max(_MIN_LEN, math.ceil(n) + 2)))
-
-
 def _cache_length(n: int) -> int:
     """The power of two at or above n: the length internal callers ask the
     cached series for, so that all of one k's requests share a few keys."""
     return 1 << max(0, n - 1).bit_length()
-
-
-def binomial_half_series(exponent: float, k: complex, length: int) -> SeriesCoeffs:
-    """Taylor coefficients of (1 - k x)^exponent for exponent = +-1/2.
-
-    c_0 = 1 and c_(m+1) = c_m * k * (m - exponent)/(m + 1), one cumulative
-    product.  truncation_error is the geometric bound on
-    sum_{m >= length} |c_m|; when it exceeds the library tail target the
-    result is still returned and the bound simply reports the fact.
-    """
-    if exponent not in (0.5, -0.5):
-        raise DomainError("exponent must be +1/2 or -1/2")
-    if abs(k) >= 1:
-        raise DomainError("|k| must be < 1")
-    if length < 1:
-        raise DomainError("length must be >= 1")
-    m = np.arange(length - 1)
-    c = np.empty(length, dtype=complex)
-    c[0] = 1.0
-    c[1:] = np.cumprod(k * (m - exponent) / (m + 1))
-    a = abs(k)
-    if a == 0.0 or length == 1:
-        tail = 0.0 if a == 0.0 else a / (1.0 - a)
-    else:
-        # |c_{m+1}/c_m| <= |k| for m >= 1, so the dropped tail is dominated
-        # by the geometric series starting at the first omitted term.
-        tail = abs(c[-1]) * a / (1.0 - a)
-    kind = "binom_plus_half" if exponent == 0.5 else "binom_minus_half"
-    return SeriesCoeffs(kind=kind, coeffs=c, min_degree=0, truncation_error=tail)
 
 
 # Every binomial-1/2 coefficient has modulus <= 1, so the Laurent
@@ -280,7 +240,7 @@ def _circle_coeffs(kval: complex, length: int, *symbols):
 @lru_cache(maxsize=64)
 def _phi_series(kval: complex, length: int) -> SeriesCoeffs:
     # both 1 - k/xi and 1 - k xi have positive real part on |xi| = 1, so
-    # the principal square roots are the branches fixed by phi+(0) = 1
+    # the principal square roots are the branches that are 1 at k = 0
     (coeffs,), err = _circle_coeffs(
         kval, length, lambda xi: np.sqrt(1.0 - kval / xi) / np.sqrt(1.0 - kval * xi)
     )
@@ -309,48 +269,3 @@ def _mirror(c: np.ndarray, length: int) -> np.ndarray:
     """Degrees -(length-1) .. length-1 of c with degree -m set to degree m."""
     pos = c[length - 1 :]
     return np.concatenate([pos[:0:-1], pos])
-
-
-def phi_plus_series(k: CouplingK, length: int | None = None) -> SeriesCoeffs:
-    """phi+ = (1 - k xi)^(-1/2); nonnegative degrees, phi+(0) = 1."""
-    length = length or suggest_length(k.k)
-    s = binomial_half_series(-0.5, k.k, length)
-    return SeriesCoeffs("phi_plus", s.coeffs, 0, s.truncation_error)
-
-
-def phi_minus_series(k: CouplingK, length: int | None = None) -> SeriesCoeffs:
-    """phi- = (1 - k/xi)^(1/2); nonpositive degrees, phi-(inf) = 1."""
-    length = length or suggest_length(k.k)
-    s = binomial_half_series(0.5, k.k, length)
-    # degree of x^m in (1 - k/xi)^(1/2) is -m
-    return SeriesCoeffs(
-        "phi_minus", s.coeffs[::-1].copy(), -(length - 1), s.truncation_error
-    )
-
-
-def phi_m(k: CouplingK, m: int, length: int | None = None) -> complex:
-    """m-th Fourier coefficient of the symbol phi.
-
-    Computed by one FFT of the symbol on the unit circle, with enough
-    points that the aliases stay below 1e-17 at every stored degree;
-    truncation_error of the cached series bounds the dropped tail plus
-    the aliases.
-    """
-    length = length or suggest_length(k.k)
-    return _phi_series(complex(k.k), int(length)).coeff(m)
-
-
-def lambda_series(k: CouplingK, length: int | None = None):
-    """Laurent coefficients of Lambda = sqrt((1-k xi)(1-k/xi)) and 1/Lambda.
-
-    Returns
-    -------
-    (SeriesCoeffs, SeriesCoeffs)
-        Lambda and Lambda^-1.  Lambda's coefficients are symmetric under
-        degree negation because Lambda(1/x) = Lambda(x).
-    """
-    if abs(k.k) >= 1:
-        raise DomainError("|k| must be < 1")
-    length = length or suggest_length(k.k)
-    return _lambda_pair(complex(k.k), int(length))
-

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import CouplingK, magnetization, _cache_length, _phi_series, suggest_length
+from .params import CouplingK, magnetization, _cache_length, _phi_series
 
 _COND_FLAG = 1e12
 # absolute rounding allowance of one Levinson D(N), per N: the D(N) carry
@@ -85,7 +85,7 @@ def _correlations(k: CouplingK, N: int):
     allowance _LEVINSON_ROUNDING n.  A failed check raises RuntimeError
     naming the first bad n.
     """
-    phi = _phi_series(complex(k.k), _cache_length(suggest_length(k.k) + N))
+    phi = _phi_series(complex(k.k), _cache_length(N))
     col = phi.window(0, N - 1)           # phi_0 .. phi_(N-1)
     row = phi.window(-(N - 1), 0)[::-1]  # phi_0, phi_-1, .., phi_-(N-1)
     if k.mode == "physical":
@@ -132,10 +132,3 @@ def diagonal_correlation(k: CouplingK, N: int) -> CorrelationResult:
     value = float(dets[-1]) if k.mode == "physical" else complex(dets[-1])
     return CorrelationResult(N=N, value=value, cond_estimate=cond)
 
-
-def correlation_deviation(k: CouplingK, N: int) -> complex:
-    """D(N) - M^2, the summand of the diagonal susceptibility."""
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    m = magnetization(k)
-    return diagonal_correlation(k, N).value - m * m

@@ -8,9 +8,7 @@ import pytest
 from ising_lab import (
     DomainError,
     QuadratureSpec,
-    RadialScan,
     RootOfUnity,
-    log_fit,
     radial_scan,
     radii_grid,
     smoothness_probe,
@@ -61,39 +59,25 @@ class TestRadiiGrid:
             radii_grid(10, 4)
 
 
-def _synthetic_scan(radii, values):
-    return RadialScan(
-        epsilon=RootOfUnity(1, 2),
-        n=2,
-        ell=7,
-        radii=tuple(radii),
-        values=tuple(values),
-        fit_slope=None,
-        fit_intercept=None,
-        fit_r2=None,
-    )
-
-
 class TestLogFit:
     """Fit of the value against L = log(1/(1-r)) on synthetic data."""
 
     def test_exact_linear_growth(self):
         radii = radii_grid(4, 10)
         values = [1.0 + 3.0 * math.log(1.0 / (1.0 - r)) for r in radii]
-        slope, intercept, r2 = log_fit(_synthetic_scan(radii, values))
-        assert abs(slope - 3.0) < 1e-12
-        assert abs(intercept - 1.0) < 1e-12
-        assert abs(r2 - 1.0) < 1e-12
+        fit = boundary._ols_log(radii, values)
+        assert abs(fit["slope"] - 3.0) < 1e-12
+        assert abs(fit["intercept"] - 1.0) < 1e-12
+        assert abs(fit["r2"] - 1.0) < 1e-12
 
     def test_constant_data(self):
         radii = radii_grid(4, 10)
-        slope, _, _ = log_fit(_synthetic_scan(radii, [2.5] * 7))
-        assert abs(slope) < 1e-12
+        assert abs(boundary._ols_log(radii, [2.5] * 7)["slope"]) < 1e-12
 
     def test_too_few_points(self):
         radii = radii_grid(4, 6)
         with pytest.raises(DomainError):
-            log_fit(_synthetic_scan(radii, [1.0, 2.0, 3.0]))
+            boundary._ols_log(radii, [1.0, 2.0, 3.0])
 
 
 class TestClassifier:
@@ -136,9 +120,9 @@ class TestRadialScan:
         assert len(scan.values) == 4
         assert scan.fit_slope is not None
         assert scan.fit_r2 is not None
-        slope, intercept, r2 = log_fit(scan)
-        assert slope == scan.fit_slope
-        assert intercept == scan.fit_intercept
+        fit = boundary._ols_log(scan.radii, scan.values)
+        assert fit["slope"] == scan.fit_slope
+        assert fit["intercept"] == scan.fit_intercept
 
     def test_monte_carlo_scan_deterministic(self):
         spec = QuadratureSpec(method="monte_carlo", mc_samples=20000, seed=17)

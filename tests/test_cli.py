@@ -253,8 +253,18 @@ class TestArgumentErrors:
     def test_config_without_path(self, capsys):
         self._error(capsys, ["chi", "--k", "0.3", "--config"])
 
-    def test_bad_flag_value(self, capsys):
-        self._error(capsys, ["chi", "--k", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chi", "--k", "abc"],
+            ["sn", "--kappa", "abc", "--n", "2"],
+            ["sn", "--kappa", "0.5j,1", "--n", "2"],
+            ["sweep", "--grid", "abc"],
+            ["sweep", "--grid", "0:1:x"],
+        ],
+    )
+    def test_bad_flag_value(self, capsys, argv):
+        self._error(capsys, argv)
 
     @pytest.mark.parametrize(
         "argv",

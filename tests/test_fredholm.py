@@ -7,18 +7,15 @@ import pytest
 from ising_lab import (
     ConvergenceError,
     CouplingK,
-    SeriesCoeffs,
     chi_d,
     diagonal_correlation,
     fredholm_det,
-    hankel_matrix,
-    lambda_series,
     magnetization,
     s_via_fredholm,
-    suggest_length,
 )
 from ising_lab import fredholm
 from ising_lab.fredholm import _det_at
+from ising_lab.params import SeriesCoeffs, _cache_length, _lambda_pair
 
 # frozen from an early tight-tolerance run; guards the whole summation chain
 _S_AT_03 = 0.00043373685662451145
@@ -26,40 +23,54 @@ _S_AT_03 = 0.00043373685662451145
 
 def _series_pair(kv: float, N: int, cutoff: int):
     k = CouplingK.physical(kv)
-    length = suggest_length(kv) + N + 2 * cutoff + 4
-    return k, lambda_series(k, length)
+    return k, _lambda_pair(complex(kv), _cache_length(N + 2 * cutoff + 4))
+
+
+def _hankel(series: SeriesCoeffs, N: int, cutoff: int) -> np.ndarray:
+    """The dense cutoff x cutoff section of H_N: entry (i, j) is the
+    coefficient at degree N + i + j + 1."""
+    band = fredholm._band(series, N, cutoff)
+    i = np.arange(cutoff)
+    return band[i[:, None] + i]
 
 
 class TestHankelStructure:
     def test_antidiagonal_constancy(self):
         _, (lam, _) = _series_pair(0.5, 2, 8)
-        h = hankel_matrix(lam, 2, 8)
-        assert h.entries[2, 3] == h.entries[1, 4] == h.entries[0, 5]
-        assert h.entries[0, 1] == h.entries[1, 0]
+        h = _hankel(lam, 2, 8)
+        assert h[2, 3] == h[1, 4] == h[0, 5]
+        assert h[0, 1] == h[1, 0]
 
     def test_corner_is_first_omitted_degree(self):
         _, (lam, _) = _series_pair(0.5, 1, 8)
-        h = hankel_matrix(lam, 1, 8)
+        h = _hankel(lam, 1, 8)
         # degrees start one past the window: entry (0,0) sits at degree N+1
-        assert h.entries[0, 0] == lam.coeff(2)
-        assert h.entries[0, 1] == lam.coeff(3)
+        assert h[0, 0] == lam.coeff(2)
+        assert h[0, 1] == lam.coeff(3)
 
     def test_zero_modulus_gives_zero_matrix(self):
         _, (lam, _) = _series_pair(0.0, 1, 6)
-        h = hankel_matrix(lam, 1, 6)
-        assert np.all(h.entries == 0.0)
+        assert np.all(_hankel(lam, 1, 6) == 0.0)
 
     def test_short_series_is_loud(self):
-        k = CouplingK.physical(0.5)
-        lam, _ = lambda_series(k, 10)
-        with pytest.raises(Exception, match="degree"):
-            hankel_matrix(lam, 2, 16)
+        lam, _ = _lambda_pair(0.5 + 0j, 10)
+        with pytest.raises(ValueError, match="degree"):
+            fredholm._band(lam, 2, 16)
 
     def test_tail_bound_covers_omitted_entries(self):
-        _, (lam, _) = _series_pair(0.5, 1, 6)
-        h = hankel_matrix(lam, 1, 6)
-        omitted = sum(abs(lam.coeff(m)) for m in range(14, 40))
-        assert h.tail_bound >= omitted
+        # every entry left out of the L x L section has degree >= N + L + 1,
+        # where |c_m| <= |k|^m / (1 - |k|^2) is below _ENTRY_TARGET; the
+        # stored coefficients obey the bound up to the FFT's rounding
+        for kv in (0.5, 0.9, 0.7j):
+            a = abs(kv)
+            for N in (1, 6):
+                L, length = fredholm._section_size(a, N, 1)
+                assert a ** (N + L + 1) / (1.0 - a * a) <= fredholm._ENTRY_TARGET
+                m = np.arange(N + 1, length)
+                for series in _lambda_pair(complex(kv), length):
+                    noise = 4.0 * np.finfo(float).eps * np.abs(series.coeffs).max()
+                    coeffs = np.abs(series.window(N + 1, length - 1))
+                    assert np.all(coeffs <= a ** m / (1.0 - a * a) + noise)
 
 
 class TestDeterminant:
@@ -82,8 +93,8 @@ class TestDeterminant:
     def test_second_order_expansion(self):
         for kv, N in ((0.25, 1), (0.25, 2)):
             k, (lam, lam_inv) = _series_pair(kv, N, 40)
-            A = hankel_matrix(lam, N, 40).entries
-            B = hankel_matrix(lam_inv, N, 40).entries
+            A = _hankel(lam, N, 40)
+            B = _hankel(lam_inv, N, 40)
             K = A @ B
             first = np.trace(K)
             second = 0.0
@@ -98,8 +109,8 @@ class TestDeterminant:
         gaps = []
         ref = None
         for cut in (8, 16, 32):
-            A = hankel_matrix(lam, 1, cut).entries
-            B = hankel_matrix(lam_inv, 1, cut).entries
+            A = _hankel(lam, 1, cut)
+            B = _hankel(lam_inv, 1, cut)
             sign, logdet = np.linalg.slogdet(np.eye(cut) - A @ B)
             val = sign * np.exp(logdet)
             if ref is not None:
@@ -190,9 +201,9 @@ class TestRankKernel:
     def _dense(kv, N):
         # every omitted entry is below |k|^(2 cut) ~ 1e-18
         cut = math.ceil(math.log(1e-18) / (2.0 * math.log(abs(kv))))
-        lam, lam_inv = lambda_series(CouplingK.analytic(kv), N + 2 * cut + 4)
-        A = hankel_matrix(lam, N, cut).entries
-        B = hankel_matrix(lam_inv, N, cut).entries
+        lam, lam_inv = _lambda_pair(complex(kv), N + 2 * cut + 4)
+        A = _hankel(lam, N, cut)
+        B = _hankel(lam_inv, N, cut)
         return np.linalg.det(np.eye(cut) - A @ B)
 
     @pytest.mark.parametrize("kv", _KERNEL_GRID)

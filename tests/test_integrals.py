@@ -1,4 +1,5 @@
 """Form-factor integrals: integrands, quadrature, derivatives, probe integral."""
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -6,18 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ising_lab import (
-    DomainError,
-    PrecisionWarning,
-    QuadratureSpec,
-    d_ell_s_n,
-    lambda1,
-    lint_integral,
-    s_n,
-    s_total,
-    sn_integrand_cauchy,
-    sn_integrand_vandermonde,
-)
+from ising_lab import DomainError, PrecisionWarning, QuadratureSpec, lint_integral, s_n
 from ising_lab import integrals
 from ising_lab.integrals import _lint_series, _tensor_core
 
@@ -25,23 +15,45 @@ _SPEC = QuadratureSpec(nodes_per_dim=64)
 _RNG = np.random.default_rng(20240814)
 
 
+def _lambda1(x, kappa):
+    """Lambda_1(x) = sqrt((1-x)(1-kappa x)/x), principal branch."""
+    return np.sqrt((1.0 - x) * (1.0 - kappa * x) / x)
+
+
+def _vandermonde_integrand(x, y, kappa, n):
+    """The Vandermonde-form S_n integrand at one point, prefactor excluded:
+    [u / (1 - kappa^n u)] Delta(x)^2 Delta(y)^2 / prod_(i,j) (1 - kappa x_i y_j)^2
+    prod_i Lambda_1(x_i)/Lambda_1(y_i), u = prod x_i y_i.  The pointwise
+    oracle for _mc_core."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    u = np.prod(x) * np.prod(y)
+    i, j = np.triu_indices(n, 1)
+    vdm = np.prod((x[j] - x[i]) ** 2) * np.prod((y[j] - y[i]) ** 2)
+    cross = np.prod((1.0 - kappa * np.outer(x, y)) ** 2)
+    lam = np.prod(_lambda1(x, kappa)) / np.prod(_lambda1(y, kappa))
+    return u / (1.0 - kappa**n * u) * vdm / cross * lam
+
+
 class TestLambda1:
     def test_free_point(self):
-        assert abs(lambda1(0.5, 0.0) - 1.0) < 1e-15
+        assert abs(_lambda1(0.5, 0.0) - 1.0) < 1e-15
 
     def test_known_value(self):
-        assert abs(lambda1(0.25, 0.0) - math.sqrt(3.0)) < 1e-15
+        assert abs(_lambda1(0.25, 0.0) - math.sqrt(3.0)) < 1e-15
 
     def test_vectorized(self):
-        x = np.array([0.2, 0.5, 0.8])
-        out = lambda1(x, 0.3)
-        assert out.shape == (3,)
-        assert abs(out[1] - lambda1(0.5, 0.3)) < 1e-15
+        # the axis weights carry dx Lambda_1(x) and dy / Lambda_1(y), so
+        # their ratio is Lambda_1^2 at every node
+        for kappa in (0.3, 0.3 + 0.4j):
+            x, wx, wy = integrals._axis_nodes(24, kappa)
+            assert np.allclose(wx / wy, _lambda1(x, kappa) ** 2, rtol=1e-13, atol=0.0)
 
     def test_endpoints_rejected(self):
-        for bad in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(DomainError):
-                lambda1(bad, 0.2)
+        # Lambda_1 is singular at both ends; the node rule never samples them
+        for G in (2, 64, 192):
+            x, wx, wy = integrals._axis_nodes(G, 0.2 + 0j)
+            assert np.all((x > 0.0) & (x < 1.0))
+            assert np.all(np.isfinite(wx) & np.isfinite(wy) & (wx > 0.0) & (wy > 0.0))
 
 
 class TestIntegrands:
@@ -50,31 +62,27 @@ class TestIntegrands:
         kappa = 0.37
         for _ in range(5):
             x, y = _RNG.uniform(0.05, 0.95, size=2)
-            got = sn_integrand_vandermonde([x], [y], kappa, 1)
+            got = _vandermonde_integrand([x], [y], kappa, 1)
             u = x * y
-            want = u / (1.0 - kappa * u) ** 3 * lambda1(x, kappa) / lambda1(y, kappa)
+            want = u / (1.0 - kappa * u) ** 3 * _lambda1(x, kappa) / _lambda1(y, kappa)
             assert abs(got - want) < 1e-13 * abs(want)
 
     def test_coincident_points_vanish(self):
-        got = sn_integrand_vandermonde([0.3, 0.3], [0.2, 0.7], 0.4, 2)
+        got = _vandermonde_integrand([0.3, 0.3], [0.2, 0.7], 0.4, 2)
         assert got == 0.0
 
     def test_forms_agree_pointwise(self):
-        # Cauchy-determinant squared equals kappa^(n(n-1)) times the
-        # Vandermonde-over-products form at every sample point
+        # Cauchy's determinant: det(1/(1 - kappa x_i y_j))^2 is kappa^(n(n-1))
+        # Delta(x)^2 Delta(y)^2 / prod (1 - kappa x_i y_j)^2, so the Sn1 and
+        # Sn2 integrands agree at every sample point
         for kappa in (0.45, 0.3 + 0.2j):
             for _ in range(5):
                 x = np.sort(_RNG.uniform(0.05, 0.95, size=2))
                 y = np.sort(_RNG.uniform(0.05, 0.95, size=2))
-                a = sn_integrand_cauchy(x, y, kappa, 2)
-                b = sn_integrand_vandermonde(x, y, kappa, 2) * kappa ** 2
+                C = 1.0 / (1.0 - kappa * np.outer(x, y))
+                a = np.linalg.det(C) ** 2
+                b = kappa**2 * (x[1] - x[0]) ** 2 * (y[1] - y[0]) ** 2 * np.prod(C * C)
                 assert abs(a - b) < 1e-12 * max(abs(a), 1e-30)
-
-    def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            sn_integrand_vandermonde([0.1, 0.2], [0.3], 0.2, 2)
-        with pytest.raises(DomainError):
-            sn_integrand_cauchy([0.0, 0.2], [0.3, 0.4], 0.2, 2)
 
 
 class TestTensorQuadrature:
@@ -192,7 +200,7 @@ class TestMonteCarlo:
         assert np.all(X[0] != X[1]) and np.all(Y[0] != Y[1])
 
     def test_chunked_statistics_match_one_pass(self):
-        # the same draws evaluated point by point through the public
+        # the same draws evaluated point by point through the pointwise
         # integrand, divided by the proposal density, then one mean and std
         n, seed, m = 2, 4, integrals._MC_CHUNK + 500
         kappa = 0.4 + 0.2j
@@ -202,7 +210,7 @@ class TestMonteCarlo:
             X, Y = integrals._draw_points(rng, c, n)
             for x, y in zip(X.T, Y.T):
                 density = np.prod(np.sqrt((1.0 - x) / x) * np.sqrt(y / (1.0 - y)))
-                vals.append(sn_integrand_vandermonde(x, y, kappa, n) / density)
+                vals.append(_vandermonde_integrand(x, y, kappa, n) / density)
         vals = np.array(vals) * (math.pi / 2.0) ** (2 * n)
         spec = QuadratureSpec(method="monte_carlo", mc_samples=m, seed=seed)
         mean, se = integrals._mc_core(kappa, n, 1, spec, "Sn2")
@@ -255,57 +263,56 @@ def _ks_distance(sample, cdf):
 
 class TestSTotal:
     def test_two_terms_dominate(self):
-        total = s_total(0.09, 2, _SPEC)
+        total, _, _ = integrals._sn_sum(0.09, 2, _SPEC)
         lone = s_n(0.09, 1, _SPEC).value
         assert abs(total - lone) < abs(lone) * 0.01
         assert abs(total) > abs(lone)
 
-    def test_tail_warning_at_large_kappa(self):
-        spec = QuadratureSpec(nodes_per_dim=32, target_rel_error=1e-12)
-        with pytest.warns(PrecisionWarning):
-            s_total(0.8, 1, spec)
 
-    def test_rejects_empty_sum(self):
-        with pytest.raises(DomainError):
-            s_total(0.3, 0, _SPEC)
+def _cauchy_derivative(kappa, n, ell, radius):
+    """ell-th derivative of S_n at kappa by the Cauchy integral formula,
+    trapezoidal on 32 points of the circle of the given radius."""
+    P = 32
+    theta = 2.0 * math.pi * np.arange(P) / P
+    acc = 0j
+    for t in theta:
+        z = kappa + radius * cmath.exp(1j * t)
+        acc += s_n(z, n, _SPEC).value * cmath.exp(-1j * ell * t)
+    return math.factorial(ell) * acc / (P * radius**ell)
 
 
 class TestCauchyDerivatives:
+    """S_n is analytic in kappa: complex evaluations on a contour agree with
+    the real axis."""
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_against_finite_differences(self, n):
         kappa, h = 0.2, 1e-4
-        d = d_ell_s_n(kappa, n, 1, 0.3)
+        d = _cauchy_derivative(kappa, n, 1, 0.3)
         fd = (
             s_n(kappa + h, n, _SPEC).value - s_n(kappa - h, n, _SPEC).value
         ) / (2.0 * h)
         assert abs(d - fd) < 1e-5 * abs(fd)
 
     def test_radius_independence(self):
-        a = d_ell_s_n(0.3, 1, 2, 0.2)
-        b = d_ell_s_n(0.3, 1, 2, 0.35)
+        a = _cauchy_derivative(0.3, 1, 2, 0.2)
+        b = _cauchy_derivative(0.3, 1, 2, 0.35)
         assert abs(a - b) < 1e-7 * abs(a)
 
     def test_taylor_coefficient_at_origin(self):
         # S_1 ~ 3 kappa^2/64 so the second derivative at 0 is 3/32
-        d = d_ell_s_n(0.0, 1, 2, 0.3)
+        d = _cauchy_derivative(0.0, 1, 2, 0.3)
         assert abs(d - 3.0 / 32.0) < 1e-4 * (3.0 / 32.0)
 
     def test_conjugation_symmetry(self):
-        up = d_ell_s_n(0.2 + 0.1j, 1, 1, 0.25)
-        dn = d_ell_s_n(0.2 - 0.1j, 1, 1, 0.25)
+        up = _cauchy_derivative(0.2 + 0.1j, 1, 1, 0.25)
+        dn = _cauchy_derivative(0.2 - 0.1j, 1, 1, 0.25)
         assert abs(up - np.conj(dn)) < 1e-10 * abs(up)
 
     def test_contour_must_stay_inside(self):
+        # s_n refuses the contour points outside the unit disc
         with pytest.raises(DomainError):
-            d_ell_s_n(0.8, 1, 1, 0.3)
-
-    def test_order_validation(self):
-        with pytest.raises(DomainError):
-            d_ell_s_n(0.3, 1, 0, 0.2)
-
-    def test_tiny_radius_warns(self):
-        with pytest.warns(PrecisionWarning):
-            d_ell_s_n(0.3, 1, 1, 5e-4)
+            _cauchy_derivative(0.8, 1, 1, 0.3)
 
 
 class TestProbeIntegral:
@@ -439,11 +446,14 @@ class TestMomentEngine:
                 assert res.rel_error_est == 0.0
 
     def test_contour_keeps_probe_moments_cached(self):
-        # a d_ell_s_n contour stores 32 kappas; the ray's moments must survive
+        # eviction goes by stored moments, not keys: 32 short series stored
+        # after the ray leave the ray's moments in the cache
         r = 1.0 - 2.0 ** -6
-        lint_integral(-r, 2, 7, QuadratureSpec())
-        d_ell_s_n(0.3, 2, 2, 0.2)
-        assert (complex(-r), 2, QuadratureSpec().nodes_per_dim) in integrals._BM_CACHE
+        spec = QuadratureSpec()
+        lint_integral(-r, 2, 7, spec)
+        for j in range(32):
+            lint_integral(0.3 + 0.2 * cmath.exp(2j * math.pi * j / 32), 2, 0, spec)
+        assert (complex(-r), 2, spec.nodes_per_dim) in integrals._BM_CACHE
 
 
 def _full_bm_chunk(kappa, G, m0, m1):

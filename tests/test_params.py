@@ -5,21 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ising_lab import (
-    CouplingK,
-    DomainError,
-    PhaseError,
-    binomial_half_series,
-    k_from_temperature,
-    lambda_series,
-    magnetization,
-    phi_m,
-    suggest_length,
-)
+from ising_lab import CouplingK, DomainError, PhaseError, k_from_temperature, magnetization
 from ising_lab.fredholm import _det_at
-from ising_lab.params import (
-    _lambda_pair, _phi_series, _tail_bound, _terms_needed, phi_minus_series, phi_plus_series,
-)
+from ising_lab.params import _lambda_pair, _phi_series, _tail_bound, _terms_needed
 
 
 class TestCouplingK:
@@ -98,39 +86,48 @@ class TestMagnetization:
         assert abs(m ** 8 - (1.0 - k.kappa)) < 1e-14
 
 
+def _binomial_half(exponent: float, k: complex, length: int) -> np.ndarray:
+    """Taylor coefficients of (1 - k x)^exponent, exponent = +-1/2, by the
+    ratio c_(m+1)/c_m = k (m - exponent)/(m + 1): the exact factors of the
+    Laurent-product oracle for the FFT series."""
+    m = np.arange(length - 1)
+    return np.concatenate([[1.0], np.cumprod(k * (m - exponent) / (m + 1))])
+
+
 class TestBinomialHalfSeries:
-    """Coefficients checked against hand-reduced rationals."""
+    """The oracle's factors checked against hand-reduced rationals."""
 
     def test_inverse_sqrt_constants(self):
         k = 0.5
-        s = binomial_half_series(-0.5, k, 6)
+        s = _binomial_half(-0.5, k, 6)
         expected = [1.0, k / 2, 3 * k ** 2 / 8, 5 * k ** 3 / 16, 35 * k ** 4 / 128]
         for m, want in enumerate(expected):
-            assert abs(s.coeff(m) - want) < 1e-15
+            assert abs(s[m] - want) < 1e-15
 
     def test_plus_sqrt_constants(self):
         k = 0.5
-        s = binomial_half_series(0.5, k, 6)
+        s = _binomial_half(0.5, k, 6)
         expected = [1.0, -k / 2, -k ** 2 / 8, -k ** 3 / 16, -5 * k ** 4 / 128]
         for m, want in enumerate(expected):
-            assert abs(s.coeff(m) - want) < 1e-15
+            assert abs(s[m] - want) < 1e-15
 
     def test_product_is_identity(self):
         # (1-u)^(1/2) (1-u)^(-1/2) = 1 order by order
-        plus = binomial_half_series(0.5, 0.4, 30)
-        minus = binomial_half_series(-0.5, 0.4, 30)
-        prod = np.convolve(np.asarray(plus.coeffs), np.asarray(minus.coeffs))[:30]
+        plus = _binomial_half(0.5, 0.4, 30)
+        minus = _binomial_half(-0.5, 0.4, 30)
+        prod = np.convolve(plus, minus)[:30]
         assert abs(prod[0] - 1.0) < 1e-15
         assert np.max(np.abs(prod[1:])) < 1e-15
 
     def test_window_and_degree_bookkeeping(self):
-        s = binomial_half_series(-0.5, 0.3, 8)
-        assert s.min_degree == 0
+        s = _phi_series(0.3 + 0j, 8)
+        assert s.min_degree == -7
         assert s.max_degree == 7
         w = s.window(2, 4)
         assert w.shape == (3,)
         assert w[0] == s.coeff(2)
         assert s.coeff(50) == 0.0
+        assert np.all(s.window(6, 9)[2:] == 0.0)
 
 
 def _contour_coefficient(k: float, m: int, nodes: int = 2048) -> complex:
@@ -143,37 +140,26 @@ def _contour_coefficient(k: float, m: int, nodes: int = 2048) -> complex:
 
 class TestPhiSeries:
     def test_against_contour_integral(self):
-        k = CouplingK.physical(0.4)
+        phi = _phi_series(0.4 + 0j, 16)
         for m in range(-6, 7):
             oracle = _contour_coefficient(0.4, m)
-            assert abs(phi_m(k, m) - oracle) < 1e-12
+            assert abs(phi.coeff(m) - oracle) < 1e-12
 
     def test_leading_coefficient(self):
-        k = CouplingK.physical(0.2)
         # phi_0 = 1 - k^2/4 + O(k^4)
-        assert abs(phi_m(k, 0) - 1.0 + 0.25 * 0.04) < 1e-3
-
-    def test_plus_side_truncates_cleanly(self):
-        plus = phi_plus_series(CouplingK.physical(0.5), 40)
-        assert plus.min_degree == 0
-        assert abs(plus.coeff(39)) < abs(plus.coeff(5))
-
-    def test_minus_side_degrees(self):
-        minus = phi_minus_series(CouplingK.physical(0.5), 40)
-        assert minus.min_degree == -39
-        assert minus.coeff(1) == 0.0
+        assert abs(_phi_series(0.2 + 0j, 16).coeff(0) - 1.0 + 0.25 * 0.04) < 1e-3
 
 
 class TestLambdaSeries:
     def test_symmetry_exact(self):
-        lam, lam_inv = lambda_series(CouplingK.physical(0.5), 48)
+        lam, lam_inv = _lambda_pair(0.5 + 0j, 48)
         for m in range(1, 20):
             assert lam.coeff(m) == lam.coeff(-m)
             assert lam_inv.coeff(m) == lam_inv.coeff(-m)
 
     def test_pointwise_on_circle(self):
         k = 0.5
-        lam, lam_inv = lambda_series(CouplingK.physical(k), 160)
+        lam, lam_inv = _lambda_pair(complex(k), 160)
         for theta in (0.3, 1.1):
             xi = cmath.exp(1j * theta)
             direct = cmath.sqrt((1.0 - k * xi) * (1.0 - k / xi))
@@ -188,33 +174,22 @@ class TestLambdaSeries:
             assert abs(total_inv - 1.0 / direct) < 1e-12
 
     def test_convolution_is_identity(self):
-        lam, lam_inv = lambda_series(CouplingK.physical(0.4), 80)
-        a = np.asarray(lam.coeffs)
-        b = np.asarray(lam_inv.coeffs)
-        prod = np.convolve(a, b)
+        lam, lam_inv = _lambda_pair(0.4 + 0j, 80)
+        prod = np.convolve(lam.coeffs, lam_inv.coeffs)
         mid = len(prod) // 2
         assert abs(prod[mid] - 1.0) < 1e-13
         window = np.delete(prod[mid - 20 : mid + 21], 20)
         assert np.max(np.abs(window)) < 1e-13
 
     def test_real_for_physical_modulus(self):
-        lam, lam_inv = lambda_series(CouplingK.physical(0.6), 64)
-        assert np.max(np.abs(np.imag(np.asarray(lam.coeffs)))) < 1e-15
-        assert np.max(np.abs(np.imag(np.asarray(lam_inv.coeffs)))) < 1e-15
+        lam, lam_inv = _lambda_pair(0.6 + 0j, 64)
+        assert lam.coeffs.dtype.kind == lam_inv.coeffs.dtype.kind == "f"
 
 
 class TestTruncationControl:
-    def test_suggest_length_meets_target(self):
-        for k in (0.1, 0.5, 0.8):
-            n = suggest_length(k)
-            assert k ** n / (1.0 - k) < 1e-16
-
-    def test_suggest_length_monotone(self):
-        assert suggest_length(0.7) > suggest_length(0.3)
-
     def test_truncation_error_recorded(self):
-        short = phi_plus_series(CouplingK.physical(0.5), 12)
-        assert short.truncation_error > 1e-8
+        # 12 stored degrees at k = 0.5 leave a tail near 2 0.5^12 / 0.375
+        assert _phi_series(0.5 + 0j, 12).truncation_error > 1e-8
 
 
 def _laurent_product(pos, neg):
@@ -228,10 +203,11 @@ class TestFFTSeries:
 
     @pytest.mark.parametrize("kv", [0.3, 0.9, 0.5 + 0.3j, -0.6])
     def test_matches_laurent_product(self, kv):
-        n = suggest_length(kv)
+        # n with |k|^n / (1 - |k|) below 1e-16, the largest stored degree
+        n = math.ceil(math.log(1e-16 * (1.0 - abs(kv))) / math.log(abs(kv))) + 2
         # the oracle is exact below degree n when its factors run to 2n
-        plus = binomial_half_series(0.5, kv, 2 * n).coeffs
-        minus = binomial_half_series(-0.5, kv, 2 * n).coeffs
+        plus = _binomial_half(0.5, kv, 2 * n)
+        minus = _binomial_half(-0.5, kv, 2 * n)
         oracles = (
             _laurent_product(minus, plus),   # phi = phi+ phi-
             _laurent_product(plus, plus),    # Lambda
@@ -246,15 +222,15 @@ class TestFFTSeries:
 
     def test_short_request_does_not_alias(self):
         # M follows |k| as well as the length: 16 coefficients at k = 0.99
-        k = CouplingK.physical(0.99)
+        short = _phi_series(0.99 + 0j, 16)
         long = _phi_series(0.99 + 0j, 4096)
         for m in range(-15, 16):
-            assert abs(phi_m(k, m, length=16) - long.coeff(m)) <= 1e-15
+            assert abs(short.coeff(m) - long.coeff(m)) <= 1e-15
 
     @pytest.mark.parametrize("kv", [0.5, 0.99])
     def test_truncation_error_bounds_the_dropped_tail(self, kv):
         lam, _ = _lambda_pair(complex(kv), 64)
-        plus = binomial_half_series(0.5, kv, 4096).coeffs
+        plus = _binomial_half(0.5, kv, 4096)
         exact = _laurent_product(plus, plus)[4095:4095 + 2048]  # degrees 0 .. 2047
         dropped = 2.0 * np.sum(np.abs(exact[64:]))
         a = abs(kv)

@@ -3,19 +3,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ising_lab import (
-    ConvergenceError,
-    CouplingK,
-    chi_d,
-    correlation_deviation,
-    diagonal_correlation,
-    magnetization,
-    phi_m,
-    suggest_length,
-)
+from ising_lab import ConvergenceError, CouplingK, chi_d, diagonal_correlation, magnetization
 from ising_lab import toeplitz
-from ising_lab.params import _cache_length
+from ising_lab.params import _cache_length, _phi_series
 from ising_lab.toeplitz import _correlations, _levinson
+
+
+def _phi(k: CouplingK, N: int):
+    """The phi series _correlations reads for D(1..N)."""
+    return _phi_series(complex(k.k), _cache_length(N))
+
+
+def _deviation(k: CouplingK, N: int):
+    """D(N) - M^2, the summand of the diagonal susceptibility."""
+    return diagonal_correlation(k, N).value - magnetization(k) ** 2
 
 
 class TestSmallDeterminants:
@@ -27,13 +28,12 @@ class TestSmallDeterminants:
     def test_one_by_one_is_phi_zero(self):
         k = CouplingK.physical(0.4)
         res = diagonal_correlation(k, 1)
-        assert abs(res.value - phi_m(k, 0)) < 1e-14
+        assert abs(res.value - _phi(k, 1).coeff(0)) < 1e-14
 
     def test_two_by_two_matches_direct_cofactor(self):
         k = CouplingK.physical(0.35)
-        a = complex(phi_m(k, 0))
-        b = complex(phi_m(k, -1))
-        c = complex(phi_m(k, 1))
+        phi = _phi(k, 2)
+        a, b, c = phi.coeff(0), phi.coeff(-1), phi.coeff(1)
         direct = (a * a - b * c).real
         assert abs(diagonal_correlation(k, 2).value - direct) < 1e-13
 
@@ -62,19 +62,17 @@ class TestPhysicalBehavior:
 
     def test_deviation_decays_geometrically(self):
         k = CouplingK.physical(0.5)
-        devs = [abs(correlation_deviation(k, N)) for N in range(5, 12)]
+        devs = [abs(_deviation(k, N)) for N in range(5, 12)]
         for a, b in zip(devs, devs[1:]):
             assert b < a
 
     def test_long_range_limit(self):
         for kv in (0.3, 0.5, 0.7):
             k = CouplingK.physical(kv)
-            assert abs(correlation_deviation(k, 20)) < abs(
-                correlation_deviation(k, 5)
-            )
+            assert abs(_deviation(k, 20)) < abs(_deviation(k, 5))
 
     def test_deviation_zero_at_free_modulus(self):
-        assert correlation_deviation(CouplingK.physical(0.0), 3) == 0.0
+        assert _deviation(CouplingK.physical(0.0), 3) == 0.0
 
     def test_condition_diagnostics(self):
         res = diagonal_correlation(CouplingK.physical(0.5), 6)
@@ -111,8 +109,8 @@ class TestLevinsonKernel:
     def test_sequence_matches_pivoted_determinants(self, kv):
         k = _coupling(kv)
         dets, _ = _correlations(k, 64)
-        length = _cache_length(suggest_length(k.k) + 64)
-        t = {m: phi_m(k, m, length) for m in range(-63, 64)}
+        phi = _phi(k, 64)
+        t = {m: phi.coeff(m) for m in range(-63, 64)}
         for N in range(1, 65):
             col = [t[m] for m in range(N)]
             row = [t[-m] for m in range(N)]
