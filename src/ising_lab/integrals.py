@@ -5,9 +5,10 @@ x^(-1/2)(1-x)^(1/2) on the x axes and y^(1/2)(1-y)^(-1/2)(1-kappa y)^(-1/2)
 on the y axes.  The substitution x = sin^2(pi t / 2) absorbs both endpoint
 exponents, leaving smooth transformed axes that a single Gauss-Legendre
 node set handles for every axis.  Dimensions beyond four (n >= 3) switch
-to importance-sampled Monte Carlo with Beta-distributed coordinates, drawn
-from uniforms alone and evaluated in fixed chunks (_mc_core), so memory
-does not grow with the sample count.
+to importance-sampled Monte Carlo on squared uniforms, X = V^2 and
+Y = 1 - W^2, whose densities absorb the singular endpoint factors
+x^(-1/2) and (1-y)^(-1/2); the points are evaluated in fixed chunks
+(_mc_core), so memory does not grow with the sample count.
 
 lint_integral owns the G-node rule of the Vandermonde form (Sn2), and s_n
 evaluates it through lint_integral.  For n = 2 the rule is
@@ -63,7 +64,8 @@ class QuadratureSpec:
     axis, at every kappa; for n = 2 the Vandermonde form is summed by the
     moment engine and the Cauchy-determinant form by the pointwise tensor
     sum.
-    The seed feeds a counter-based generator that is read in fixed-size
+    monte_carlo draws x = V^2 and y = 1 - W^2 from uniforms V, W.  The
+    seed feeds a counter-based generator that is read in fixed-size
     chunks, so a given (seed, mc_samples, n) triple yields an identical
     sample stream regardless of how callers schedule the work.
     """
@@ -216,23 +218,20 @@ _MC_CHUNK = 8192
 
 
 def _draw_points(rng, m: int, n: int):
-    """m points of n coordinates each, X ~ Beta(1/2, 3/2), Y ~ Beta(3/2, 1/2).
+    """m points of n coordinates each, X = V^2 and Y = 1 - W^2.
 
-    Returned as (n, m) arrays, one row per coordinate.  X = U cos^2(pi V)
-    with U, V uniform: cos^2(pi V) has the arcsine law Beta(1/2, 1/2), and
-    Beta(1/2, 1/2) Beta(1, 1) = Beta(1/2, 3/2) for independent factors.
-    Y = 1 - U' cos^2(pi V') likewise: four uniforms per coordinate pair
-    and no rejection loop.  Points with a coordinate outside (0, 1) (U = 0
-    is possible) or two coincident coordinates are redrawn; redraws
-    continue the same deterministic stream.
+    Returned as (n, m) arrays, one row per coordinate, from one (2, n, m)
+    block of uniforms: V in the first plane, W in the second.  X has
+    density 1/(2 sqrt(x)) and Y has 1/(2 sqrt(1 - y)), so two uniforms and
+    two squarings per coordinate pair, no transcendental call and no
+    rejection loop.  Points with a coordinate outside (0, 1) (V = 0 gives
+    x = 0, W = 0 gives y = 1) or two coincident coordinates are redrawn;
+    redraws continue the same deterministic stream.
     """
 
     def draw(k):
-        U = rng.random((4, n, k))
-        c = np.cos(np.pi * U[1])
-        X = U[0] * (c * c)
-        c = np.cos(np.pi * U[3])
-        return X, 1.0 - U[2] * (c * c)
+        V, W = rng.random((2, n, k))
+        return V * V, 1.0 - W * W
 
     X, Y = draw(m)
     for _ in range(100):
@@ -250,18 +249,23 @@ def _draw_points(rng, m: int, n: int):
 def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str):
     """Raw integral estimate and standard error by importance sampling.
 
-    The Beta(1/2, 3/2) and Beta(3/2, 1/2) proposal densities absorb the
-    endpoint weights exactly; each axis contributes the Beta normalization
-    pi/2, restored here as (pi/2)^(2n).  The samples are drawn and
-    evaluated in chunks of _MC_CHUNK, one stream for the whole run, and
+    The proposal densities 1/(2 sqrt(x)) and 1/(2 sqrt(1 - y)) absorb the
+    only singular endpoint factors, x^(-1/2) and (1 - y)^(-1/2), exactly;
+    each axis contributes the constant 2, restored here as 4^n.  The
+    bounded remainders sqrt(1 - x) and sqrt(y) join the smooth factor,
+    prod_i sqrt((1 - kappa x_i)(1 - x_i) y_i / (1 - kappa y_i)): since
+    (1 - x_i) y_i > 0, this is the ratio of the root products
+    sqrt(1 - kappa x_i) sqrt(1 - x_i) sqrt(y_i) / sqrt(1 - kappa y_i) on
+    the principal branch, both 1 - kappa x_i and 1 - kappa y_i having
+    positive real part.  Every factor is bounded, so the estimate is
+    unbiased with finite variance.  The samples are drawn and evaluated
+    in chunks of _MC_CHUNK, one stream for the whole run, and
     each chunk's mean and centred sum of squares are merged by Chan's
     pairwise formula, so memory is O(chunk) at any mc_samples.  Sn2 forms
     the Vandermonde factor prod_{i<j} (x_j - x_i)(y_j - y_i) in real
     arithmetic, divides it by the pair product prod_{i,j} (1 - kappa x_i
     y_j) and squares the ratio; Sn1 takes the Cauchy determinant of each
-    chunk's (chunk, n, n) matrices from the same draws.  The smooth factor
-    is prod_i sqrt((1 - kappa x_i)/(1 - kappa y_i)), equal to the ratio of
-    the two root products since both have positive real part.
+    chunk's (chunk, n, n) matrices from the same draws.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     m = spec.mc_samples
@@ -286,7 +290,8 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
             core = np.linalg.det(1.0 / A)
         vals = vals * (core * core)
         for i in range(n):
-            vals *= np.sqrt((1.0 - kappa * X[i]) / (1.0 - kappa * Y[i]))
+            r = (1.0 - kappa * X[i]) * ((1.0 - X[i]) * Y[i])
+            vals *= np.sqrt(r / (1.0 - kappa * Y[i]))
         # Chan et al.: merge this chunk's mean and centred sum of squares
         cmean = complex(vals.mean())
         d = vals - cmean
@@ -295,7 +300,7 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
         mean += delta * (c / total)
         m2 += float(np.vdot(d, d).real) + abs(delta) ** 2 * (done * c / total)
         done = total
-    scale = (math.pi / 2.0) ** (2 * n)
+    scale = 4.0**n
     se = math.sqrt(m2 / m) / math.sqrt(m)
     return mean * scale, se * scale
 

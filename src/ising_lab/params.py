@@ -103,15 +103,11 @@ def magnetization(k: CouplingK):
 class SeriesCoeffs:
     """Truncated coefficient sequence, possibly with negative degrees.
 
-    coeffs[i] is the coefficient at degree min_degree + i.  truncation_error
-    bounds the sup norm on the unit circle of the dropped tail plus the
-    aliases of the FFT.
+    coeffs[i] is the coefficient at degree min_degree + i.
     """
 
-    kind: str
     coeffs: np.ndarray
     min_degree: int
-    truncation_error: float
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
@@ -119,13 +115,6 @@ class SeriesCoeffs:
     @property
     def max_degree(self) -> int:
         return self.min_degree + len(self.coeffs) - 1
-
-    def coeff(self, m: int) -> complex:
-        """Coefficient at degree m; zero outside the stored window."""
-        i = m - self.min_degree
-        if 0 <= i < len(self.coeffs):
-            return complex(self.coeffs[i])
-        return 0.0
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Coefficients for degrees lo..hi inclusive, zero padded."""
@@ -167,16 +156,6 @@ def _circle_size(a: float, top: int) -> int:
                 "on the unit circle"
             )
     return M
-
-
-def _series_error(a: float, length: int, M: int) -> float:
-    """Sup norm on the unit circle of the error of degrees -(length-1) ..
-    length-1 taken from an M-point FFT: the dropped tail plus every alias."""
-    if a == 0.0:
-        return 0.0
-    tail = 2.0 * a ** length / ((1.0 - a * a) * (1.0 - a))
-    alias = 2.0 * (2 * length - 1) * a ** (M - length + 1) / ((1.0 - a * a) * (1.0 - a ** M))
-    return tail + alias
 
 
 # With b_j = binom(2j, j)/4^j, the coefficients of (1 - x)^(-1/2), and
@@ -234,19 +213,17 @@ def _circle_coeffs(kval: complex, length: int, *symbols):
         c = np.fft.fft(symbol(xi)) / M
         c = np.concatenate([c[M - length + 1 :], c[:length]])
         out.append(c.real.copy() if kval.imag == 0 else c)
-    return out, _series_error(abs(kval), length, M)
+    return out
 
 
 @lru_cache(maxsize=64)
 def _phi_series(kval: complex, length: int) -> SeriesCoeffs:
     # both 1 - k/xi and 1 - k xi have positive real part on |xi| = 1, so
     # the principal square roots are the branches that are 1 at k = 0
-    (coeffs,), err = _circle_coeffs(
+    (coeffs,) = _circle_coeffs(
         kval, length, lambda xi: np.sqrt(1.0 - kval / xi) / np.sqrt(1.0 - kval * xi)
     )
-    return SeriesCoeffs(
-        kind="phi_full", coeffs=coeffs, min_degree=-(length - 1), truncation_error=err
-    )
+    return SeriesCoeffs(coeffs=coeffs, min_degree=-(length - 1))
 
 
 @lru_cache(maxsize=64)
@@ -254,14 +231,12 @@ def _lambda_pair(kval: complex, length: int):
     def lam(xi):
         return np.sqrt(1.0 - kval * xi) * np.sqrt(1.0 - kval / xi)
 
-    (c_lam, c_inv), err = _circle_coeffs(kval, length, lam, lambda xi: 1.0 / lam(xi))
+    c_lam, c_inv = _circle_coeffs(kval, length, lam, lambda xi: 1.0 / lam(xi))
     lo = -(length - 1)
     # Lambda(1/xi) = Lambda(xi): degrees >= 0 mirrored make the symmetry exact
     return (
-        SeriesCoeffs(kind="lambda", coeffs=_mirror(c_lam, length), min_degree=lo,
-                     truncation_error=err),
-        SeriesCoeffs(kind="lambda_inv", coeffs=_mirror(c_inv, length), min_degree=lo,
-                     truncation_error=err),
+        SeriesCoeffs(coeffs=_mirror(c_lam, length), min_degree=lo),
+        SeriesCoeffs(coeffs=_mirror(c_inv, length), min_degree=lo),
     )
 
 

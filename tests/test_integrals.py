@@ -12,6 +12,10 @@ from ising_lab import integrals
 from ising_lab.integrals import _lint_series, _tensor_core
 
 _SPEC = QuadratureSpec(nodes_per_dim=64)
+# S_3(0.2+0.3i) raw, no prefactor, from 40 x 500k samples drawn with numpy's
+# gamma-ratio Beta sampler, independent of the sampler under test
+_S3_REF = complex(5.2080388102566976e-18, 2.0190310495494974e-17)
+_S3_REF_SE = 5.80e-20
 _RNG = np.random.default_rng(20240814)
 
 
@@ -169,17 +173,18 @@ class TestMonteCarlo:
             s_n(0.3, 2, spec)
 
     def test_sampler_marginals(self):
-        # Kolmogorov-Smirnov at the 1% level against the closed-form CDFs
+        # Kolmogorov-Smirnov at the 1% level against the closed-form CDFs:
+        # P(V^2 <= x) = sqrt(x) and P(1 - W^2 <= y) = 1 - sqrt(1 - y)
         N = 100_000
         rng = np.random.Generator(np.random.Philox(key=2024))
         X, Y = integrals._draw_points(rng, N, 1)
         limit = 1.63 / math.sqrt(N)
-        assert _ks_distance(X[0], _beta_half_cdf) < limit
-        assert _ks_distance(Y[0], lambda y: 1.0 - _beta_half_cdf(1.0 - y)) < limit
+        assert _ks_distance(X[0], np.sqrt) < limit
+        assert _ks_distance(Y[0], lambda y: 1.0 - np.sqrt(1.0 - y)) < limit
 
     def test_sampler_redraws_degenerate_points(self):
         class Stub:
-            """Uniforms whose first draw holds U = 0, U' = 0 and a tie."""
+            """(2, n, k) uniforms whose first draw holds V = 0, W = 0 and a tie."""
 
             def __init__(self):
                 self.rng, self.calls = np.random.default_rng(1), 0
@@ -188,8 +193,9 @@ class TestMonteCarlo:
                 self.calls += 1
                 u = self.rng.random(shape)
                 if self.calls == 1:
+                    assert u.shape == (2, 2, 10)
                     u[0, 0, 3] = 0.0       # x = 0
-                    u[2, 1, 5] = 0.0       # y = 1
+                    u[1, 1, 5] = 0.0       # y = 1
                     u[:, 1, 7] = u[:, 0, 7]  # x_1 = x_2 and y_1 = y_2
                 return u
 
@@ -201,7 +207,8 @@ class TestMonteCarlo:
 
     def test_chunked_statistics_match_one_pass(self):
         # the same draws evaluated point by point through the pointwise
-        # integrand, divided by the proposal density, then one mean and std
+        # integrand, divided by the normalized proposal density, then one
+        # mean and std: _mc_core leaves the density's constant 4^n to the end
         n, seed, m = 2, 4, integrals._MC_CHUNK + 500
         kappa = 0.4 + 0.2j
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -209,9 +216,9 @@ class TestMonteCarlo:
         for c in (integrals._MC_CHUNK, 500):
             X, Y = integrals._draw_points(rng, c, n)
             for x, y in zip(X.T, Y.T):
-                density = np.prod(np.sqrt((1.0 - x) / x) * np.sqrt(y / (1.0 - y)))
+                density = np.prod(1.0 / (2.0 * np.sqrt(x)) / (2.0 * np.sqrt(1.0 - y)))
                 vals.append(_vandermonde_integrand(x, y, kappa, n) / density)
-        vals = np.array(vals) * (math.pi / 2.0) ** (2 * n)
+        vals = np.array(vals)
         spec = QuadratureSpec(method="monte_carlo", mc_samples=m, seed=seed)
         mean, se = integrals._mc_core(kappa, n, 1, spec, "Sn2")
         assert abs(mean - vals.mean()) <= 1e-12 * abs(mean)
@@ -227,15 +234,18 @@ class TestMonteCarlo:
         assert abs(sn1 - sn2) <= 1e-12 * abs(sn2)
 
     def test_three_particle_term_against_reference(self):
-        # 40 x 500k samples drawn with numpy's gamma-ratio Beta sampler,
-        # independent of the sampler under test
-        ref, ref_se = complex(5.2080388102566976e-18, 2.0190310495494974e-17), 5.80e-20
+        _check_three_particle_term(seed=1)
+
+    @pytest.mark.parametrize("seed", range(2, 11))
+    def test_three_particle_seeds_against_reference(self, seed):
+        _check_three_particle_term(seed)
+
+    def test_four_particle_standard_error(self):
+        # about 0.03 here; the Beta proposal gave 0.076-0.112
         spec = QuadratureSpec(
             method="monte_carlo", mc_samples=200_000, seed=1, target_rel_error=1.0
         )
-        res = s_n(0.2 + 0.3j, 3, spec)
-        se = res.rel_error_est * abs(res.value)
-        assert abs(res.value - ref) < 5.0 * math.hypot(se, ref_se)
+        assert s_n(0.5, 4, spec).rel_error_est <= 0.05
 
     def test_memory_flat_in_samples(self):
         spec = QuadratureSpec(method="monte_carlo", mc_samples=1_000_000, seed=1)
@@ -248,9 +258,18 @@ class TestMonteCarlo:
         assert peak < 8e6
 
 
-def _beta_half_cdf(x):
-    """CDF of Beta(1/2, 3/2)."""
-    return (2.0 / math.pi) * (np.arcsin(np.sqrt(x)) + np.sqrt(x * (1.0 - x)))
+def _check_three_particle_term(seed):
+    """S_3(0.2+0.3i) at 200k samples: within 5 SE of the reference, and a
+    relative standard error of at most 0.018.  The x^(-1/2), (1-y)^(-1/2)
+    proposal gives about 0.0129 here; the Beta(1/2, 3/2) x Beta(3/2, 1/2)
+    proposal it replaced gave 0.0266 at seed 1."""
+    spec = QuadratureSpec(
+        method="monte_carlo", mc_samples=200_000, seed=seed, target_rel_error=1.0
+    )
+    res = s_n(0.2 + 0.3j, 3, spec)
+    assert res.rel_error_est <= 0.018
+    se = res.rel_error_est * abs(res.value)
+    assert abs(res.value - _S3_REF) < 5.0 * math.hypot(se, _S3_REF_SE)
 
 
 def _ks_distance(sample, cdf):

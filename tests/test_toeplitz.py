@@ -28,12 +28,12 @@ class TestSmallDeterminants:
     def test_one_by_one_is_phi_zero(self):
         k = CouplingK.physical(0.4)
         res = diagonal_correlation(k, 1)
-        assert abs(res.value - _phi(k, 1).coeff(0)) < 1e-14
+        assert abs(res.value - _phi(k, 1).window(0, 0)[0]) < 1e-14
 
     def test_two_by_two_matches_direct_cofactor(self):
         k = CouplingK.physical(0.35)
         phi = _phi(k, 2)
-        a, b, c = phi.coeff(0), phi.coeff(-1), phi.coeff(1)
+        b, a, c = phi.window(-1, 1)
         direct = (a * a - b * c).real
         assert abs(diagonal_correlation(k, 2).value - direct) < 1e-13
 
@@ -110,7 +110,7 @@ class TestLevinsonKernel:
         k = _coupling(kv)
         dets, _ = _correlations(k, 64)
         phi = _phi(k, 64)
-        t = {m: phi.coeff(m) for m in range(-63, 64)}
+        t = dict(zip(range(-63, 64), phi.window(-63, 63)))
         for N in range(1, 65):
             col = [t[m] for m in range(N)]
             row = [t[-m] for m in range(N)]
