@@ -97,19 +97,12 @@ def _parse_jrange(text: str):
         raise DomainError(f"cannot parse radii range {text!r}; use j0..j1") from exc
 
 
-# relative standard error above which a Monte Carlo result warns; the
-# README's 200 000-sample S_3 run reaches 2.8%, and 1e-9 (the library
-# default) would take ~1e21 samples
-_MC_TARGET_REL = 0.05
-
-
 def _spec_from(args) -> QuadratureSpec:
     if getattr(args, "mc_samples", None):
         return QuadratureSpec(
             method="monte_carlo",
             mc_samples=args.mc_samples,
             seed=args.seed,
-            target_rel_error=_MC_TARGET_REL,
         )
     return QuadratureSpec(nodes_per_dim=args.nodes or QuadratureSpec.nodes_per_dim)
 

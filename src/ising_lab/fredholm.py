@@ -15,6 +15,11 @@ identity det(I - XY) = det(I - YX) makes every det(I - K_(N+j)) the r x r
 determinant det(I - s_a s_b (U^T V) W_j), W_j = sum_(i >= j) v_i u_i^T,
 with v_i, u_i the rows of V and U.  The W_j are one reversed cumulative
 sum.  The sum S takes every term from one such call.
+
+_det_at reads Lambda and Lambda^-1 as _lambda_pair returns them, at degrees
+0 .. length-1 (both are even in the degree), and slices the degrees
+N + 1 .. N + 2L - 1 of its sections out as views.  It returns a
+_DetSequence, whose arrays values and move run over N' = N, N + 1, ...
 """
 from __future__ import annotations
 
@@ -24,9 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import (
-    CouplingK, SeriesCoeffs, _cache_length, _lambda_pair, _tail_bound, _terms_needed,
-)
+from .params import CouplingK, _cache_length, _lambda_pair, _tail_bound, _terms_needed
 
 _ENTRY_TARGET = 1e-17   # bound on every Hankel entry left out of the section
 _MAX_SIZE = 1 << 17     # largest section L
@@ -43,20 +46,6 @@ class FredholmResult:
     det_value: complex
     cutoff_used: int
     est_error: float
-
-
-def _band(coeffs: SeriesCoeffs, N: int, cutoff: int) -> np.ndarray:
-    """Coefficients at degrees N + 1 .. N + 2*cutoff - 1, which fill the
-    cutoff x cutoff Hankel window with shift N."""
-    if N < 1 or cutoff < 1:
-        raise DomainError("N and cutoff must be >= 1")
-    need = N + 2 * cutoff - 1
-    if coeffs.max_degree < need:
-        raise ValueError(
-            f"series too short: need coefficients up to degree {need}, "
-            f"series ends at degree {coeffs.max_degree}"
-        )
-    return coeffs.window(N + 1, need)
 
 
 def _section_size(a: float, N: int, count: int):
@@ -168,8 +157,8 @@ def _shift_dets(g: np.ndarray, U: np.ndarray, V: np.ndarray, count: int,
 class _DetSequence:
     """det(I - K_N') for N' = N .. N + count - 1 from one factorization.
 
-    values[j] is the value at N' = N + j (also seq[j]).  move[j], the
-    estimate behind est_error, has two parts.  The first is the move of
+    values[j] is the value at N' = N + j.  move[j], the estimate behind
+    est_error, has two parts.  The first is the move of
     values[j] when both factors stop at _COARSE instead of _STOP, scaled
     by the larger ratio of their residuals at the two stops: to first
     order the error of a determinant is linear in the residual that the
@@ -184,9 +173,6 @@ class _DetSequence:
     move: np.ndarray
     size: int
 
-    def __getitem__(self, j):
-        return self.values[j]
-
 
 def _det_at(kval: complex, N: int, cutoff: int) -> _DetSequence:
     """det(I - K_N') for N' = N .. N + cutoff - 1 from one factorization.
@@ -200,8 +186,8 @@ def _det_at(kval: complex, N: int, cutoff: int) -> _DetSequence:
     ConvergenceError.
     """
     L, length = _section_size(abs(kval), N, cutoff)
-    lam, lam_inv = _lambda_pair(kval, length)
-    a, b = _band(lam, N, L), _band(lam_inv, N, L)
+    # degrees N + 1 .. N + 2L - 1 fill the L x L sections; length >= N + 2L
+    a, b = (c[N + 1 : N + 2 * L] for c in _lambda_pair(kval, length))
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ConvergenceError(f"non-finite Hankel coefficient at k={kval}")
     sa, U, ca, ratio_a = _cross(a, L)
@@ -232,11 +218,12 @@ def fredholm_det(k: CouplingK, N: int, tol: float) -> FredholmResult:
         raise ConvergenceError(
             f"det(I - K_N) at k={k.k}, N={N}: error estimate {seq.move[0]:.3g} "
             f"exceeds tol={tol:.3g}",
-            best=complex(seq[0]),
+            best=complex(seq.values[0]),
             gap=float(seq.move[0]),
         )
     return FredholmResult(
-        N=N, det_value=complex(seq[0]), cutoff_used=seq.size, est_error=float(seq.move[0])
+        N=N, det_value=complex(seq.values[0]), cutoff_used=seq.size,
+        est_error=float(seq.move[0]),
     )
 
 

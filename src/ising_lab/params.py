@@ -6,6 +6,13 @@ phi(xi) = sqrt((1 - k/xi)/(1 - k xi)) (_phi_series) and
 Lambda = sqrt((1 - k xi)(1 - k/xi)) together with its reciprocal
 (_lambda_pair), each from one FFT on the unit circle.  Both square roots
 take the principal branch, which is 1 at k = 0.
+
+The series are plain read-only arrays indexed by |degree|, float64 for
+real k and complex otherwise.  _phi_series(k, length) returns
+phi_0 .. phi_(length-1) and phi_0, phi_-1 .. phi_-(length-1): the first
+column and row of the Toeplitz matrix.  _lambda_pair(k, length) returns
+Lambda and Lambda^-1 at degrees 0 .. length-1 only, since
+Lambda(1/xi) = Lambda(xi) makes degree -m equal to degree m.
 """
 from __future__ import annotations
 
@@ -99,35 +106,6 @@ def magnetization(k: CouplingK):
     return cmath.exp(0.125 * cmath.log(1.0 - k.kappa))
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesCoeffs:
-    """Truncated coefficient sequence, possibly with negative degrees.
-
-    coeffs[i] is the coefficient at degree min_degree + i.
-    """
-
-    coeffs: np.ndarray
-    min_degree: int
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    @property
-    def max_degree(self) -> int:
-        return self.min_degree + len(self.coeffs) - 1
-
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """Coefficients for degrees lo..hi inclusive, zero padded."""
-        out = np.zeros(hi - lo + 1, dtype=self.coeffs.dtype)
-        a = max(lo, self.min_degree)
-        b = min(hi, self.max_degree)
-        if a <= b:
-            out[a - lo : b - lo + 1] = self.coeffs[
-                a - self.min_degree : b - self.min_degree + 1
-            ]
-        return out
-
-
 def _cache_length(n: int) -> int:
     """The power of two at or above n: the length internal callers ask the
     cached series for, so that all of one k's requests share a few keys."""
@@ -202,45 +180,41 @@ def _terms_needed(a: float, tol: float) -> int:
     return hi
 
 
-def _circle_coeffs(kval: complex, length: int, *symbols):
-    """Coefficients of each symbol(xi) at degrees -(length-1) .. length-1,
-    from its values at the M-th roots of unity, one FFT each.  For real k
-    the coefficients are real and only their real parts are kept."""
-    M = _circle_size(abs(kval), length - 1)
+def _circle_coeffs(kval: complex, degrees: np.ndarray, *symbols) -> np.ndarray:
+    """Coefficients of each symbol(xi) at the given degrees, from its values
+    at the M-th roots of unity, one FFT each: one read-only array, its
+    leading axis over the symbols.  Entry M - m of the FFT is degree -m, so
+    a negative degree indexes from the end.  For real k the coefficients
+    are real and only their real parts are kept."""
+    M = _circle_size(abs(kval), int(np.abs(degrees).max()))
+    real = kval.imag == 0
+    # allocated before the transforms, so the cached result does not sit
+    # above their freed working memory
+    out = np.empty((len(symbols), *degrees.shape), dtype=float if real else complex)
     xi = np.exp(2j * np.pi * np.arange(M) / M)
-    out = []
-    for symbol in symbols:
+    for row, symbol in zip(out, symbols):
         c = np.fft.fft(symbol(xi)) / M
-        c = np.concatenate([c[M - length + 1 :], c[:length]])
-        out.append(c.real.copy() if kval.imag == 0 else c)
+        np.take(c.real if real else c, degrees, out=row, mode="wrap")
+    out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=64)
-def _phi_series(kval: complex, length: int) -> SeriesCoeffs:
+def _phi_series(kval: complex, length: int):
     # both 1 - k/xi and 1 - k xi have positive real part on |xi| = 1, so
     # the principal square roots are the branches that are 1 at k = 0
-    (coeffs,) = _circle_coeffs(
-        kval, length, lambda xi: np.sqrt(1.0 - kval / xi) / np.sqrt(1.0 - kval * xi)
+    m = np.arange(length)
+    ((col, row),) = _circle_coeffs(
+        kval, np.stack([m, -m]),
+        lambda xi: np.sqrt(1.0 - kval / xi) / np.sqrt(1.0 - kval * xi),
     )
-    return SeriesCoeffs(coeffs=coeffs, min_degree=-(length - 1))
+    return col, row
 
 
 @lru_cache(maxsize=64)
 def _lambda_pair(kval: complex, length: int):
+    # Lambda(1/xi) = Lambda(xi), so degrees >= 0 are the whole series
     def lam(xi):
         return np.sqrt(1.0 - kval * xi) * np.sqrt(1.0 - kval / xi)
 
-    c_lam, c_inv = _circle_coeffs(kval, length, lam, lambda xi: 1.0 / lam(xi))
-    lo = -(length - 1)
-    # Lambda(1/xi) = Lambda(xi): degrees >= 0 mirrored make the symmetry exact
-    return (
-        SeriesCoeffs(coeffs=_mirror(c_lam, length), min_degree=lo),
-        SeriesCoeffs(coeffs=_mirror(c_inv, length), min_degree=lo),
-    )
-
-
-def _mirror(c: np.ndarray, length: int) -> np.ndarray:
-    """Degrees -(length-1) .. length-1 of c with degree -m set to degree m."""
-    pos = c[length - 1 :]
-    return np.concatenate([pos[:0:-1], pos])
+    return tuple(_circle_coeffs(kval, np.arange(length), lam, lambda xi: 1.0 / lam(xi)))

@@ -4,7 +4,9 @@ D(n) = det(phi_{i-j})_{1 <= i,j <= n} is the leading principal minor of
 size n of one N x N Toeplitz matrix, for every n <= N.  So one run of the
 non-symmetric Levinson recursion (Trench, J. SIAM 12 (1964) 515) on one
 phi series gives D(1..N) in O(N^2), as running products of its pivots
-eps_n = D(n)/D(n-1).  _levinson is the only determinant code here.
+eps_n = D(n)/D(n-1).  _levinson is the only determinant code here.  It
+reads the phi series as _phi_series returns it: phi_0 .. phi_(N-1) down the
+first column and phi_0, phi_-1 .. phi_-(N-1) along the first row.
 """
 from __future__ import annotations
 
@@ -79,20 +81,13 @@ def _levinson(col: np.ndarray, row: np.ndarray) -> np.ndarray:
 def _correlations(k: CouplingK, N: int):
     """(D(1..N), eps_1..eps_N) from one Levinson run on one phi series.
 
-    For physical k the phi coefficients must be real to 1e-12, which makes
-    every D(n) real, and the recursion runs on their real parts; every
-    D(n) must then satisfy M^2 <= D(n) <= 1 to 1e-12 plus the rounding
-    allowance _LEVINSON_ROUNDING n.  A failed check raises RuntimeError
-    naming the first bad n.
+    For physical k the phi coefficients are float64, which makes every
+    D(n) real; every D(n) must then satisfy M^2 <= D(n) <= 1 to 1e-12
+    plus the rounding allowance _LEVINSON_ROUNDING n.  A failed check
+    raises RuntimeError naming the first bad n.
     """
-    phi = _phi_series(complex(k.k), _cache_length(N))
-    col = phi.window(0, N - 1)           # phi_0 .. phi_(N-1)
-    row = phi.window(-(N - 1), 0)[::-1]  # phi_0, phi_-1, .., phi_-(N-1)
-    if k.mode == "physical":
-        imag = max(np.max(np.abs(col.imag)), np.max(np.abs(row.imag)))
-        if imag > 1e-12:
-            raise RuntimeError(f"real-k phi coefficients came out complex: |imag| {imag!r}")
-        col, row = col.real, row.real
+    col, row = _phi_series(complex(k.k), _cache_length(N))
+    col, row = col[:N], row[:N]
     eps = _levinson(col, row)
     dets = np.cumprod(eps)
     if k.mode == "physical":

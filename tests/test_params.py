@@ -119,20 +119,12 @@ class TestBinomialHalfSeries:
         assert abs(prod[0] - 1.0) < 1e-15
         assert np.max(np.abs(prod[1:])) < 1e-15
 
-    def test_window_and_degree_bookkeeping(self):
-        s = _phi_series(0.3 + 0j, 8)
-        assert s.min_degree == -7
-        assert s.max_degree == 7
-        w = s.window(2, 4)
-        assert w.shape == (3,)
-        assert w[0] == _coeff(s, 2)
-        assert s.window(50, 50)[0] == 0.0
-        assert np.all(s.window(6, 9)[2:] == 0.0)
-
 
 def _coeff(series, m: int):
-    """The stored coefficient of series at degree m."""
-    return series.coeffs[m - series.min_degree]
+    """The coefficient at degree m of a phi pair (degrees >= 0, degrees <= 0)
+    or of a one-sided Lambda array, which is even in the degree."""
+    pos, neg = series if isinstance(series, tuple) else (series, series)
+    return pos[m] if m >= 0 else neg[-m]
 
 
 def _contour_coefficient(k: float, m: int, nodes: int = 2048) -> complex:
@@ -156,31 +148,25 @@ class TestPhiSeries:
 
 
 class TestLambdaSeries:
-    def test_symmetry_exact(self):
-        lam, lam_inv = _lambda_pair(0.5 + 0j, 48)
-        for m in range(1, 20):
-            assert _coeff(lam, m) == _coeff(lam, -m)
-            assert _coeff(lam_inv, m) == _coeff(lam_inv, -m)
-
     def test_pointwise_on_circle(self):
         k = 0.5
         lam, lam_inv = _lambda_pair(complex(k), 160)
+        # degree -m mirrors degree m
+        lam, lam_inv = (np.concatenate([c[:0:-1], c]) for c in (lam, lam_inv))
+        degrees = range(-159, 160)
         for theta in (0.3, 1.1):
             xi = cmath.exp(1j * theta)
             direct = cmath.sqrt((1.0 - k * xi) * (1.0 - k / xi))
-            total = sum(
-                _coeff(lam, m) * xi ** m for m in range(lam.min_degree, lam.max_degree + 1)
-            )
+            total = sum(c * xi ** m for m, c in zip(degrees, lam))
             assert abs(total - direct) < 1e-12
-            total_inv = sum(
-                _coeff(lam_inv, m) * xi ** m
-                for m in range(lam_inv.min_degree, lam_inv.max_degree + 1)
-            )
+            total_inv = sum(c * xi ** m for m, c in zip(degrees, lam_inv))
             assert abs(total_inv - 1.0 / direct) < 1e-12
 
     def test_convolution_is_identity(self):
         lam, lam_inv = _lambda_pair(0.4 + 0j, 80)
-        prod = np.convolve(lam.coeffs, lam_inv.coeffs)
+        # degree -m mirrors degree m
+        prod = np.convolve(np.concatenate([lam[:0:-1], lam]),
+                           np.concatenate([lam_inv[:0:-1], lam_inv]))
         mid = len(prod) // 2
         assert abs(prod[mid] - 1.0) < 1e-13
         window = np.delete(prod[mid - 20 : mid + 21], 20)
@@ -188,7 +174,21 @@ class TestLambdaSeries:
 
     def test_real_for_physical_modulus(self):
         lam, lam_inv = _lambda_pair(0.6 + 0j, 64)
-        assert lam.coeffs.dtype.kind == lam_inv.coeffs.dtype.kind == "f"
+        assert lam.dtype.kind == lam_inv.dtype.kind == "f"
+
+    def test_one_sided_read_only_arrays(self):
+        # Lambda keeps degrees >= 0 only, at the length the sum reads near
+        # k = 1; phi's column and row are real for real k and share phi_0;
+        # no caller can write into the cached series
+        for series in _lambda_pair(0.9995 + 0j, 2**18):
+            assert series.dtype == np.float64
+            assert series.shape == (2**18,)
+            assert not series.flags.writeable
+        col, row = _phi_series(0.6 + 0j, 64)
+        assert col.dtype == row.dtype == np.float64
+        assert col.shape == row.shape == (64,)
+        assert col[0] == row[0]
+        assert not (col.flags.writeable or row.flags.writeable)
 
 
 def _laurent_product(pos, neg):
@@ -217,7 +217,8 @@ class TestFFTSeries:
         centre = 2 * n - 1
         for series, oracle in zip((phi, lam, lam_inv), oracles):
             want = oracle[centre - (n - 1) : centre + n]
-            assert np.max(np.abs(series.window(-(n - 1), n - 1) - want)) <= 2e-15
+            got = [_coeff(series, m) for m in range(-(n - 1), n)]
+            assert np.max(np.abs(np.array(got) - want)) <= 2e-15
 
     def test_short_request_does_not_alias(self):
         # M follows |k| as well as the length: 16 coefficients at k = 0.99

@@ -14,6 +14,12 @@ def _phi(k: CouplingK, N: int):
     return _phi_series(complex(k.k), _cache_length(N))
 
 
+def _coeff(phi, m: int):
+    """phi_m from the (degrees >= 0, degrees <= 0) pair of _phi_series."""
+    col, row = phi
+    return col[m] if m >= 0 else row[-m]
+
+
 def _deviation(k: CouplingK, N: int):
     """D(N) - M^2, the summand of the diagonal susceptibility."""
     return diagonal_correlation(k, N).value - magnetization(k) ** 2
@@ -28,12 +34,12 @@ class TestSmallDeterminants:
     def test_one_by_one_is_phi_zero(self):
         k = CouplingK.physical(0.4)
         res = diagonal_correlation(k, 1)
-        assert abs(res.value - _phi(k, 1).window(0, 0)[0]) < 1e-14
+        assert abs(res.value - _coeff(_phi(k, 1), 0)) < 1e-14
 
     def test_two_by_two_matches_direct_cofactor(self):
         k = CouplingK.physical(0.35)
         phi = _phi(k, 2)
-        b, a, c = phi.window(-1, 1)
+        b, a, c = (_coeff(phi, m) for m in (-1, 0, 1))
         direct = (a * a - b * c).real
         assert abs(diagonal_correlation(k, 2).value - direct) < 1e-13
 
@@ -110,7 +116,7 @@ class TestLevinsonKernel:
         k = _coupling(kv)
         dets, _ = _correlations(k, 64)
         phi = _phi(k, 64)
-        t = dict(zip(range(-63, 64), phi.window(-63, 63)))
+        t = {m: _coeff(phi, m) for m in range(-63, 64)}
         for N in range(1, 65):
             col = [t[m] for m in range(N)]
             row = [t[-m] for m in range(N)]
