@@ -19,12 +19,13 @@ instead of the O(G^4) tensor sum.  As m grows, x^(m+1) drives the small
 nodes to nothing, and each chunk of moments runs on the nodes left after
 dropping the smallest ones whose whole share of B_m is proven below 2^-52
 of the sum of the moduli of its terms (_bm_drop): at G = 64, all 64 nodes
-at m < 256 and 12 at m = 4096.  The B_m are cached per (kappa, n, G)
-and shared by every order l, so S_2 and the probe integral at every ell
-reuse one set.  This is the same G-node rule summed in another order, not
-a finer one: the summed rule agrees with the tensor sum to ~1e-15
-relative, and near a resonant direction (kappa^n approaching the positive
-real axis) it resolves the spike no better than the tensor product.
+at m < 256 and 12 at m = 4096.  The B_m are cached per (kappa, G) and
+doubling window of m (_bm_prefix) and shared by every order l, so S_2
+and the probe integral at every ell reuse one set.  This is the same
+G-node rule summed in another order, not a finer one: the summed rule
+agrees with the tensor sum to ~1e-15 relative, and near a resonant
+direction (kappa^n approaching the positive real axis) it resolves the
+spike no better than the tensor product.
 Each single B_m is accurate to rounding too, ~1e-15 relative against the
 brute-force tuple sum at G = 12 up to m = 2000: its x side is formed
 about the top node, which dominates as m grows and so cannot cancel.
@@ -37,9 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -160,17 +159,17 @@ def _prefactor(kappa: complex, n: int, form: str) -> complex:
     raise DomainError(f"unknown form {form!r}")
 
 
-def _tensor_core(kappa: complex, n: int, power: int, G: int, form: str = "Sn2"):
-    """Raw 2n-dimensional integral with resonant exponent `power`.
+def _tensor_core(kappa: complex, n: int, power: int, G: int):
+    """Raw 2n-dimensional Cauchy-form integral with resonant exponent `power`.
 
     The axis weights already carry the Lambda_1 densities, so this is the
     plain weighted tensor sum of the remaining smooth factor, in float64
-    for real kappa.
+    for real kappa.  For n = 1 the two forms reduce to the same pair factor
+    1/den^2; for n = 2 the factor is the squared Cauchy determinant (Sn1).
     """
     kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
     if n == 1:
-        # for n = 1 both forms reduce to the same pair factor 1/den^2
         U = np.outer(x, x)
         den = 1.0 - kappa * U
         val = np.sum((wx[:, None] * wy[None, :]) * U / den ** power / (den * den))
@@ -182,26 +181,17 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int, form: str = "Sn2"):
     Y1 = x[None, :, None]
     Y2 = x[None, None, :]
     W = wx[:, None, None] * wy[None, :, None] * wy[None, None, :]
-    yy = (Y2 - Y1) ** 2
     total = 0.0 + 0.0j
     for a in range(G):
         x1 = x[a]
         u = (x1 * X2) * (Y1 * Y2)
         first = u / (1.0 - kn * u) ** power
-        if form == "Sn2":
-            num = (X2 - x1) ** 2 * yy
-            den = (1.0 - kappa * x1 * Y1) * (1.0 - kappa * x1 * Y2)
-            den = den * (1.0 - kappa * X2 * Y1)
-            den = den * (1.0 - kappa * X2 * Y2)
-            core = num / (den * den)
-        else:
-            c11 = 1.0 / (1.0 - kappa * x1 * Y1)
-            c12 = 1.0 / (1.0 - kappa * x1 * Y2)
-            c21 = 1.0 / (1.0 - kappa * X2 * Y1)
-            c22 = 1.0 / (1.0 - kappa * X2 * Y2)
-            det = c11 * c22 - c12 * c21
-            core = det * det
-        total += wx[a] * np.sum(W * first * core)
+        c11 = 1.0 / (1.0 - kappa * x1 * Y1)
+        c12 = 1.0 / (1.0 - kappa * x1 * Y2)
+        c21 = 1.0 / (1.0 - kappa * X2 * Y1)
+        c22 = 1.0 / (1.0 - kappa * X2 * Y2)
+        det = c11 * c22 - c12 * c21
+        total += wx[a] * np.sum(W * first * (det * det))
     return complex(total)
 
 
@@ -312,15 +302,6 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
 # ---------------------------------------------------------------------------
 # Moment series for the n = 2 probe integral
 
-_BM_LOCK = threading.Lock()
-_BM_CACHE: OrderedDict = OrderedDict()
-# total moments kept (8 bytes each for real kappa, 16 for complex): the
-# README ray j = 4..10 stores 32512, S_2 at kappa = 0.5 stores 16 per node
-# count, and one series reaches at most 2^18
-_BM_CACHE_MOMENTS = 1 << 18
-
-
-@lru_cache(maxsize=64)
 def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     """How many of the smallest nodes _bm_chunk drops for m in [m0, m1).
 
@@ -347,8 +328,7 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     grows, so both are read at column m0, and only the nodes from t up are
     summed at every column.  The test is exact at m0 and overstates E_m
     after it; against the exact test at every column it keeps at most one
-    node more on the test grid.  Cached so that _bm_prefix reads the count
-    of the chunk it has just computed.
+    node more on the test grid.
     """
     kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
@@ -385,10 +365,11 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     return int(t if fits.all() else np.argmin(fits))
 
 
-def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
-    """B_m for m in [m0, m1): the u^m moments of the non-resonant factor.
+def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
+    """B_m for m in [m0, m1) (the u^m moments of the n = 2 non-resonant
+    factor) and the number of nodes kept for them.
 
-    n = 2 only.  Each u^m moment factorizes into one-dimensional node sums
+    Each u^m moment factorizes into one-dimensional node sums
     with f_m(x) = wx x^(m+1) and g_m(y) = wy y^(m+1), and C(x, y) =
     1/(1 - kappa x y).  The Vandermonde numerator is kept, about a shift
     s: with h(x) = C^2(x, y1) C^2(x, y2) and R_k = sum_x (x - s)^k h f_m,
@@ -438,70 +419,64 @@ def _bm_chunk(kappa: complex, n: int, G: int, m0: int, m1: int) -> np.ndarray:
     del R1
     yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i]
     yside *= Xp[j]
-    return 4.0 * np.einsum("pm,pm->m", yside, xside)
+    return 4.0 * np.einsum("pm,pm->m", yside, xside), len(x)
 
 
-def _bm_prefix(kappa: complex, n: int, G: int, upto: int) -> np.ndarray:
-    """Cached B_m array covering m = 0..upto-1, extended on demand.
+@lru_cache(maxsize=128)
+def _bm_prefix(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
+    """B_m for m in [m0, m1) as one read-only array, cached per window.
 
-    Keys are evicted least recently used first once the cache holds more
-    than _BM_CACHE_MOMENTS moments; the key just stored always stays.
+    _lint_series asks only for the doubling windows [0, 16), [16, 32),
+    [32, 64), ... up to 2^18, so each B_m depends on (kappa, G, window)
+    alone, and every order ell and call at the same kappa and G reuses the
+    windows.  The cache holds at most 128 windows of at most 2^17 moments
+    each, 8 bytes per moment for real kappa and 16 for complex.  Reaching
+    that bound takes 128 series that each ran to the 2^18 cap; the probes
+    stay far below it, under 10 MB: the default smoothness probe holds 56
+    windows, and the --radii 4..14 --nodes 96 scan 110 windows of 4.2 MB in
+    all.
     A chunk is as long as 256 G(G-1)/2 array entries allow, the size of
     one full-node 256-moment chunk: the kernel holds at most three arrays
     of kept pairs x chunk entries and the node selection up to G x chunk.
     The kept count of the chunk before sizes the next, since fewer nodes
     stay as m grows.  The arrays are float64 for real kappa.
     """
-    key = (kappa, n, G)
-    with _BM_LOCK:
-        have = _BM_CACHE.get(key)
-        if have is not None:
-            _BM_CACHE.move_to_end(key)
-    if have is not None and len(have) >= upto:
-        return have
-    start = 0 if have is None else len(have)
-    parts = [] if have is None else [have]
     # ~35 MB per complex array at G = 128, half that for real kappa
     entries = 256 * (G * (G - 1) // 2)
+    parts = []
     kept = G
-    m0 = start
-    while m0 < upto:
-        m1 = min(upto, m0 + entries // max(G, kept * (kept - 1) // 2))
-        parts.append(_bm_chunk(kappa, n, G, m0, m1))
-        kept = G - _bm_drop(kappa, G, m0, m1)
-        m0 = m1
-    full = np.concatenate(parts)
-    with _BM_LOCK:
-        _BM_CACHE[key] = full
-        _BM_CACHE.move_to_end(key)
-        stored = sum(len(v) for v in _BM_CACHE.values())
-        while stored > _BM_CACHE_MOMENTS and len(_BM_CACHE) > 1:
-            stored -= len(_BM_CACHE.popitem(last=False)[1])
-    return full
+    while m0 < m1:
+        stop = min(m1, m0 + entries // max(G, kept * (kept - 1) // 2))
+        bm, kept = _bm_chunk(kappa, G, m0, stop)
+        parts.append(bm)
+        m0 = stop
+    window = np.concatenate(parts)
+    window.setflags(write=False)
+    return window
 
 
-def _lint_series(kappa: complex, n: int, ell: int, G: int, rtol: float) -> complex:
+def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
     """Probe value at order ell via the m expansion (n = 2).
 
-    1/(1 - kappa^n u)^(ell+1) = sum_m binom(m+ell, ell) (kappa^n u)^m turns
-    the integral into sum_m binom(m+ell, ell) kappa^(n m) B_m, the same
-    G-node rule as _tensor_core summed in another order.  The summed length
+    1/(1 - kappa^2 u)^(ell+1) = sum_m binom(m+ell, ell) (kappa^2 u)^m turns
+    the integral into sum_m binom(m+ell, ell) kappa^(2 m) B_m, the
+    Vandermonde-form G-node rule summed in another order.  The summed length
     starts at 16 moments (S_2 at |kappa| = 0.5 needs about 23) and doubles
     until the tail estimate drops below rtol relative to the sum, so it
     overshoots the length it needs by at most 2x.  For real kappa the sum
     runs in float64, since kappa^2 > 0.
     """
-    kn = _real(kappa) ** n
-    q = abs(kn)
+    k2 = _real(kappa) ** 2
+    q = abs(k2)
     if q >= 1.0:
-        raise DomainError("|kappa^n| must be < 1")
+        raise DomainError("|kappa^2| must be < 1")
     total = 0.0
     m0, m1 = 0, 16
     while True:
-        bm = _bm_prefix(kappa, n, G, m1)[m0:m1]
+        bm = _bm_prefix(kappa, G, m0, m1)
         mm = np.arange(m0, m1)
         # at kappa = 0 only the m = 0 term survives (and log 0 is undefined)
-        powers = np.exp(mm * np.log(kn)) if q > 0.0 else (mm == 0) * 1.0
+        powers = np.exp(mm * np.log(k2)) if q > 0.0 else (mm == 0) * 1.0
         # binom(m+ell, ell) as a running product over l = 1..ell
         binom = np.ones(m1 - m0)
         for e in range(1, ell + 1):
@@ -567,7 +542,7 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
                 for G in nodes
             )
         else:
-            coarse, fine = (_tensor_core(kappa, n, 1, G, form) for G in nodes)
+            coarse, fine = (_tensor_core(kappa, n, 1, G) for G in nodes)
         value = pref * fine
         rel = abs(fine - coarse) / max(abs(fine), _TINY)
     else:
@@ -640,6 +615,6 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
         raw, _ = _mc_core(kappa, n, ell + 1, spec, "Sn2")
         return raw
     if n == 2:
-        return _lint_series(kappa, 2, ell, spec.nodes_per_dim, _GAUSS_RTOL)
-    return _tensor_core(kappa, n, ell + 1, spec.nodes_per_dim, "Sn2")
+        return _lint_series(kappa, ell, spec.nodes_per_dim, _GAUSS_RTOL)
+    return _tensor_core(kappa, n, ell + 1, spec.nodes_per_dim)
 

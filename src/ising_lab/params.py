@@ -180,20 +180,23 @@ def _terms_needed(a: float, tol: float) -> int:
     return hi
 
 
-def _circle_coeffs(kval: complex, degrees: np.ndarray, *symbols) -> np.ndarray:
-    """Coefficients of each symbol(xi) at the given degrees, from its values
-    at the M-th roots of unity, one FFT each: one read-only array, its
-    leading axis over the symbols.  Entry M - m of the FFT is degree -m, so
-    a negative degree indexes from the end.  For real k the coefficients
+def _circle_coeffs(kval: complex, degrees: np.ndarray, *maps) -> np.ndarray:
+    """Coefficients of one symbol per map at the given degrees, from its
+    values at the M-th roots of unity, one FFT each: one read-only array,
+    its leading axis over the symbols.  The first map takes xi to the first
+    symbol's values; each later map takes the values before it to the next
+    symbol's, and may overwrite them.  Entry M - m of the FFT is degree -m,
+    so a negative degree indexes from the end.  For real k the coefficients
     are real and only their real parts are kept."""
     M = _circle_size(abs(kval), int(np.abs(degrees).max()))
     real = kval.imag == 0
     # allocated before the transforms, so the cached result does not sit
     # above their freed working memory
-    out = np.empty((len(symbols), *degrees.shape), dtype=float if real else complex)
-    xi = np.exp(2j * np.pi * np.arange(M) / M)
-    for row, symbol in zip(out, symbols):
-        c = np.fft.fft(symbol(xi)) / M
+    out = np.empty((len(maps), *degrees.shape), dtype=float if real else complex)
+    values = np.exp(2j * np.pi * np.arange(M) / M)
+    for row, f in zip(out, maps):
+        values = f(values)
+        c = np.fft.fft(values) / M
         np.take(c.real if real else c, degrees, out=row, mode="wrap")
     out.setflags(write=False)
     return out
@@ -213,8 +216,10 @@ def _phi_series(kval: complex, length: int):
 
 @lru_cache(maxsize=64)
 def _lambda_pair(kval: complex, length: int):
-    # Lambda(1/xi) = Lambda(xi), so degrees >= 0 are the whole series
-    def lam(xi):
-        return np.sqrt(1.0 - kval * xi) * np.sqrt(1.0 - kval / xi)
-
-    return tuple(_circle_coeffs(kval, np.arange(length), lam, lambda xi: 1.0 / lam(xi)))
+    # Lambda(1/xi) = Lambda(xi), so degrees >= 0 are the whole series;
+    # 1/Lambda reuses Lambda's values on the circle, divided in place
+    return tuple(_circle_coeffs(
+        kval, np.arange(length),
+        lambda xi: np.sqrt(1.0 - kval * xi) * np.sqrt(1.0 - kval / xi),
+        lambda lam: np.divide(1.0, lam, out=lam),
+    ))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ising_lab
+from ising_lab import integrals, params
 from ising_lab.cli import main
 
 
@@ -168,6 +169,24 @@ class TestSweep:
         _, first = _run(capsys, argv)
         _, second = _run(capsys, argv)
         assert first == second
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("argv", [
+        ["boundary-scan", "--eps", "1/2", "--n", "2", "--ell", "7", "--radii", "4..8"],
+        ["sweep", "--grid", "0.1,0.5,0.9", "--route", "fredholm"],
+    ])
+    def test_stdout_independent_of_threads(self, capsys, monkeypatch, argv):
+        # each run computes its moments and series afresh under its own pool
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ISING_LAB_THREADS", threads)
+            for cached in (integrals._bm_prefix, params._lambda_pair, params._phi_series):
+                cached.cache_clear()
+            code, out = _run(capsys, argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestConfigFile:

@@ -38,6 +38,31 @@ def _vandermonde_integrand(x, y, kappa, n):
     return u / (1.0 - kappa**n * u) * vdm / cross * lam
 
 
+def _vandermonde_tensor(kappa, power, G):
+    """The n = 2 Vandermonde-form (Sn2) G-node tensor sum with resonant
+    exponent `power`, pointwise in O(G^4): the oracle for the moment series,
+    which sums the same rule in another order."""
+    kappa = integrals._real(kappa)
+    x, wx, wy = integrals._axis_nodes(G, kappa)
+    kn = kappa * kappa
+    X2 = x[:, None, None]
+    Y1 = x[None, :, None]
+    Y2 = x[None, None, :]
+    W = wx[:, None, None] * wy[None, :, None] * wy[None, None, :]
+    yy = (Y2 - Y1) ** 2
+    total = 0.0 + 0.0j
+    for a in range(G):
+        x1 = x[a]
+        u = (x1 * X2) * (Y1 * Y2)
+        first = u / (1.0 - kn * u) ** power
+        num = (X2 - x1) ** 2 * yy
+        den = (1.0 - kappa * x1 * Y1) * (1.0 - kappa * x1 * Y2)
+        den = den * (1.0 - kappa * X2 * Y1)
+        den = den * (1.0 - kappa * X2 * Y2)
+        total += wx[a] * np.sum(W * first * (num / (den * den)))
+    return complex(total)
+
+
 class TestLambda1:
     def test_free_point(self):
         assert abs(_lambda1(0.5, 0.0) - 1.0) < 1e-15
@@ -384,26 +409,26 @@ class TestMomentEngine:
     @pytest.mark.parametrize("G", [32, 48])
     @pytest.mark.parametrize("kappa", [1e-4, 1e-2, 0.5j, -0.7, 0.7 + 0.3j])
     def test_series_matches_tensor_sum(self, kappa, G):
-        series = _lint_series(kappa, 2, 0, G, 1e-14)
-        tensor = _tensor_core(kappa, 2, 1, G, "Sn2")
+        series = _lint_series(kappa, 0, G, 1e-14)
+        tensor = _vandermonde_tensor(kappa, 1, G)
         assert abs(series - tensor) <= 1e-12 * abs(tensor)
 
     def test_resonant_order_seven_matches_tensor_sum(self):
         r = 1.0 - 2.0 ** -8
-        series = _lint_series(-r, 2, 7, 48, 1e-12)
-        tensor = _tensor_core(-r, 2, 8, 48, "Sn2")
+        series = _lint_series(-r, 7, 48, 1e-12)
+        tensor = _vandermonde_tensor(-r, 8, 48)
         assert abs(series - tensor) <= 1e-12 * abs(tensor)
 
     def test_resonant_probe_is_the_node_rule(self):
         # no resonant override: the probe is the nodes_per_dim-node rule
         r = 1.0 - 2.0 ** -8
         value = lint_integral(-r, 2, 7, QuadratureSpec(nodes_per_dim=48))
-        tensor = _tensor_core(-r, 2, 8, 48, "Sn2")
+        tensor = _vandermonde_tensor(-r, 8, 48)
         assert abs(value - tensor) <= 1e-12 * abs(tensor)
 
     def test_resonant_n1_probe_is_the_tensor_sum(self, monkeypatch):
         kappa, ell, G = 0.95, 3, 32
-        tensor = _tensor_core(kappa, 1, ell + 1, G, "Sn2")
+        tensor = _tensor_core(kappa, 1, ell + 1, G)
 
         def forbidden(*args):
             raise AssertionError("moment series called")
@@ -419,7 +444,7 @@ class TestMomentEngine:
     def test_off_axis_probe_uses_series(self, monkeypatch):
         # kappa^2 = -0.9025 is not resonant; the series runs all the same
         kappa, ell, G = 0.95j, 3, 16
-        tensor = _tensor_core(kappa, 2, ell + 1, G, "Sn2")
+        tensor = _vandermonde_tensor(kappa, ell + 1, G)
 
         def forbidden(*args):
             raise AssertionError("tensor sum called")
@@ -441,7 +466,7 @@ class TestMomentEngine:
     def test_probe_at_zero_kappa(self):
         # no prefactor here: the series keeps only its m = 0 moment
         value = lint_integral(0.0, 2, 3, QuadratureSpec(nodes_per_dim=16))
-        tensor = _tensor_core(0.0, 2, 4, 16, "Sn2")
+        tensor = _vandermonde_tensor(0.0, 4, 16)
         assert value != 0.0
         assert abs(value - tensor) <= 1e-12 * abs(tensor)
 
@@ -457,15 +482,20 @@ class TestMomentEngine:
                 assert res.value == 0.0
                 assert res.rel_error_est == 0.0
 
-    def test_contour_keeps_probe_moments_cached(self):
-        # eviction goes by stored moments, not keys: 32 short series stored
-        # after the ray leave the ray's moments in the cache
+    def test_contour_keeps_probe_moments_cached(self, monkeypatch):
+        # the 32-point contour's windows stored after the ray leave the
+        # ray's windows in the cache: re-evaluating the ray runs no kernel
         r = 1.0 - 2.0 ** -6
         spec = QuadratureSpec()
-        lint_integral(-r, 2, 7, spec)
+        first = lint_integral(-r, 2, 7, spec)
         for j in range(32):
             lint_integral(0.3 + 0.2 * cmath.exp(2j * math.pi * j / 32), 2, 0, spec)
-        assert (complex(-r), 2, spec.nodes_per_dim) in integrals._BM_CACHE
+
+        def forbidden(*args):
+            raise AssertionError("moment kernel called")
+
+        monkeypatch.setattr(integrals, "_bm_chunk", forbidden)
+        assert lint_integral(-r, 2, 7, spec) == first
 
 
 def _full_bm_chunk(kappa, G, m0, m1):
@@ -528,29 +558,32 @@ class TestPrunedMoments:
     @pytest.mark.parametrize("kappa", _PRUNE_KAPPAS)
     def test_matches_full_kernel(self, kappa, G):
         for m0 in range(0, 4096, 256):
-            pruned = integrals._bm_chunk(complex(kappa), 2, G, m0, m0 + 256)
+            pruned, _ = integrals._bm_chunk(complex(kappa), G, m0, m0 + 256)
             full = _full_bm_chunk(complex(kappa), G, m0, m0 + 256)
             assert np.all(np.abs(pruned - full) <= 1e-15 * np.abs(full))
 
     @pytest.mark.parametrize("kappa", [-0.7, 0.7 + 0.3j, -(1.0 - 2.0**-10)])
     def test_prefix_chunks(self, kappa, monkeypatch):
-        # the chunks _bm_prefix asks for: each within 256 G(G-1)/2 kept pair
-        # entries, and each the full-node rule to rounding
+        # the chunks _bm_prefix splits a window into: each within
+        # 256 G(G-1)/2 kept pair entries, and each the full-node rule to
+        # rounding
         kappa, G = complex(kappa), 48
         chunks = []
         kernel = integrals._bm_chunk
 
-        def spy(kappa, n, G, m0, m1):
-            chunks.append((m0, m1))
-            return kernel(kappa, n, G, m0, m1)
+        def spy(kappa, G, m0, m1):
+            bm, kept = kernel(kappa, G, m0, m1)
+            chunks.append((m0, m1, kept))
+            return bm, kept
 
         monkeypatch.setattr(integrals, "_bm_chunk", spy)
-        integrals._BM_CACHE.pop((kappa, 2, G), None)
-        bm = integrals._bm_prefix(kappa, 2, G, 8192)
-        assert chunks[0] == (0, 256) and chunks[-1][1] == 8192
+        integrals._bm_prefix.cache_clear()
+        bm = integrals._bm_prefix(kappa, G, 0, 8192)
+        assert len(bm) == 8192
+        assert chunks[0][:2] == (0, 256) and chunks[-1][1] == 8192
         assert len(chunks) < 8192 // 256
-        for m0, m1 in chunks:
-            kept = G - integrals._bm_drop(kappa, G, m0, m1)
+        for m0, m1, kept in chunks:
+            assert kept == G - integrals._bm_drop(kappa, G, m0, m1)
             assert kept * (kept - 1) // 2 * (m1 - m0) <= 256 * G * (G - 1) // 2
             full = _full_bm_chunk(kappa, G, m0, m1)
             assert np.all(np.abs(bm[m0:m1] - full) <= 1e-15 * np.abs(full))
@@ -598,7 +631,7 @@ class TestMomentAccuracy:
         kappa, G = complex(kappa), 12
         for m in (0, 40, 300, 2000):
             want = _tuple_terms(kappa, G, m).sum()
-            got = integrals._bm_chunk(kappa, 2, G, m, m + 1)[0]
+            got = integrals._bm_chunk(kappa, G, m, m + 1)[0][0]
             assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("kappa", [0.5, 0.7 + 0.3j, 0.5j, -(1.0 - 2.0**-10)])
@@ -606,7 +639,7 @@ class TestMomentAccuracy:
         kappa, G, M = complex(kappa), 16, 2048
 
         def chunked(size):
-            return np.concatenate([integrals._bm_chunk(kappa, 2, G, m0, min(M, m0 + size))
+            return np.concatenate([integrals._bm_chunk(kappa, G, m0, min(M, m0 + size))[0]
                                    for m0 in range(0, M, size)])
 
         a, b = chunked(256), chunked(200)
@@ -615,7 +648,7 @@ class TestMomentAccuracy:
     def test_off_axis_probe_matches_tensor_sum(self):
         kappa, G = complex(0.99 * np.exp(0.4j)), 48
         value = lint_integral(kappa, 2, 7, QuadratureSpec(nodes_per_dim=G))
-        tensor = _tensor_core(kappa, 2, 8, G, "Sn2")
+        tensor = _vandermonde_tensor(kappa, 8, G)
         assert abs(value - tensor) <= 1e-13 * abs(tensor)
 
 
@@ -627,6 +660,10 @@ class TestRealPath:
     def test_dtypes(self, kappa, kind):
         kappa, G = complex(kappa), 16
         assert all(v.dtype.kind == kind for v in integrals._axis_nodes(G, kappa)[1:])
-        integrals._BM_CACHE.pop((kappa, 2, G), None)
+        integrals._bm_prefix.cache_clear()
         lint_integral(kappa, 2, 3, QuadratureSpec(nodes_per_dim=G))
-        assert integrals._BM_CACHE[(kappa, 2, G)].dtype.kind == kind
+        hits = integrals._bm_prefix.cache_info().hits
+        window = integrals._bm_prefix(kappa, G, 0, 16)
+        assert integrals._bm_prefix.cache_info().hits == hits + 1
+        assert window.dtype.kind == kind
+        assert not window.flags.writeable
