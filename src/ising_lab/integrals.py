@@ -33,6 +33,10 @@ For real kappa the nodes, the moments and the sums are float64.  n = 1
 keeps its O(G^2) tensor sum.  The Cauchy-determinant form (Sn1) keeps the
 pointwise tensor sum (_tensor_core), so comparing the two forms stays an
 independent cross-check.
+
+The integral route of chi_d sums every S_n at once: on the same node rule
+the S_n of one separation N add up to one Nystrom determinant
+(_nystrom_terms), with no S_n, moment or tensor sum in between.
 """
 from __future__ import annotations
 
@@ -46,11 +50,13 @@ import numpy as np
 import numpy.random  # numpy loads it lazily: import it here, not in the first Monte Carlo call
 
 from .errors import ConvergenceError, DomainError, PrecisionWarning
+from .params import CouplingK, _tail_bound, _terms_needed
 
 _TINY = 1e-300
 _SERIES_M_CAP = 1 << 18
 # series tolerance: the series stands in for the plain G-node sum
 _GAUSS_RTOL = 1e-14
+_NYSTROM_N_CAP = 1 << 14   # most terms of the integral route's sum
 
 
 @dataclass(frozen=True)
@@ -152,11 +158,9 @@ def _axis_nodes(G: int, kappa: complex):
 
 
 def _prefactor(kappa: complex, n: int, form: str) -> complex:
-    if form == "Sn2":
-        return kappa ** (n * (n + 1)) / (math.factorial(n) ** 2 * math.pi ** (2 * n))
-    if form == "Sn1":
-        return kappa ** (2 * n) / (math.factorial(n) ** 2 * math.pi ** (2 * n))
-    raise DomainError(f"unknown form {form!r}")
+    # form is "Sn2" or "Sn1": s_n validates it
+    power = n * (n + 1) if form == "Sn2" else 2 * n
+    return kappa**power / (math.factorial(n) ** 2 * math.pi ** (2 * n))
 
 
 def _tensor_core(kappa: complex, n: int, power: int, G: int):
@@ -166,6 +170,7 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int):
     plain weighted tensor sum of the remaining smooth factor, in float64
     for real kappa.  For n = 1 the two forms reduce to the same pair factor
     1/den^2; for n = 2 the factor is the squared Cauchy determinant (Sn1).
+    Every caller passes n <= 2, having run QuadratureSpec.check_method.
     """
     kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
@@ -174,8 +179,6 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int):
         den = 1.0 - kappa * U
         val = np.sum((wx[:, None] * wy[None, :]) * U / den ** power / (den * den))
         return complex(val)
-    if n != 2:
-        raise DomainError("tensor_gauss is limited to n <= 2")
     kn = kappa * kappa
     X2 = x[:, None, None]
     Y1 = x[None, :, None]
@@ -559,20 +562,58 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
     return SnResult(n=n, kappa=kappa, value=value, rel_error_est=rel, form=form)
 
 
-def _sn_sum(kappa: complex, n_max: int, spec: QuadratureSpec):
-    """Sum of S_n for n <= n_max, its summed error estimate and dropped tail.
+def _nystrom_terms(kappa: complex, n: int, G: int) -> np.ndarray:
+    """det(I - K_N) - 1 for N = 1 .. n on the G-node rule.
 
-    Returns (total, sum of rel_error_est * |S_n|, tail), where the tail
-    estimate is |S_{n_max}| * |kappa|^(2(n_max+1)).
+    Summed over every order n, the S_n integrals at separation N are one
+    Fredholm determinant with the Cauchy kernel (Bornemann, Math. Comp. 79
+    (2010) 871).  On the nodes and weights of _axis_nodes it is
+    det(I + kappa^(N+1)/pi^2 A_N), with A_N = (diag(wx x^N) C)(diag(wy x^N) C^T)
+    and C = 1/(1 - kappa x x^T): one G x G product and determinant per N,
+    in float64 for real kappa.  At kappa = 0 every term is exactly 0.
     """
-    total = 0.0 + 0.0j
-    err = 0.0
-    for n in range(1, n_max + 1):
-        last = s_n(kappa, n, spec)
-        total += last.value
-        err += last.rel_error_est * abs(last.value)
-    tail = abs(last.value) * abs(kappa) ** (2 * (n_max + 1))
-    return total, err, tail
+    kappa = _real(kappa)
+    x, wx, wy = _axis_nodes(G, kappa)
+    C = 1.0 / (1.0 - kappa * np.outer(x, x))
+    eye = np.eye(G)
+    out = np.empty(n, dtype=C.dtype)
+    for N in range(1, n + 1):
+        xn = x**N
+        A = ((wx * xn)[:, None] * C) @ ((wy * xn)[:, None] * C.T)
+        out[N - 1] = np.linalg.det(eye + kappa ** (N + 1) / math.pi**2 * A) - 1.0
+    return out
+
+
+def _s_nystrom_terms(k: CouplingK, tol: float):
+    """The integral route's S = sum_N (det(I - K_N) - 1), N = 1 .. n, as
+    (S, n, est_error), like fredholm._s_fredholm_terms.
+
+    n = _terms_needed(|k|, tol).  S is taken on the 96-node rule
+    (_refined_nodes of the default 64), and est_error is its summed gap to
+    the 64-node rule, an estimate, plus the proven _tail_bound past n.  An
+    n past _NYSTROM_N_CAP (about 8 s of work) raises ConvergenceError
+    before any determinant is formed; a gap above tol or a sum that is not
+    finite raises it carrying S.
+    """
+    a = abs(k.k)
+    n = _terms_needed(a, tol)
+    if n > _NYSTROM_N_CAP:
+        raise ConvergenceError(
+            f"the integral route at k={k.k} needs {n} terms, past the cap "
+            f"{_NYSTROM_N_CAP}"
+        )
+    G = QuadratureSpec().nodes_per_dim
+    coarse, fine = (_nystrom_terms(k.kappa, n, g) for g in (G, _refined_nodes(G)))
+    s = complex(np.sum(fine))
+    gap = float(np.sum(np.abs(fine - coarse))) if cmath.isfinite(s) else math.inf
+    if not gap <= tol:
+        raise ConvergenceError(
+            f"the {n} terms of the correlation sum at k={k.k} sum to {s} with "
+            f"a node-refinement gap of {gap:.3g}, above tol={tol:.3g}",
+            best=s,
+            gap=gap,
+        )
+    return s, n, gap + _tail_bound(a, n)
 
 
 def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> complex:

@@ -1,4 +1,5 @@
 """Diagonal susceptibility assembly and the route cross-checks."""
+import cmath
 import functools
 import math
 import time
@@ -6,7 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from ising_lab import CouplingK, DomainError, chi_d, fredholm, magnetization, sweep
+import ising_lab.chi as chi_module
+from ising_lab import (
+    ConvergenceError, CouplingK, DomainError, chi_d, fredholm, integrals, magnetization,
+    params, sweep,
+)
 from ising_lab.params import _terms_needed
 
 # frozen regression value for the Fredholm route at tol 1e-8
@@ -145,6 +150,81 @@ class TestProvenTail:
         res = chi_d(CouplingK.physical(0.5), 1e-8, "fredholm")
         assert res.flagged
         assert math.isnan(res.beta_inv_chi_d.real)
+
+
+class TestIntegralRoute:
+    """One Nystrom determinant per N: the fredholm route's sum, from Gauss
+    nodes and the Cauchy kernel alone."""
+
+    @pytest.mark.parametrize("kv", [0.3, 0.7, 0.9, 0.95, 0.5 + 0.3j, 0.9 * cmath.exp(0.5j)])
+    def test_matches_fredholm(self, kv):
+        k = CouplingK.physical(kv) if isinstance(kv, float) else CouplingK.analytic(kv)
+        a = chi_d(k, 1e-8, "fredholm")
+        c = chi_d(k, 1e-8, "integral")
+        assert not a.flagged and not c.flagged
+        assert abs(a.beta_inv_chi_d - c.beta_inv_chi_d) <= 1e-10
+        assert c.terms_used == a.terms_used == _terms_needed(abs(k.k), 1e-8)
+
+    def test_est_error_covers_error_at_099(self):
+        start = time.perf_counter()
+        res = chi_d(CouplingK.physical(0.99), 1e-8, "integral")
+        elapsed = time.perf_counter() - start
+        assert not res.flagged
+        assert res.terms_used == 943
+        assert elapsed < 4.0
+        assert abs(res.beta_inv_chi_d - _reference(0.99)) <= res.est_error
+
+    def test_independent_of_other_paths(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("another evaluator called")
+
+        for module, name in (
+            (integrals, "_lint_series"), (integrals, "_tensor_core"),
+            (integrals, "s_n"), (integrals, "_mc_core"), (fredholm, "_det_at"),
+            (params, "_lambda_pair"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        res = chi_d(CouplingK.physical(0.5), 1e-8, "integral")
+        assert not res.flagged
+        assert math.isfinite(res.beta_inv_chi_d)
+
+    def test_convergence_error_flagged(self, monkeypatch):
+        def failing(k, tol):
+            raise ConvergenceError("no sum")
+
+        monkeypatch.setattr(chi_module, "_s_nystrom_terms", failing)
+        res = chi_d(CouplingK.physical(0.5), 1e-8, "integral")
+        assert res.flagged
+        assert math.isnan(complex(res.beta_inv_chi_d).real)
+        assert res.est_error == math.inf
+
+    def test_refinement_gap_above_tol_flagged(self, monkeypatch):
+        real = integrals._nystrom_terms
+
+        def coarse_off(kappa, n, G):
+            terms = real(kappa, n, G)
+            if G == 64:
+                terms[0] += 1e-6
+            return terms
+
+        monkeypatch.setattr(integrals, "_nystrom_terms", coarse_off)
+        k = CouplingK.physical(0.5)
+        res = chi_d(k, 1e-8, "integral")
+        assert res.flagged
+        assert abs(res.est_error - 1e-6) < 1e-12
+        want = chi_d(k, 1e-8, "fredholm").beta_inv_chi_d
+        assert abs(res.beta_inv_chi_d - want) < 1e-10
+
+    def test_past_the_cap_flagged_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("determinant formed past the cap")
+
+        monkeypatch.setattr(integrals, "_nystrom_terms", forbidden)
+        k = CouplingK.physical(0.9999)
+        assert _terms_needed(0.9999, 1e-8) > integrals._NYSTROM_N_CAP
+        res = chi_d(k, 1e-8, "integral")
+        assert res.flagged
+        assert math.isnan(complex(res.beta_inv_chi_d).real)
 
 
 class TestResultContract:

@@ -82,6 +82,14 @@ class TestChi:
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "toeplitz_direct"
 
+    def test_integral_route_past_the_cap(self, capsys):
+        code, out = _run(capsys, ["chi", "--k", "0.9999", "--route", "integral"])
+        fields = out.strip().splitlines()[1].split(",")
+        assert code == 2
+        assert fields[1] == "integral"
+        assert fields[2] == "nan"
+        assert fields[5] == "true"
+
 
 class TestSn:
     def test_tensor_row(self, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ising_lab import DomainError, PrecisionWarning, QuadratureSpec, lint_integral, s_n
-from ising_lab import integrals
+from ising_lab import fredholm, integrals
 from ising_lab.integrals import _lint_series, _tensor_core
 
 _SPEC = QuadratureSpec(nodes_per_dim=64)
@@ -300,10 +300,28 @@ def _ks_distance(sample, cdf):
 
 class TestSTotal:
     def test_two_terms_dominate(self):
-        total, _, _ = integrals._sn_sum(0.09, 2, _SPEC)
         lone = s_n(0.09, 1, _SPEC).value
+        total = lone + s_n(0.09, 2, _SPEC).value
         assert abs(total - lone) < abs(lone) * 0.01
         assert abs(total) > abs(lone)
+
+
+class TestNystrom:
+    """The integral route's det(I - K_N) - 1 on Gauss nodes and the Cauchy
+    kernel, against the Hankel factorization of the fredholm route."""
+
+    @pytest.mark.parametrize("k", [
+        0.3, 0.7, 0.9, -0.6, 0.5 + 0.3j, 0.3j, 0.9 * cmath.exp(0.5j),
+    ])
+    @pytest.mark.parametrize("G", [64, 96])
+    def test_terms_match_det_at(self, k, G):
+        n = 40
+        got = integrals._nystrom_terms(k * k, n, G)
+        want = fredholm._det_at(complex(k), 1, n).values - 1.0
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_real_kappa_stays_real(self):
+        assert integrals._nystrom_terms(0.25, 3, 64).dtype == np.float64
 
 
 def _cauchy_derivative(kappa, n, ell, radius):
