@@ -72,12 +72,19 @@ def chi_d(k: CouplingK, tol: float, route: str) -> ChiResult:
 
 
 def _flagged(k: CouplingK, route: str, exc: ConvergenceError, m2) -> ChiResult:
+    """The flagged row of a route that raised, keeping the work it did.
+
+    A route that summed n terms before it raised reports terms_used = n
+    and est_error = 2 |M^2| (gap + _tail_bound(|k|, n)), the scale of an
+    unflagged row; one that raised before any term reports 0 and inf.
+    """
     best = exc.best if exc.best is not None else math.nan
-    gap = exc.gap if exc.gap is not None else math.inf
     value = _assemble(m2, best) if best == best else complex(math.nan)
+    n = exc.terms or 0
+    est_error = 2.0 * abs(m2) * (exc.gap + _tail_bound(abs(k.k), n)) if n else math.inf
     return ChiResult(
-        k=k.k, beta_inv_chi_d=value, route=route, terms_used=0,
-        est_error=float(abs(gap)), flagged=True,
+        k=k.k, beta_inv_chi_d=value, route=route, terms_used=n,
+        est_error=float(est_error), flagged=True,
     )
 
 

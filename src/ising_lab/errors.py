@@ -12,14 +12,16 @@ class PhaseError(DomainError):
 class ConvergenceError(RuntimeError):
     """An iterative computation failed to meet its tolerance.
 
-    Carries the best value reached and the remaining gap so callers can
-    salvage a flagged result instead of losing the work.
+    Carries the best value reached, the remaining gap and the number of
+    terms summed so callers can salvage a flagged result instead of losing
+    the work.  terms is None when the failure came before any term.
     """
 
-    def __init__(self, message, best=None, gap=None):
+    def __init__(self, message, best=None, gap=None, terms=None):
         super().__init__(message)
         self.best = best
         self.gap = gap
+        self.terms = terms
 
 
 class PrecisionWarning(UserWarning):

@@ -20,11 +20,17 @@ _det_at reads Lambda and Lambda^-1 as _lambda_pair returns them, at degrees
 0 .. length-1 (both are even in the degree), and slices the degrees
 N + 1 .. N + 2L - 1 of its sections out as views.  It returns a
 _DetSequence, whose arrays values and move run over N' = N, N + 1, ...
+
+fredholm_det reads det(I - K_N) from one such sequence per block of
+_BLOCK separations, N0 .. N0 + _BLOCK - 1 with N0 = 1 mod _BLOCK, cached
+per (k, N0).  The block depends on N alone, so a value does not depend on
+the order or the threads of the calls.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +44,7 @@ _COARSE = 1e-12         # the coarser stop that est_error compares against
 _NOISE = 10.0           # complex k: the factorization also stops at this many
                         # times the rounding noise of the Hankel coefficients
 _CHUNK = 256            # shifts per block of the reversed cumulative sum
+_BLOCK = 32             # separations per cached fredholm_det block
 
 
 @dataclass(frozen=True)
@@ -202,29 +209,35 @@ def _det_at(kval: complex, N: int, cutoff: int) -> _DetSequence:
     return _DetSequence(values=fine, move=move, size=L)
 
 
+@lru_cache(maxsize=64)
+def _det_block(kval: complex, N0: int) -> _DetSequence:
+    """det(I - K_N) for N = N0 .. N0 + _BLOCK - 1, shared by fredholm_det."""
+    return _det_at(kval, N0, _BLOCK)
+
+
 def fredholm_det(k: CouplingK, N: int, tol: float) -> FredholmResult:
-    """det(I - K_N): the first entry of _det_at's sequence.
+    """det(I - K_N): entry N - N0 of the cached _det_at block that starts
+    at N0 = _BLOCK floor((N - 1) / _BLOCK) + 1.
 
     est_error is that entry's move, an estimate (see _DetSequence), and
-    cutoff_used is the section size L.  An est_error above tol raises
-    ConvergenceError carrying the value.
+    cutoff_used is the block's section size L.  An est_error above tol
+    raises ConvergenceError carrying the value.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if not tol > 0:
         raise DomainError("tol must be positive")
-    seq = _det_at(complex(k.k), N, 1)
-    if seq.move[0] > tol:
+    N0 = _BLOCK * ((N - 1) // _BLOCK) + 1
+    seq = _det_block(complex(k.k), N0)
+    value, move = complex(seq.values[N - N0]), float(seq.move[N - N0])
+    if move > tol:
         raise ConvergenceError(
-            f"det(I - K_N) at k={k.k}, N={N}: error estimate {seq.move[0]:.3g} "
+            f"det(I - K_N) at k={k.k}, N={N}: error estimate {move:.3g} "
             f"exceeds tol={tol:.3g}",
-            best=complex(seq.values[0]),
-            gap=float(seq.move[0]),
+            best=value,
+            gap=move,
         )
-    return FredholmResult(
-        N=N, det_value=complex(seq.values[0]), cutoff_used=seq.size,
-        est_error=float(seq.move[0]),
-    )
+    return FredholmResult(N=N, det_value=value, cutoff_used=seq.size, est_error=move)
 
 
 def _s_fredholm_terms(k: CouplingK, tol: float):
@@ -250,6 +263,7 @@ def _s_fredholm_terms(k: CouplingK, tol: float):
             f"the sum of the {n} terms of the correlation sum at k={k.k} is {s}",
             best=s,
             gap=math.inf,
+            terms=n,
         )
     if not moved <= tol:
         raise ConvergenceError(
@@ -257,6 +271,7 @@ def _s_fredholm_terms(k: CouplingK, tol: float):
             f"correlation sum at k={k.k} exceeds tol={tol:.3g}",
             best=s,
             gap=moved,
+            terms=n,
         )
     return s, n, moved + _tail_bound(a, n)
 

@@ -612,6 +612,7 @@ def _s_nystrom_terms(k: CouplingK, tol: float):
             f"a node-refinement gap of {gap:.3g}, above tol={tol:.3g}",
             best=s,
             gap=gap,
+            terms=n,
         )
     return s, n, gap + _tail_bound(a, n)
 

@@ -7,10 +7,18 @@ phi series gives D(1..N) in O(N^2), as running products of its pivots
 eps_n = D(n)/D(n-1).  _levinson is the only determinant code here.  It
 reads the phi series as _phi_series returns it: phi_0 .. phi_(N-1) down the
 first column and phi_0, phi_-1 .. phi_-(N-1) along the first row.
+
+Every call at one k shares that run: there is one _Run per series that
+_phi_series caches, (k, _cache_length(N)), held in an lru_cache of the
+same size and advanced only as far as a call needs.  A prefix of a
+longer run on the same series is bit-identical to a fresh run, so the
+values do not depend on the order or the threads of the calls.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +49,29 @@ class CorrelationResult:
         return self.cond_estimate > _COND_FLAG
 
 
-def _levinson(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+@dataclass
+class _Run:
+    """A Levinson run with n pivots done: eps[:n] holds eps_1 .. eps_n, and
+    a and r are the forward and reversed backward vectors at size n.  Both
+    are dropped (None) once n reaches len(eps), where the run must stop.
+    lock serializes the callers that advance one shared run.
+    """
+
+    eps: np.ndarray
+    a: np.ndarray | None
+    r: np.ndarray | None
+    n: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @classmethod
+    def fresh(cls, size: int, dtype) -> "_Run":
+        a = np.zeros(size, dtype=dtype)
+        r = np.zeros(size, dtype=dtype)
+        a[0] = r[0] = 1.0
+        return cls(eps=np.empty(size, dtype=dtype), a=a, r=r)
+
+
+def _levinson(col: np.ndarray, row: np.ndarray, run: _Run | None = None) -> np.ndarray:
     """Pivots eps_n = D(n)/D(n-1), n = 1..len(col), of a Toeplitz matrix.
 
     The matrix is T[i, j] = t_(i-j) with first column col = t_0 .. t_(N-1)
@@ -53,42 +83,63 @@ def _levinson(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     in T_(n+1), alpha and beta, and one combination of the two cancels
     them: eps_(n+1) = eps_n - alpha beta / eps_n.  b is kept reversed as r
     so that both vectors grow at the end.  There is no pivoting: a zero or
-    non-finite pivot raises ConvergenceError.
+    non-finite pivot raises ConvergenceError, and leaves run as it was
+    before that step.
+
+    run, started on a longer col and row of which these are a prefix,
+    resumes at its n and stops at len(col); without it a fresh run of size
+    len(col) is made.  Returns the first len(col) pivots of the run, read
+    only.
     """
-    size = len(col)
-    eps = np.empty(size, dtype=col.dtype)
-    a = np.zeros(size, dtype=col.dtype)
-    r = np.zeros(size, dtype=col.dtype)
-    a[0] = r[0] = 1.0
-    e = col[0]
-    for n in range(1, size + 1):
+    if run is None:
+        run = _Run.fresh(len(col), col.dtype)
+    eps, a, r = run.eps, run.a, run.r
+    prev = eps[run.n - 1] if run.n else None
+    for n in range(run.n, len(col)):
+        if n == 0:
+            e = col[0]
+        else:
+            alpha = col[n:0:-1] @ a[:n]
+            beta = row[n:0:-1] @ r[:n]
+            e = prev - alpha * beta / prev
         if e == 0 or not np.isfinite(e):
             raise ConvergenceError(
-                f"pivot {e} at step {n} of the Levinson recursion for D(N)"
+                f"pivot {e} at step {n + 1} of the Levinson recursion for D(N)"
             )
-        eps[n - 1] = e
-        if n == size:
-            break
-        alpha = col[n:0:-1] @ a[:n]
-        beta = row[n:0:-1] @ r[:n]
-        old = a[: n + 1].copy()
-        a[: n + 1] -= (alpha / e) * r[n::-1]
-        r[: n + 1] -= (beta / e) * old[::-1]
-        e = e - alpha * beta / e
-    return eps
+        if n:
+            old = a[: n + 1].copy()
+            a[: n + 1] -= (alpha / prev) * r[n::-1]
+            r[: n + 1] -= (beta / prev) * old[::-1]
+        eps[n] = prev = e
+        run.n = n + 1
+    if run.n == len(eps):
+        run.a = run.r = None
+    out = eps[: len(col)]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=_phi_series.cache_parameters()["maxsize"])
+def _shared_run(kval: complex, length: int) -> _Run:
+    """The one run on _phi_series(kval, length); a finished run keeps only
+    its pivots, half the bytes of its series."""
+    return _Run.fresh(length, float if kval.imag == 0 else complex)
 
 
 def _correlations(k: CouplingK, N: int):
-    """(D(1..N), eps_1..eps_N) from one Levinson run on one phi series.
+    """(D(1..N), eps_1..eps_N) from the shared Levinson run on the phi
+    series of length _cache_length(N), advanced to N if it is not there.
 
     For physical k the phi coefficients are float64, which makes every
     D(n) real; every D(n) must then satisfy M^2 <= D(n) <= 1 to 1e-12
     plus the rounding allowance _LEVINSON_ROUNDING n.  A failed check
     raises RuntimeError naming the first bad n.
     """
-    col, row = _phi_series(complex(k.k), _cache_length(N))
-    col, row = col[:N], row[:N]
-    eps = _levinson(col, row)
+    kval, length = complex(k.k), _cache_length(N)
+    col, row = _phi_series(kval, length)
+    run = _shared_run(kval, length)
+    with run.lock:
+        eps = _levinson(col[:N], row[:N], run)
     dets = np.cumprod(eps)
     if k.mode == "physical":
         m2 = magnetization(k) ** 2
@@ -114,8 +165,9 @@ def diagonal_correlation(k: CouplingK, N: int) -> CorrelationResult:
     Returns
     -------
     CorrelationResult
-        The last entry of the Levinson sequence D(1..N).  In physical mode
-        the value is real with M^2 <= value <= 1.
+        The last entry of the Levinson sequence D(1..N), read from the
+        run that every call at this k and series length shares.  In
+        physical mode the value is real with M^2 <= value <= 1.
     """
     if N < 0:
         raise DomainError("N must be >= 0")

@@ -12,7 +12,7 @@ from ising_lab import (
     ConvergenceError, CouplingK, DomainError, chi_d, fredholm, integrals, magnetization,
     params, sweep,
 )
-from ising_lab.params import _terms_needed
+from ising_lab.params import _tail_bound, _terms_needed
 
 # frozen regression value for the Fredholm route at tol 1e-8
 _CHI_03 = 0.024149147835178963
@@ -211,7 +211,11 @@ class TestIntegralRoute:
         k = CouplingK.physical(0.5)
         res = chi_d(k, 1e-8, "integral")
         assert res.flagged
-        assert abs(res.est_error - 1e-6) < 1e-12
+        # the flagged row keeps its terms and reports an unflagged row's scale
+        n = _terms_needed(0.5, 1e-8)
+        assert res.terms_used == n
+        want_err = 2.0 * magnetization(k) ** 2 * (1e-6 + _tail_bound(0.5, n))
+        assert abs(res.est_error - want_err) < 1e-12
         want = chi_d(k, 1e-8, "fredholm").beta_inv_chi_d
         assert abs(res.beta_inv_chi_d - want) < 1e-10
 

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ising_lab
-from ising_lab import integrals, params
+from ising_lab import fredholm, integrals, params, toeplitz
 from ising_lab.cli import main
 
 
@@ -81,6 +82,22 @@ class TestChi:
         assert code in (0, 2)
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "toeplitz_direct"
+
+    def test_flagged_row_keeps_its_terms(self, capsys):
+        # the rounding allowance of the fredholm terms sums past tol = 1e-12
+        code, out = _run(capsys, ["chi", "--k", "0.99", "--route", "fredholm", "--tol", "1e-12"])
+        fields = out.strip().splitlines()[1].split(",")
+        assert code == 2
+        assert fields[5] == "true"
+        n = params._terms_needed(0.99, 1e-12)
+        assert int(fields[3]) == n
+        m2 = ising_lab.magnetization(ising_lab.CouplingK.physical(0.99)) ** 2
+        moved = float(np.sum(fredholm._det_at(0.99 + 0j, 1, n).move))
+        want = 2.0 * m2 * (moved + params._tail_bound(0.99, n))
+        assert abs(float(fields[4]) - want) <= 1e-12 * want
+        # the value is the full sum: within its est_error of a 1e-10 run
+        ref = ising_lab.chi_d(ising_lab.CouplingK.physical(0.99), 1e-10, "fredholm")
+        assert abs(float(fields[2]) - ref.beta_inv_chi_d) <= want + ref.est_error
 
     def test_integral_route_past_the_cap(self, capsys):
         code, out = _run(capsys, ["chi", "--k", "0.9999", "--route", "integral"])
@@ -183,13 +200,17 @@ class TestThreadCount:
     @pytest.mark.parametrize("argv", [
         ["boundary-scan", "--eps", "1/2", "--n", "2", "--ell", "7", "--radii", "4..8"],
         ["sweep", "--grid", "0.1,0.5,0.9", "--route", "fredholm"],
+        ["sweep", "--grid", "0.7,0.7,0.9,0.9", "--route", "toeplitz_direct"],
+        ["gcbo-check", "--k", "0.7", "--n-max", "64"],
     ])
     def test_stdout_independent_of_threads(self, capsys, monkeypatch, argv):
-        # each run computes its moments and series afresh under its own pool
+        # each run computes its moments, series, runs and blocks afresh
+        # under its own pool
         outs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ISING_LAB_THREADS", threads)
-            for cached in (integrals._bm_prefix, params._lambda_pair, params._phi_series):
+            for cached in (integrals._bm_prefix, params._lambda_pair, params._phi_series,
+                           toeplitz._shared_run, fredholm._det_block):
                 cached.cache_clear()
             code, out = _run(capsys, argv)
             assert code == 0

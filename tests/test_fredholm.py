@@ -1,5 +1,6 @@
 """Hankel-product determinants det(I - K_N) and the correlation-sum S."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -180,6 +181,31 @@ class TestTrailingMinors:
         seq = _det_at(complex(kv), 1, 200)
         for N in range(1, 13):
             assert abs(seq.values[N - 1] - fredholm_det(k, N, 1e-14).det_value) <= 1e-13
+
+    @pytest.mark.parametrize("order", ["ascending", "reversed", "shuffled"])
+    def test_block_values_independent_of_call_order(self, order):
+        k = CouplingK.analytic(0.9 * np.exp(0.3j))
+        Ns = list(range(1, 71))
+        if order == "reversed":
+            Ns.reverse()
+        elif order == "shuffled":
+            random.Random(3).shuffle(Ns)
+        fredholm._det_block.cache_clear()
+        got = {N: fredholm_det(k, N, 1e-10) for N in Ns}
+        fredholm._det_block.cache_clear()
+        for N in range(1, 71):
+            want = fredholm_det(k, N, 1e-10)
+            assert got[N] == want
+            assert want.cutoff_used == fredholm._det_block(complex(k.k), N - (N - 1) % 32).size
+
+    @pytest.mark.parametrize("kv", [0.3, 0.7, 0.9, 0.95, 0.5 + 0.3j, 0.7j, -0.6])
+    def test_block_entry_matches_its_own_factorization(self, kv):
+        # the block's larger sections change det(I - K_N) by rounding only
+        k = CouplingK.analytic(kv)
+        for N in range(1, 66):
+            want = _det_at(complex(kv), N, 1).values[0]
+            got = fredholm_det(k, N, 1e-10).det_value
+            assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_kernel_failure_flags_chi(self, monkeypatch):
         def failing(kval, N, cutoff):

@@ -1,10 +1,14 @@
 """Toeplitz determinant route for the diagonal correlation."""
+import random
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ising_lab import ConvergenceError, CouplingK, chi_d, diagonal_correlation, magnetization
-from ising_lab import toeplitz
+from ising_lab import params, toeplitz
+from ising_lab.parallel import parallel_map
 from ising_lab.params import _cache_length, _phi_series
 from ising_lab.toeplitz import _correlations, _levinson
 
@@ -136,7 +140,7 @@ class TestLevinsonKernel:
             _levinson(np.array(col), np.array(row))
 
     def test_kernel_failure_flags_chi(self, monkeypatch):
-        def failing(col, row):
+        def failing(col, row, run=None):
             raise ConvergenceError("pivot 0 at step 3 of the Levinson recursion")
 
         monkeypatch.setattr(toeplitz, "_levinson", failing)
@@ -151,8 +155,9 @@ class TestLevinsonKernel:
         kernel = toeplitz._levinson
 
         def ending_at(target):
-            def run(col, row):
-                eps = kernel(col, row)
+            # the shared run stays as it is: only the returned pivots change
+            def run(col, row, shared=None):
+                eps = kernel(col, row, shared).copy()
                 eps[-1] *= target / np.prod(eps)
                 return eps
             return run
@@ -174,3 +179,69 @@ class TestLevinsonKernel:
             assert res.value == dets[-1]
             assert res.cond_estimate == np.max(np.abs(eps)) / np.min(np.abs(eps))
             assert abs(res.value - long[N - 1]) <= 1e-14
+
+
+@pytest.fixture
+def cold_runs():
+    """An empty cache of shared Levinson runs, emptied again afterwards."""
+    toeplitz._shared_run.cache_clear()
+    yield
+    toeplitz._shared_run.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_runs")
+class TestSharedRun:
+    """Every call at one k reads its pivots from one run per series."""
+
+    @pytest.mark.parametrize("kv", [0.7, 0.95, 0.5 + 0.3j])
+    def test_any_call_order_matches_a_fresh_run(self, kv):
+        k = _coupling(kv)
+        order = list(range(1, 71))
+        random.Random(5).shuffle(order)
+        for N in order:
+            col, row = _phi(k, N)
+            eps = _levinson(col[:N], row[:N])
+            want = np.cumprod(eps)[-1]
+            res = diagonal_correlation(k, N)
+            assert res.value == (want.real if k.mode == "physical" else want)
+            assert res.cond_estimate == np.max(np.abs(eps)) / np.min(np.abs(eps))
+
+    def test_calls_up_to_n_run_each_series_once(self, monkeypatch):
+        steps = []
+        kernel = toeplitz._levinson
+
+        def counting(col, row, run=None):
+            before = run.n
+            out = kernel(col, row, run)
+            steps.append(run.n - before)
+            return out
+
+        monkeypatch.setattr(toeplitz, "_levinson", counting)
+        k = CouplingK.physical(0.7)
+        for N in range(1, 33):
+            diagonal_correlation(k, N)
+        # one run per series length 1, 2, 4, .., 32
+        assert sum(steps) <= 63
+
+    def test_finished_run_keeps_only_its_pivots(self):
+        k = CouplingK.physical(0.7)
+        diagonal_correlation(k, 20)
+        run = toeplitz._shared_run(0.7 + 0j, 32)
+        assert run.n == 20 and run.a is not None
+        diagonal_correlation(k, 32)
+        assert run.n == 32 and run.a is None and run.r is None
+        assert (toeplitz._shared_run.cache_parameters()["maxsize"]
+                == params._phi_series.cache_parameters()["maxsize"])
+
+    def test_threads_sharing_one_run_agree(self, monkeypatch):
+        monkeypatch.setenv("ISING_LAB_THREADS", "4")
+        k = CouplingK.physical(0.95)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = parallel_map(lambda kk: chi_d(kk, 1e-8, "toeplitz_direct"), [k] * 8)
+        finally:
+            sys.setswitchinterval(interval)
+        toeplitz._shared_run.cache_clear()
+        alone = chi_d(k, 1e-8, "toeplitz_direct")
+        assert rows == [alone] * 8
