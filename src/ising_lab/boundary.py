@@ -60,6 +60,7 @@ class RadialScan:
     fit_slope: float
     fit_intercept: float
     fit_r2: float
+    classification: str
 
 
 def radii_grid(j0: int = 4, j1: int = 10) -> tuple:
@@ -113,18 +114,23 @@ def _ols_log(radii, values):
     }
 
 
-def _classify(radii, values) -> str:
-    """'diverging' when the positive log slope is statistically real.
+def _label(st: dict) -> str:
+    """'diverging' when the positive log slope of the fit st is
+    statistically real.
 
     The slope must exceed 5x its standard error and the value swing must
     exceed 3x the fit's residual scatter; both guards keep Monte Carlo
     noise from minting fake divergences, and converged bounded scans fail
     the slope test because their trend against L flattens out.
     """
-    st = _ols_log(radii, values)
     significant = st["slope"] > _SLOPE_SIGMA * st["slope_se"]
     swings = st["swing"] > _RANGE_OVER_RESID * st["resid_rms"]
     return "diverging" if significant and swings else "bounded"
+
+
+def _classify(radii, values) -> str:
+    """The label of _label for the fit of values against radii."""
+    return _label(_ols_log(radii, values))
 
 
 def radial_scan(
@@ -134,7 +140,8 @@ def radial_scan(
     radii,
     spec: QuadratureSpec,
 ) -> RadialScan:
-    """Evaluate the probe integral along kappa = r * epsilon and fit it.
+    """Evaluate the probe integral along kappa = r * epsilon, fit it and
+    classify the scan from that one fit.
 
     epsilon must be an n-th root of unity (epsilon.q == n): the scan aims
     at the direction where the first resonant factor of the order-n term
@@ -159,6 +166,7 @@ def radial_scan(
         fit_slope=st["slope"],
         fit_intercept=st["intercept"],
         fit_r2=st["r2"],
+        classification=_label(st),
     )
 
 

@@ -13,7 +13,7 @@ import math
 import sys
 import warnings
 
-from .boundary import RootOfUnity, radial_scan, radii_grid, _classify
+from .boundary import RootOfUnity, radial_scan, radii_grid
 from .chi import chi_d, sweep
 from .errors import ConvergenceError, DomainError
 from .fredholm import fredholm_det
@@ -269,14 +269,14 @@ def _run_boundary_scan(args):
     radii = radii_grid(j0, j1)
     spec = _spec_from(args)
     scan = radial_scan(eps, args.n, args.ell, radii, spec)
-    label = _classify(scan.radii, scan.values)
     columns = ["p", "q", "n", "ell", "radius", "value_re", "value_im",
                "fit_slope", "fit_intercept", "fit_r2", "classification"]
     rows = []
     for r, v in zip(scan.radii, scan.values):
         v = complex(v)
         rows.append([eps.p, eps.q, args.n, args.ell, r, v.real, v.imag,
-                     scan.fit_slope, scan.fit_intercept, scan.fit_r2, label])
+                     scan.fit_slope, scan.fit_intercept, scan.fit_r2,
+                     scan.classification])
     _emit(columns, rows, args.format)
     return _EXIT_OK
 

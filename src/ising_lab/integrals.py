@@ -4,14 +4,13 @@ The 2n-dimensional integrals live on (0,1)^{2n} with endpoint weights
 x^(-1/2)(1-x)^(1/2) on the x axes and y^(1/2)(1-y)^(-1/2)(1-kappa y)^(-1/2)
 on the y axes.  The substitution x = sin^2(pi t / 2) absorbs both endpoint
 exponents, leaving smooth transformed axes that a single Gauss-Legendre
-node set handles for every axis.  Dimensions beyond four (n >= 3) switch
-to importance-sampled Monte Carlo on squared uniforms, X = V^2 and
-Y = 1 - W^2, whose densities absorb the singular endpoint factors
-x^(-1/2) and (1-y)^(-1/2); the points are evaluated in fixed chunks
-(_mc_core), so memory does not grow with the sample count.
+node set handles for every axis.  Each S_n has two algebraic forms, the
+Vandermonde form (Sn2) and the squared Cauchy determinant (Sn1), and each
+form has one evaluator on the G-node rule, so comparing them stays an
+independent cross-check.  At n = 1 both are the same O(G^2) pair sum.
 
-lint_integral owns the G-node rule of the Vandermonde form (Sn2), and s_n
-evaluates it through lint_integral.  For n = 2 the rule is
+lint_integral owns the G-node rule of the Vandermonde form, and s_n
+evaluates Sn2 through lint_integral.  For n = 2 the rule is
 summed by the moment engine at every kappa: 1/(1 - kappa^2 u)^(l+1) is
 expanded as a geometric series in u = x1 x2 y1 y2, and each power reduces
 to one-dimensional node sums, the moments B_m (_bm_chunk), in O(G^3 M)
@@ -29,10 +28,17 @@ spike no better than the tensor product.
 Each single B_m is accurate to rounding too, ~1e-15 relative against the
 brute-force tuple sum at G = 12 up to m = 2000: its x side is formed
 about the top node, which dominates as m grows and so cannot cancel.
-For real kappa the nodes, the moments and the sums are float64.  n = 1
-keeps its O(G^2) tensor sum.  The Cauchy-determinant form (Sn1) keeps the
-pointwise tensor sum (_tensor_core), so comparing the two forms stays an
-independent cross-check.
+For real kappa the nodes, the moments and the sums are float64.  Past
+n = 2 the Vandermonde form is evaluated by importance-sampled Monte Carlo
+on squared uniforms, X = V^2 and Y = 1 - W^2, whose densities absorb the
+singular endpoint factors x^(-1/2) and (1-y)^(-1/2); the points are
+evaluated in fixed chunks (_mc_core), so memory does not grow with the
+sample count.
+
+The Cauchy-determinant form is, for every n >= 2, one spectral sum over
+the Nystrom matrices A_N of the integral route (_cauchy_sn): by
+Andreief's identity its G-node rule is sum_N z_N^n e_n(A_N), the same
+rule summed in another order, with its own proven stop.
 
 The integral route of chi_d sums every S_n at once: on the same node rule
 the S_n of one separation N add up to one Nystrom determinant
@@ -63,18 +69,19 @@ _NYSTROM_N_CAP = 1 << 14   # most terms of the integral route's sum
 class QuadratureSpec:
     """How to evaluate one of the multiple integrals.
 
-    tensor_gauss is accepted only for n <= 2 (dimension 2n <= 4);
-    monte_carlo works for any n and is the only route beyond n = 2.
     tensor_gauss means the nodes_per_dim-node Gauss-Legendre rule on every
-    axis, at every kappa; for n = 2 the Vandermonde form is summed by the
-    moment engine and the Cauchy-determinant form by the pointwise tensor
-    sum.
-    monte_carlo draws x = V^2 and y = 1 - W^2 from uniforms V, W.  The
-    seed feeds a counter-based generator that is read in fixed-size
-    chunks, so a given (seed, mc_samples, n) triple yields an identical
-    sample stream regardless of how callers schedule the work.  An s_n
-    Monte Carlo result whose relative standard error exceeds 5%
-    (_MC_TARGET_REL) warns with PrecisionWarning.
+    axis, at every kappa.  The Vandermonde form (Sn2) takes it for n <= 2
+    (dimension 2n <= 4): the pair sum at n = 1, the moment engine at
+    n = 2.  The Cauchy-determinant form (Sn1) takes it for every n: the
+    pair sum at n = 1, the spectral sum over the Nystrom matrices from
+    n = 2 on.
+    monte_carlo evaluates the Vandermonde form only, for any n; beyond
+    n = 2 it is that form's only route.  It draws x = V^2 and y = 1 - W^2
+    from uniforms V, W.  The seed feeds a counter-based generator that is
+    read in fixed-size chunks, so a given (seed, mc_samples, n) triple
+    yields an identical sample stream regardless of how callers schedule
+    the work.  An s_n Monte Carlo result whose relative standard error
+    exceeds 5% (_MC_TARGET_REL) warns with PrecisionWarning.
     """
 
     method: str = "tensor_gauss"
@@ -91,10 +98,11 @@ class QuadratureSpec:
             raise DomainError("mc_samples must be >= 2")
 
     def check_method(self, n: int):
+        """The gate of the Vandermonde form: tensor_gauss only for n <= 2."""
         if self.method == "tensor_gauss" and n > 2:
             raise DomainError(
-                "tensor_gauss is limited to n <= 2; use monte_carlo for "
-                f"n = {n}"
+                "tensor_gauss sums the Vandermonde form only for n <= 2; use "
+                f"monte_carlo or form Sn1 for n = {n}"
             )
 
 
@@ -157,45 +165,34 @@ def _axis_nodes(G: int, kappa: complex):
     return s2, wx, wy
 
 
-def _prefactor(kappa: complex, n: int, form: str) -> complex:
-    # form is "Sn2" or "Sn1": s_n validates it
-    power = n * (n + 1) if form == "Sn2" else 2 * n
-    return kappa**power / (math.factorial(n) ** 2 * math.pi ** (2 * n))
+def _prefactor(kappa: complex, n: int) -> complex:
+    """kappa^(n(n+1)) / (n!^2 pi^(2n)), the constant of the Vandermonde form.
+
+    From n = 79 the denominator passes the float range and the prefactor,
+    whose modulus is then below 6e-309, comes out 0.  From n = 99 n!^2 no
+    longer converts to a float; the OverflowError is caught to give the
+    same 0, so every n underflows instead of raising.
+    """
+    try:
+        return kappa ** (n * (n + 1)) / (math.factorial(n) ** 2 * math.pi ** (2 * n))
+    except OverflowError:
+        return 0j
 
 
 def _tensor_core(kappa: complex, n: int, power: int, G: int):
-    """Raw 2n-dimensional Cauchy-form integral with resonant exponent `power`.
+    """Raw n = 1 integral with resonant exponent `power`: the G x G tensor sum.
 
     The axis weights already carry the Lambda_1 densities, so this is the
-    plain weighted tensor sum of the remaining smooth factor, in float64
-    for real kappa.  For n = 1 the two forms reduce to the same pair factor
-    1/den^2; for n = 2 the factor is the squared Cauchy determinant (Sn1).
-    Every caller passes n <= 2, having run QuadratureSpec.check_method.
+    plain weighted sum of the pair factor U/(1 - kappa U)^(power+2), in
+    float64 for real kappa.  At n = 1 both forms reduce to this pair sum;
+    every caller passes n = 1.
     """
     kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
-    if n == 1:
-        U = np.outer(x, x)
-        den = 1.0 - kappa * U
-        val = np.sum((wx[:, None] * wy[None, :]) * U / den ** power / (den * den))
-        return complex(val)
-    kn = kappa * kappa
-    X2 = x[:, None, None]
-    Y1 = x[None, :, None]
-    Y2 = x[None, None, :]
-    W = wx[:, None, None] * wy[None, :, None] * wy[None, None, :]
-    total = 0.0 + 0.0j
-    for a in range(G):
-        x1 = x[a]
-        u = (x1 * X2) * (Y1 * Y2)
-        first = u / (1.0 - kn * u) ** power
-        c11 = 1.0 / (1.0 - kappa * x1 * Y1)
-        c12 = 1.0 / (1.0 - kappa * x1 * Y2)
-        c21 = 1.0 / (1.0 - kappa * X2 * Y1)
-        c22 = 1.0 / (1.0 - kappa * X2 * Y2)
-        det = c11 * c22 - c12 * c21
-        total += wx[a] * np.sum(W * first * (det * det))
-    return complex(total)
+    U = np.outer(x, x)
+    den = 1.0 - kappa * U
+    val = np.sum((wx[:, None] * wy[None, :]) * U / den ** power / (den * den))
+    return complex(val)
 
 
 def _refined_nodes(G: int) -> int:
@@ -242,26 +239,27 @@ def _draw_points(rng, m: int, n: int):
     return X, Y
 
 
-def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str):
-    """Raw integral estimate and standard error by importance sampling.
+def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
+    """Raw Vandermonde-form integral estimate and standard error by
+    importance sampling.
 
     The proposal densities 1/(2 sqrt(x)) and 1/(2 sqrt(1 - y)) absorb the
     only singular endpoint factors, x^(-1/2) and (1 - y)^(-1/2), exactly;
-    each axis contributes the constant 2, restored here as 4^n.  The
-    bounded remainders sqrt(1 - x) and sqrt(y) join the smooth factor,
-    prod_i sqrt((1 - kappa x_i)(1 - x_i) y_i / (1 - kappa y_i)): since
-    (1 - x_i) y_i > 0, this is the ratio of the root products
-    sqrt(1 - kappa x_i) sqrt(1 - x_i) sqrt(y_i) / sqrt(1 - kappa y_i) on
-    the principal branch, both 1 - kappa x_i and 1 - kappa y_i having
-    positive real part.  Every factor is bounded, so the estimate is
-    unbiased with finite variance.  The samples are drawn and evaluated
-    in chunks of _MC_CHUNK, one stream for the whole run, and
+    each axis contributes the constant 2, restored as a factor 4 per
+    coordinate pair.  The bounded remainders sqrt(1 - x) and sqrt(y) join
+    the smooth factor, prod_i sqrt((1 - kappa x_i)(1 - x_i) y_i /
+    (1 - kappa y_i)): since (1 - x_i) y_i > 0, this is the ratio of the
+    root products sqrt(1 - kappa x_i) sqrt(1 - x_i) sqrt(y_i) /
+    sqrt(1 - kappa y_i) on the principal branch, both 1 - kappa x_i and
+    1 - kappa y_i having positive real part.  Every factor is bounded, so
+    the estimate is unbiased with finite variance.  The samples are drawn
+    and evaluated in chunks of _MC_CHUNK, one stream for the whole run, and
     each chunk's mean and centred sum of squares are merged by Chan's
-    pairwise formula, so memory is O(chunk) at any mc_samples.  Sn2 forms
-    the Vandermonde factor prod_{i<j} (x_j - x_i)(y_j - y_i) in real
-    arithmetic, divides it by the pair product prod_{i,j} (1 - kappa x_i
-    y_j) and squares the ratio; Sn1 takes the Cauchy determinant of each
-    chunk's (chunk, n, n) matrices from the same draws.
+    pairwise formula, so memory is O(chunk) at any mc_samples.  The
+    Vandermonde factor prod_{i<j} (x_j - x_i)(y_j - y_i) is formed in real
+    arithmetic, divided by the pair product prod_{i,j} (1 - kappa x_i y_j)
+    and squared.  Scaling each sample by 4 per pair, a power of two, gives
+    the same bits as scaling the mean by 4^n, without overflowing at large n.
     """
     kappa = _real(kappa)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
@@ -273,22 +271,18 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
         X, Y = _draw_points(rng, c, n)
         u = np.prod(X, axis=0) * np.prod(Y, axis=0)
         vals = u / (1.0 - kn * u) ** power
-        if form == "Sn2":
-            vdm = np.ones(c)
-            pair = np.ones(c, dtype=np.result_type(kappa))
-            for i in range(n):
-                for j in range(n):
-                    pair *= 1.0 - kappa * (X[i] * Y[j])
-                    if i < j:
-                        vdm *= (X[j] - X[i]) * (Y[j] - Y[i])
-            core = vdm / pair
-        else:
-            A = 1.0 - kappa * (X.T[:, :, None] * Y.T[:, None, :])
-            core = np.linalg.det(1.0 / A)
+        vdm = np.ones(c)
+        pair = np.ones(c, dtype=np.result_type(kappa))
+        for i in range(n):
+            for j in range(n):
+                pair *= 1.0 - kappa * (X[i] * Y[j])
+                if i < j:
+                    vdm *= (X[j] - X[i]) * (Y[j] - Y[i])
+        core = vdm / pair
         vals = vals * (core * core)
         for i in range(n):
             r = (1.0 - kappa * X[i]) * ((1.0 - X[i]) * Y[i])
-            vals *= np.sqrt(r / (1.0 - kappa * Y[i]))
+            vals *= 4.0 * np.sqrt(r / (1.0 - kappa * Y[i]))
         # Chan et al.: merge this chunk's mean and centred sum of squares
         cmean = vals.mean()
         d = vals - cmean
@@ -297,9 +291,7 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec, form: str
         mean += delta * (c / total)
         m2 += float(np.vdot(d, d).real) + abs(delta) ** 2 * (done * c / total)
         done = total
-    scale = 4.0**n
-    se = math.sqrt(m2 / m) / math.sqrt(m)
-    return mean * scale, se * scale
+    return mean, math.sqrt(m2 / m) / math.sqrt(m)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +494,149 @@ def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# The Cauchy-determinant form (Sn1) for n >= 2: one spectral sum over N
+
+# the part of |sum| that the nodes _cauchy_drop leaves out may reach, summed
+# over every N
+_CAUCHY_DROP_RTOL = 1e-15
+
+
+def _elementary(lam: np.ndarray, n: int) -> np.ndarray:
+    """e_n of each row of lam by the recurrence e_k <- e_k + lam_i e_(k-1)."""
+    E = np.zeros((lam.shape[0], n + 1), dtype=lam.dtype)
+    E[:, 0] = 1.0
+    for i in range(lam.shape[1]):
+        k = min(i + 1, n)
+        E[:, 1 : k + 1] += lam[:, i : i + 1] * E[:, :k]
+    return E[:, n]
+
+
+def _cauchy_drop(p: np.ndarray, awx: np.ndarray, awy: np.ndarray, slack: float) -> int:
+    """How many of the smallest nodes a stack of N, first N0, may drop.
+
+    p holds x^N0 over x_top^N0.  Dropping the t smallest nodes changes the
+    term at N by at most H_N (D_f/S_f + D_g/S_g), with D and S the dropped
+    and the whole sums of |wx| x^N and |wy| x^N, and H_N the Hadamard bound
+    of _cauchy_sn; slack is log(budget_N0 / H_N0).  The count returned fits
+    that budget at N0, and so at every later N: the nodes ascend, so the
+    dropped shares D/S only fall as N grows, and H_N falls by at least q
+    per N, as fast as the budget.  A share that underflows counts as 0.
+    """
+    Df = np.cumsum(awx * p)
+    Dg = np.cumsum(awy * p)
+    share = Df[:-1] / Df[-1] + Dg[:-1] / Dg[-1]
+    with np.errstate(divide="ignore"):
+        # share grows with t, so the counts that fit are a prefix
+        return int(np.count_nonzero(np.log(share) <= slack))
+
+
+def _cauchy_sn(kappa: complex, n: int, G: int):
+    """Sn1's S_n for n >= 2 on the G-node rule, as (value, terms, tail).
+
+    With z_N = kappa^(N+1)/pi^2, C = 1/(1 - kappa x x^T) and A_N =
+    (diag(wx x^N) C)(diag(wy x^N) C^T), the matrices of _nystrom_terms,
+    Andreief's identity gives
+
+        S_n = sum_(N >= 1) z_N^n e_n(A_N),
+
+    the G-node tensor rule of the squared Cauchy determinant with
+    u/(1 - kappa^n u) expanded as a geometric series in N: the same rule
+    summed in another order.  A_N is similar to B B^T, B = diag(sqrt(wx
+    x^N)) C diag(sqrt(wy x^N)).  For real kappa B is real and the
+    eigenvalues are its squared singular values, each accurate to eps
+    sqrt(lambda_max lambda); for complex kappa they come from
+    np.linalg.eigvals of B B^T, accurate to eps lambda_max, which limits
+    e_n for n >= 3 (1e-10 relative at n = 3, G = 6, kappa = 0.2 + 0.3i,
+    against 4e-14 at real kappa).  e_n of the eigenvalues (z_N folded in) comes
+    from the recurrence of _elementary, one formula for every n.  The N run
+    in stacks, one batched call per stack: 8 N at first, doubling up to 64
+    N and, as the kept nodes thin out, up to 64 G^2 matrix entries, but no
+    further than the tail bound below says the stop is.
+
+    The nodes ascend, so the kept nodes are a suffix.  By Hadamard,
+    |det C[S, T]|^2 <= n^n cmax^(2n), so the nodes a stack drops
+    (_cauchy_drop) change term N by at most H_N (D_f/S_f + D_g/S_g), with
+    H_N = |z_N|^n n^n cmax^(2n) S_f^n S_g^n / ((n-1)! n!).  The budget of
+    term N is _CAUCHY_DROP_RTOL |sum so far| (1 - q) q^(N-1), so the whole
+    dropped part stays below 1e-15 of the running sum (a bound on the final
+    sum where the terms share one sign: real kappa and even n, or
+    kappa > 0).  Both this budget and the stop below take |sum| as at
+    least _TINY, so the first stack keeps all but nodes of no weight, and
+    a sum that underflows to 0 (e_n of many tiny eigenvalues) still stops.
+
+    The sum stops by a proven tail.  |e_n(A_N)| <= ||A_N||_*^n / n! <=
+    (||diag(wx x^N) C||_F ||diag(wy x^N) C^T||_F)^n / n!, and with |z_N|^n
+    this bound T_N falls by at least q = (|kappa| x_top^2)^n per N, so the
+    terms past N are at most T_N q/(1 - q).  The sum stops once that is
+    at most _GAUSS_RTOL |sum|, and raises ConvergenceError past
+    _SERIES_M_CAP terms.  The tail is kept apart from _lint_series's
+    estimate: Sn1's terms equal Sn2's moments term by term, and a shared
+    stop rule would hide a truncation error from the comparison of the two
+    forms.
+    """
+    kappa = _real(kappa)
+    x, wx, wy = _axis_nodes(G, kappa)
+    if n > G:
+        # a term needs n distinct nodes, so the G-node rule's S_n is exactly 0
+        return 0j, 0, 0.0
+    C = 1.0 / (1.0 - kappa * np.outer(x, x))
+    absC = np.abs(C)
+    rows = np.sum(absC * absC, axis=1)
+    awx, awy = np.abs(wx), np.abs(wy)
+    # x^N is taken over x_top^N on both axes, and z_N carries x_top^(2N)
+    logx = np.log(x)
+    rel = logx - logx[-1]
+    lk = math.log(abs(kappa))
+    lq = n * (lk + 2.0 * logx[-1])
+    q = math.exp(lq)
+    ltail = lq - math.log1p(-q)
+    lfact = math.lgamma(n + 1)
+    lhad = n * math.log(n) + 2 * n * math.log(absC.max()) - math.lgamma(n) - lfact
+
+    def log_z(N):
+        return (N + 1) * lk + 2.0 * N * logx[-1] - 2.0 * math.log(math.pi)
+
+    entries = 64 * G * G
+    total, N0, size = 0.0, 1, 8
+    while True:
+        p = np.exp(N0 * rel)
+        lH = n * (log_z(N0) + math.log(awx @ p) + math.log(awy @ p)) + lhad
+        lbudget = (math.log(_CAUCHY_DROP_RTOL * max(abs(total), _TINY))
+                   + math.log1p(-q) + (N0 - 1) * lq)
+        t = _cauchy_drop(p, awx, awy, lbudget - lH)
+        Ns = np.arange(N0, N0 + size)
+        P = np.exp(Ns[:, None] * rel[t:])
+        B = np.sqrt(wx[t:] * P)[:, :, None] * C[t:, t:]
+        B *= np.sqrt(wy[t:] * P)[:, None, :]
+        if B.dtype.kind == "f":
+            lam = np.linalg.svd(B, compute_uv=False) ** 2
+        else:
+            lam = np.linalg.eigvals(B @ B.transpose(0, 2, 1))
+        z = kappa ** (Ns + 1) * np.exp(2.0 * Ns * logx[-1]) / math.pi**2
+        total += _elementary(lam * z[:, None], n).sum()
+        N0 += size
+        # T_N at the last N of the stack, on every node
+        p2 = np.exp(2.0 * (N0 - 1) * rel)
+        lT = n * (log_z(N0 - 1) + 0.5 * math.log(p2 @ (awx * awx * rows))
+                  + 0.5 * math.log(p2 @ (awy * awy * rows))) - lfact
+        # the bound falls by q per N, so the stop is about `left` N away
+        left = (lT + ltail - math.log(_GAUSS_RTOL * max(abs(total), _TINY))) / -lq
+        if left <= 0:
+            return complex(total), N0 - 1, math.exp(lT + ltail)
+        if N0 > _SERIES_M_CAP:
+            raise ConvergenceError(
+                f"the Sn1 series did not converge within {_SERIES_M_CAP} terms "
+                f"at kappa={kappa}",
+                best=total,
+                gap=math.exp(min(lT + ltail, 700.0)),
+                terms=N0 - 1,
+            )
+        size = min(2 * size, entries // (G - t) ** 2)
+        if left < size:
+            size = math.ceil(left)
+
+
+# ---------------------------------------------------------------------------
 # Public operations
 
 def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnResult:
@@ -517,39 +652,51 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
         must agree within combined error estimates.  With tensor_gauss,
         Sn2 is lint_integral at ell = 0 (for n = 2 the moment engine: the
         same node rule as the tensor sum, series truncated at 1e-14
-        relative), while Sn1 evaluates the Cauchy determinant pointwise in
-        the tensor sum, so the comparison stays an independent cross-check.
+        relative), for n <= 2 only.  Sn1 is the same pair sum at n = 1,
+        and for every n >= 2 the spectral sum over the Nystrom matrices
+        (_cauchy_sn), with its own proven stop, so the comparison stays an
+        independent cross-check.  Monte Carlo evaluates Sn2 only, whose
+        samples equal Sn1's pointwise; Sn1 with a monte_carlo spec raises
+        DomainError.
 
     Returns
     -------
     SnResult with a relative error estimate (node refinement gap between
     nodes_per_dim and 1.5 nodes_per_dim for tensor quadrature, standard
-    error for Monte Carlo).  At kappa = 0 the prefactor vanishes and the
-    result is exactly 0 with error estimate 0, without quadrature.
+    error for Monte Carlo).  Where the prefactor kappa^(n(n+1)) / (n!^2
+    pi^(2n)) underflows to 0 (kappa = 0, or n >= 79), the result is
+    exactly 0 with error estimate 0, without quadrature.
     """
     kappa = _check_kappa(kappa)
     if n < 1:
         raise DomainError("n must be >= 1")
     if form not in ("Sn1", "Sn2"):
         raise DomainError(f"unknown form {form!r}")
-    spec.check_method(n)
-    if kappa == 0:
-        # the prefactor vanishes; no quadrature needed
+    if form == "Sn2":
+        spec.check_method(n)
+    elif spec.method == "monte_carlo":
+        raise DomainError(
+            "the Cauchy-determinant form (Sn1) has no Monte Carlo route; its "
+            "samples equal the Vandermonde form's (Sn2) pointwise"
+        )
+    pref = _prefactor(kappa, n)
+    if pref == 0:
         return SnResult(n=n, kappa=kappa, value=0j, rel_error_est=0.0, form=form)
-    pref = _prefactor(kappa, n, form)
     if spec.method == "tensor_gauss":
         nodes = (spec.nodes_per_dim, _refined_nodes(spec.nodes_per_dim))
-        if form == "Sn2":
+        if form == "Sn1" and n > 1:
+            # the series carries its own z_N^n
+            pref = 1.0
+            coarse, fine = (_cauchy_sn(kappa, n, G)[0] for G in nodes)
+        else:
             coarse, fine = (
                 lint_integral(kappa, n, 0, replace(spec, nodes_per_dim=G))
                 for G in nodes
             )
-        else:
-            coarse, fine = (_tensor_core(kappa, n, 1, G) for G in nodes)
         value = pref * fine
         rel = abs(fine - coarse) / max(abs(fine), _TINY)
     else:
-        raw, se = _mc_core(kappa, n, 1, spec, form)
+        raw, se = _mc_core(kappa, n, 1, spec)
         value = pref * raw
         rel = se / max(abs(raw), _TINY)
         if rel > _MC_TARGET_REL:
@@ -654,7 +801,7 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
         )
     spec.check_method(n)
     if spec.method == "monte_carlo":
-        raw, _ = _mc_core(kappa, n, ell + 1, spec, "Sn2")
+        raw, _ = _mc_core(kappa, n, ell + 1, spec)
         return raw
     if n == 2:
         return _lint_series(kappa, ell, spec.nodes_per_dim, _GAUSS_RTOL)

@@ -122,17 +122,18 @@ def _cache_length(n: int) -> int:
 def _circle_size(a: float, top: int) -> int:
     """Power of two M > 2*top whose alias bound at degree top is below
     _ALIAS_TARGET.  M depends on |k| as well as on top, so a short request
-    close to |k| = 1 still samples the circle finely enough."""
+    close to |k| = 1 still samples the circle finely enough.  An M past
+    _MAX_CIRCLE, whether the alias bound or the length of the request
+    asks for it, raises ConvergenceError before any transform."""
     M = _cache_length(2 * top + 2)
-    if a == 0.0:
-        return M
-    while 2.0 * a ** (M - top) / ((1.0 - a * a) * (1.0 - a ** M)) > _ALIAS_TARGET:
+    while (a != 0.0 and M <= _MAX_CIRCLE
+           and 2.0 * a ** (M - top) / ((1.0 - a * a) * (1.0 - a ** M)) > _ALIAS_TARGET):
         M *= 2
-        if M > _MAX_CIRCLE:
-            raise ConvergenceError(
-                f"the series at |k| = {a!r} needs more than {_MAX_CIRCLE} points "
-                "on the unit circle"
-            )
+    if M > _MAX_CIRCLE:
+        raise ConvergenceError(
+            f"the series at |k| = {a!r} and degree {top} needs more than "
+            f"{_MAX_CIRCLE} points on the unit circle"
+        )
     return M
 
 

@@ -124,6 +124,12 @@ class TestRadialScan:
         assert fit["slope"] == scan.fit_slope
         assert fit["intercept"] == scan.fit_intercept
 
+    @pytest.mark.parametrize("ell, label", [(7, "diverging"), (6, "bounded")])
+    def test_classification_from_the_scan_fit(self, ell, label):
+        # the acceptance scans toward -1: the field is the classifier's label
+        scan = radial_scan(RootOfUnity(1, 2), 2, ell, radii_grid(4, 10), QuadratureSpec())
+        assert scan.classification == _classify(scan.radii, scan.values) == label
+
     def test_monte_carlo_scan_deterministic(self):
         spec = QuadratureSpec(method="monte_carlo", mc_samples=20000, seed=17)
         eps = RootOfUnity(1, 3)

@@ -127,6 +127,24 @@ class TestSn:
         assert fields[0] == "0.20000000000000001"
         assert float(fields[6]) != 0.0
 
+    @pytest.mark.parametrize("n", [200, 600])
+    @pytest.mark.parametrize("extra", [
+        ["--mc-samples", "1000"], ["--form", "Sn1"], [],
+    ])
+    def test_large_n_without_traceback(self, capsys, n, extra):
+        # a row with exit 0 (the prefactor underflows to 0), or one error
+        # line with exit 1 (tensor_gauss takes the Vandermonde form to n = 2)
+        code = main(["sn", "--kappa", "0.5", "--n", str(n), *extra])
+        captured = capsys.readouterr()
+        if code == 0:
+            lines = captured.out.strip().splitlines()
+            assert len(lines) == 2 and captured.err == ""
+            assert float(lines[1].split(",")[5]) == 0.0
+        else:
+            assert code == 1 and captured.out == ""
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_monte_carlo_deterministic(self, capsys):
         argv = ["sn", "--kappa", "0.3", "--n", "2", "--mc-samples", "20000",
@@ -313,6 +331,11 @@ class TestArgumentErrors:
     )
     def test_bad_flag_value(self, capsys, argv):
         self._error(capsys, argv)
+
+    def test_cauchy_form_has_no_monte_carlo(self, capsys):
+        line = self._error(capsys, ["sn", "--kappa", "0.5", "--n", "2", "--form", "Sn1",
+                                    "--mc-samples", "1000"])
+        assert "Monte Carlo" in line
 
     @pytest.mark.parametrize(
         "argv",

@@ -9,10 +9,10 @@ import pytest
 
 from ising_lab import DomainError, PrecisionWarning, QuadratureSpec, lint_integral, s_n
 from ising_lab import fredholm, integrals
-from ising_lab.integrals import _lint_series, _tensor_core
+from ising_lab.integrals import _cauchy_sn, _lint_series, _tensor_core
 
 _SPEC = QuadratureSpec(nodes_per_dim=64)
-# S_3(0.2+0.3i) raw, no prefactor, from 40 x 500k samples drawn with numpy's
+# S_3(0.2+0.3i), prefactor included, from 40 x 500k samples drawn with numpy's
 # gamma-ratio Beta sampler, independent of the sampler under test
 _S3_REF = complex(5.2080388102566976e-18, 2.0190310495494974e-17)
 _S3_REF_SE = 5.80e-20
@@ -61,6 +61,44 @@ def _vandermonde_tensor(kappa, power, G):
         den = den * (1.0 - kappa * X2 * Y2)
         total += wx[a] * np.sum(W * first * (num / (den * den)))
     return complex(total)
+
+
+def _cauchy_tensor(kappa, G):
+    """The n = 2 Cauchy-determinant form (Sn1) S_2 as the pointwise G-node
+    tensor sum in O(G^4), prefactor included: the oracle for _cauchy_sn,
+    which sums the same rule in another order."""
+    kappa = integrals._real(kappa)
+    x, wx, wy = integrals._axis_nodes(G, kappa)
+    kn = kappa * kappa
+    X2 = x[:, None, None]
+    Y1 = x[None, :, None]
+    Y2 = x[None, None, :]
+    W = wx[:, None, None] * wy[None, :, None] * wy[None, None, :]
+    total = 0.0 + 0.0j
+    for a in range(G):
+        x1 = x[a]
+        u = (x1 * X2) * (Y1 * Y2)
+        first = u / (1.0 - kn * u)
+        c11 = 1.0 / (1.0 - kappa * x1 * Y1)
+        c12 = 1.0 / (1.0 - kappa * x1 * Y2)
+        c21 = 1.0 / (1.0 - kappa * X2 * Y1)
+        c22 = 1.0 / (1.0 - kappa * X2 * Y2)
+        det = c11 * c22 - c12 * c21
+        total += wx[a] * np.sum(W * first * (det * det))
+    return kappa**4 / (4.0 * math.pi**4) * complex(total)
+
+
+def _cauchy_tuples(kappa, n, G):
+    """Sn1's S_n as the brute-force sum over every (x, y) node tuple of the
+    G-node rule, G^(2n) points, prefactor included."""
+    x, wx, wy = integrals._axis_nodes(G, kappa)
+    idx = np.indices((G,) * (2 * n)).reshape(2 * n, -1)
+    X, Y = x[idx[:n]], x[idx[n:]]
+    u = np.prod(X, axis=0) * np.prod(Y, axis=0)
+    C = 1.0 / (1.0 - kappa * X.T[:, :, None] * Y.T[:, None, :])
+    w = np.prod(wx[idx[:n]], axis=0) * np.prod(wy[idx[n:]], axis=0)
+    raw = np.sum(w * u / (1.0 - kappa**n * u) * np.linalg.det(C) ** 2)
+    return kappa ** (2 * n) / (math.factorial(n) ** 2 * math.pi ** (2 * n)) * raw
 
 
 class TestLambda1:
@@ -241,16 +279,9 @@ class TestMonteCarlo:
                 vals.append(_vandermonde_integrand(x, y, kappa, n) / density)
         vals = np.array(vals)
         spec = QuadratureSpec(method="monte_carlo", mc_samples=m, seed=seed)
-        mean, se = integrals._mc_core(kappa, n, 1, spec, "Sn2")
+        mean, se = integrals._mc_core(kappa, n, 1, spec)
         assert abs(mean - vals.mean()) <= 1e-12 * abs(mean)
         assert abs(se - np.std(vals) / math.sqrt(m)) <= 1e-10 * se
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_forms_agree_on_same_draws(self, n):
-        spec = QuadratureSpec(method="monte_carlo", mc_samples=20000, seed=9)
-        sn2 = s_n(0.2 + 0.3j, n, spec, form="Sn2").value
-        sn1 = s_n(0.2 + 0.3j, n, spec, form="Sn1").value
-        assert abs(sn1 - sn2) <= 1e-12 * abs(sn2)
 
     def test_three_particle_term_against_reference(self):
         _check_three_particle_term(seed=1)
@@ -271,7 +302,7 @@ class TestMonteCarlo:
         spec = QuadratureSpec(method="monte_carlo", mc_samples=1_000_000, seed=1)
         tracemalloc.start()
         try:
-            integrals._mc_core(0.5, 4, 1, spec, "Sn2")
+            integrals._mc_core(0.5, 4, 1, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -296,6 +327,93 @@ def _ks_distance(sample, cdf):
     F = cdf(s)
     i = np.arange(1, len(s) + 1)
     return max(np.max(i / len(s) - F), np.max(F - (i - 1) / len(s)))
+
+
+class TestCauchySpectralSum:
+    """Sn1 for n >= 2: the G-node rule of the squared Cauchy determinant as
+    one spectral sum over the Nystrom matrices."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.5j, -0.9, 0.95j, 0.9 * cmath.exp(2j)])
+    @pytest.mark.parametrize("G", [16, 24])
+    def test_n2_matches_tensor_sum(self, kappa, G):
+        got = _cauchy_sn(kappa, 2, G)[0]
+        want = _cauchy_tensor(kappa, G)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("kappa, rtol", [
+        # complex kappa takes np.linalg.eigvals, accurate to eps times the
+        # largest eigenvalue (1e-10 seen); real kappa squared singular
+        # values (4e-14 seen)
+        (0.5, 1e-12), (-0.7, 1e-12), (0.2 + 0.3j, 1e-9), (0.9 * cmath.exp(2j), 1e-9),
+    ])
+    def test_n3_matches_tuple_sum(self, kappa, rtol):
+        got = _cauchy_sn(kappa, 3, 6)[0]
+        want = _cauchy_tuples(complex(kappa), 3, 6)
+        assert abs(got - want) <= rtol * abs(want)
+
+    def test_more_particles_than_nodes_vanish(self):
+        assert _cauchy_sn(0.5, 5, 4) == (0j, 0, 0.0)
+
+    def test_three_and_four_particle_terms_against_monte_carlo(self):
+        # each within 5 combined SE of the Vandermonde form's Monte Carlo,
+        # S_3 also of the stored reference
+        spec = QuadratureSpec(method="monte_carlo", mc_samples=200_000, seed=1)
+        for kappa, n in ((0.2 + 0.3j, 3), (0.5, 4)):
+            sn1 = s_n(kappa, n, _SPEC, form="Sn1")
+            mc = s_n(kappa, n, spec)
+            se = mc.rel_error_est * abs(mc.value)
+            assert abs(sn1.value - mc.value) < 5.0 * se
+            assert sn1.rel_error_est < 1e-7
+            if n == 3:
+                assert abs(sn1.value - _S3_REF) < 5.0 * _S3_REF_SE
+
+    @pytest.mark.parametrize("kappa", [0.99, -0.99])
+    def test_pruning_keeps_the_rule(self, kappa, monkeypatch):
+        pruned = _cauchy_sn(kappa, 2, 32)[0]
+        monkeypatch.setattr(integrals, "_cauchy_drop", lambda *args: 0)
+        full = _cauchy_sn(kappa, 2, 32)[0]
+        assert abs(pruned - full) <= 1e-15 * abs(full)
+
+    @pytest.mark.parametrize("kappa, n", [(0.99, 2), (-0.99, 3), (0.9j, 2)])
+    def test_tail_covers_the_terms_past_the_stop(self, kappa, n, monkeypatch):
+        # with no node dropped, a run to a far stricter stop repeats the
+        # same stacks and then adds the terms past the first stop
+        monkeypatch.setattr(integrals, "_cauchy_drop", lambda *args: 0)
+        value, terms, tail = _cauchy_sn(kappa, n, 24)
+        assert 0.0 < tail <= integrals._GAUSS_RTOL * abs(value)
+        monkeypatch.setattr(integrals, "_GAUSS_RTOL", 1e-30)
+        longer, more, _ = _cauchy_sn(kappa, n, 24)
+        assert more > terms
+        assert abs(longer - value) <= tail + 4e-16 * abs(value)
+
+    def test_sn1_needs_no_tensor_sum_or_monte_carlo(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("tensor sum or Monte Carlo called")
+
+        for name in ("_tensor_core", "_mc_core"):
+            monkeypatch.setattr(integrals, name, forbidden)
+        for n in (2, 3):
+            res = s_n(0.5, n, _SPEC, form="Sn1")
+            assert res.value != 0.0
+            assert res.rel_error_est < 1e-9
+
+    def test_monte_carlo_rejected(self):
+        spec = QuadratureSpec(method="monte_carlo", mc_samples=1000)
+        for n in (1, 2, 3):
+            with pytest.raises(DomainError, match="Monte Carlo"):
+                s_n(0.5, n, spec, form="Sn1")
+
+    def test_large_n_underflows_to_zero(self, monkeypatch):
+        # from n = 79 the prefactor is below the float range: 0, no quadrature
+        def forbidden(*args):
+            raise AssertionError("quadrature called")
+
+        for name in ("_cauchy_sn", "_mc_core"):
+            monkeypatch.setattr(integrals, name, forbidden)
+        spec = QuadratureSpec(method="monte_carlo", mc_samples=1000)
+        for n in (79, 99, 200, 600):
+            for res in (s_n(0.99, n, _SPEC, form="Sn1"), s_n(0.5 + 0.1j, n, spec)):
+                assert res.value == 0.0 and res.rel_error_est == 0.0
 
 
 class TestSTotal:
@@ -492,13 +610,15 @@ class TestMomentEngine:
         def forbidden(*args):
             raise AssertionError("quadrature called")
 
-        for name in ("_tensor_core", "_lint_series", "_mc_core"):
+        for name in ("_tensor_core", "_lint_series", "_mc_core", "_cauchy_sn"):
             monkeypatch.setattr(integrals, name, forbidden)
-        for spec in (_SPEC, QuadratureSpec(method="monte_carlo", mc_samples=100)):
-            for n, form in ((1, "Sn1"), (2, "Sn1"), (2, "Sn2")):
-                res = s_n(0.0, n, spec, form=form)
-                assert res.value == 0.0
-                assert res.rel_error_est == 0.0
+        mc = QuadratureSpec(method="monte_carlo", mc_samples=100)
+        # Monte Carlo evaluates the Vandermonde form only
+        for spec, n, form in ((_SPEC, 1, "Sn1"), (_SPEC, 2, "Sn1"), (_SPEC, 3, "Sn1"),
+                              (_SPEC, 2, "Sn2"), (mc, 1, "Sn2"), (mc, 3, "Sn2")):
+            res = s_n(0.0, n, spec, form=form)
+            assert res.value == 0.0
+            assert res.rel_error_est == 0.0
 
     def test_contour_keeps_probe_moments_cached(self, monkeypatch):
         # the 32-point contour's windows stored after the ray leave the

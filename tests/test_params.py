@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ising_lab import CouplingK, DomainError, PhaseError, k_from_temperature, magnetization
+from ising_lab import (
+    ConvergenceError, CouplingK, DomainError, PhaseError, k_from_temperature, magnetization,
+)
 from ising_lab.fredholm import _det_at
-from ising_lab.params import _lambda_pair, _phi_series, _tail_bound, _terms_needed
+from ising_lab.params import (
+    _circle_size, _lambda_pair, _phi_series, _tail_bound, _terms_needed,
+)
 
 
 class TestCouplingK:
@@ -226,6 +230,12 @@ class TestFFTSeries:
         long = _phi_series(0.99 + 0j, 4096)
         for m in range(-15, 16):
             assert abs(_coeff(short, m) - _coeff(long, m)) <= 1e-15
+
+
+    def test_circle_cap_holds_for_long_requests(self):
+        # 2^21 degrees need 2^23 points at any |k|, past the 2^21 cap
+        with pytest.raises(ConvergenceError, match="points on the unit circle"):
+            _circle_size(0.5, 2**21)
 
 
 class TestTailBound:

@@ -139,6 +139,14 @@ class TestLevinsonKernel:
         with pytest.raises(ConvergenceError):
             _levinson(np.array(col), np.array(row))
 
+    def test_past_the_circle_cap_raises_before_any_transform(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT run")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        with pytest.raises(ConvergenceError, match="points on the unit circle"):
+            diagonal_correlation(CouplingK.physical(0.5), 2**21)
+
     def test_kernel_failure_flags_chi(self, monkeypatch):
         def failing(col, row, run=None):
             raise ConvergenceError("pivot 0 at step 3 of the Levinson recursion")
