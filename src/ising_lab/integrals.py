@@ -239,6 +239,48 @@ def _draw_points(rng, m: int, n: int):
     return X, Y
 
 
+def _mc_group(kappa: complex, n: int) -> int:
+    """Coordinates per square root in _mc_smooth: all n at real kappa,
+    else at most floor(pi / asin|kappa|) >= 2 (kappa as _real gives it).
+
+    For x in (0, 1), 1 - kappa x lies in the disk of radius |kappa| about
+    1, so its argument lies strictly between 0 and asin|kappa|, times the
+    sign of -Im kappa, for every x.  The g numerator factors of a group of
+    ratios (1 - kappa x_i)/(1 - kappa y_i) add arguments in that range,
+    and so do its g denominator factors, so the group's product has
+    |arg| < g asin|kappa| <= pi: its principal root is the product of the
+    per-coordinate principal roots.  Where pi / asin|kappa| is an integer
+    (|kappa| = 1/2), the floor may round it down, never up.
+    """
+    if not isinstance(kappa, complex):
+        return n
+    return min(n, math.floor(math.pi / math.asin(abs(kappa))))
+
+
+def _mc_smooth(kappa: complex, X: np.ndarray, Y: np.ndarray, g: int) -> np.ndarray:
+    """prod_i sqrt((1 - kappa x_i)(1 - x_i) y_i / (1 - kappa y_i)) per sample,
+    each root on the principal branch, for (n, c) arrays X, Y.
+
+    The positive part is one real root of prod_i (1 - x_i) y_i; the
+    complex part one principal root of prod (1 - kappa x_i) / prod
+    (1 - kappa y_i) per group of g coordinates (_mc_group says why that
+    is exact), so one root and one division per sample at n <= g.
+    """
+    n = len(X)
+    p = (1.0 - X[0]) * Y[0]
+    for i in range(1, n):
+        p *= (1.0 - X[i]) * Y[i]
+    out = np.sqrt(p)
+    for s in range(0, n, g):
+        num = 1.0 - kappa * X[s]
+        den = 1.0 - kappa * Y[s]
+        for i in range(s + 1, min(s + g, n)):
+            num *= 1.0 - kappa * X[i]
+            den *= 1.0 - kappa * Y[i]
+        out = out * np.sqrt(num / den)
+    return out
+
+
 def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
     """Raw Vandermonde-form integral estimate and standard error by
     importance sampling.
@@ -247,10 +289,8 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
     only singular endpoint factors, x^(-1/2) and (1 - y)^(-1/2), exactly;
     each axis contributes the constant 2, restored as a factor 4 per
     coordinate pair.  The bounded remainders sqrt(1 - x) and sqrt(y) join
-    the smooth factor, prod_i sqrt((1 - kappa x_i)(1 - x_i) y_i /
-    (1 - kappa y_i)): since (1 - x_i) y_i > 0, this is the ratio of the
-    root products sqrt(1 - kappa x_i) sqrt(1 - x_i) sqrt(y_i) /
-    sqrt(1 - kappa y_i) on the principal branch, both 1 - kappa x_i and
+    the smooth factor of _mc_smooth, prod_i sqrt((1 - kappa x_i)(1 - x_i)
+    y_i / (1 - kappa y_i)), principal roots, both 1 - kappa x_i and
     1 - kappa y_i having positive real part.  Every factor is bounded, so
     the estimate is unbiased with finite variance.  The samples are drawn
     and evaluated in chunks of _MC_CHUNK, one stream for the whole run, and
@@ -258,31 +298,44 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
     pairwise formula, so memory is O(chunk) at any mc_samples.  The
     Vandermonde factor prod_{i<j} (x_j - x_i)(y_j - y_i) is formed in real
     arithmetic, divided by the pair product prod_{i,j} (1 - kappa x_i y_j)
-    and squared.  Scaling each sample by 4 per pair, a power of two, gives
-    the same bits as scaling the mean by 4^n, without overflowing at large n.
+    and only then squared: squared apart, they leave the float range first
+    (0/0 at n = 60, kappa = 0.5, where the ratio is a finite 0).  The
+    factor 4^n is a power of two, put on u by ldexp before any other
+    factor, so it costs no bits and meets the product before it can
+    underflow.  From about n = 120 the two products themselves leave the
+    float range and a complex-kappa sample comes out 0/0: a chunk with a
+    sample that is not finite raises ConvergenceError.
     """
     kappa = _real(kappa)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     m = spec.mc_samples
     kn = kappa**n
+    g = _mc_group(kappa, n)
     done, mean, m2 = 0, 0j, 0.0
     while done < m:
         c = min(_MC_CHUNK, m - done)
         X, Y = _draw_points(rng, c, n)
-        u = np.prod(X, axis=0) * np.prod(Y, axis=0)
-        vals = u / (1.0 - kn * u) ** power
-        vdm = np.ones(c)
-        pair = np.ones(c, dtype=np.result_type(kappa))
-        for i in range(n):
-            for j in range(n):
-                pair *= 1.0 - kappa * (X[i] * Y[j])
-                if i < j:
-                    vdm *= (X[j] - X[i]) * (Y[j] - Y[i])
-        core = vdm / pair
-        vals = vals * (core * core)
-        for i in range(n):
-            r = (1.0 - kappa * X[i]) * ((1.0 - X[i]) * Y[i])
-            vals *= 4.0 * np.sqrt(r / (1.0 - kappa * Y[i]))
+        # a sample the checks below find not finite raises, so the
+        # warnings of its 0/0 or overflow would only repeat that
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u = np.prod(X, axis=0) * np.prod(Y, axis=0)
+            vals = np.ldexp(u, 2 * n) / (1.0 - kn * u) ** power
+            vdm = np.ones(c)
+            pair = np.ones(c, dtype=np.result_type(kappa))
+            for i in range(n):
+                for j in range(n):
+                    pair *= 1.0 - kappa * (X[i] * Y[j])
+                    if i < j:
+                        vdm *= (X[j] - X[i]) * (Y[j] - Y[i])
+            core = vdm / pair
+            vals = vals * (core * core) * _mc_smooth(kappa, X, Y, g)
+        if not np.all(np.isfinite(vals)):
+            raise ConvergenceError(
+                f"Monte Carlo samples at n={n}, kappa={kappa} are not finite: "
+                "the Vandermonde and pair products underflow or overflow "
+                "the float range at this n",
+                terms=done,
+            )
         # Chan et al.: merge this chunk's mean and centred sum of squares
         cmean = vals.mean()
         d = vals - cmean
@@ -296,6 +349,11 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
 
 # ---------------------------------------------------------------------------
 # Moment series for the n = 2 probe integral
+
+# average entries per block of pairs from which _bm_chunk builds its pair
+# matrix by blocks rather than by two gathers (at 64 kept nodes and more)
+_CC2_BLOCK = 2048
+
 
 def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     """How many of the smallest nodes _bm_chunk drops for m in [m0, m1).
@@ -401,10 +459,22 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
     d = x - x[-1]
     Xp = np.exp(np.log(x)[:, None] * np.arange(m0 + 1, m1 + 1))
     f = wx[:, None] * Xp
-    i, j = np.triu_indices(len(x), 1)
-    # C2 is symmetric, so its rows i, j give CC2 with one gathered copy
-    CC2 = C2[i]
-    CC2 *= C2[j]
+    n = len(x)
+    i, j = np.triu_indices(n, 1)
+    # C2 is symmetric, so row (a, b) of CC2 is C2[a] C2[b], the same
+    # product either way: gathered rows i and j, or one broadcast product
+    # per block of pairs (a, a+1..), n^2/2 entries a block on average.
+    # Past _CC2_BLOCK entries a block the two gathered copies cost more
+    # than the n - 1 calls; below it the calls cost more
+    if n * n < 2 * _CC2_BLOCK:
+        CC2 = C2[i]
+        CC2 *= C2[j]
+    else:
+        CC2 = np.empty((len(i), n), dtype=C2.dtype)
+        row = 0
+        for a in range(n - 1):
+            np.multiply(C2[a], C2[a + 1:], out=CC2[row : row + n - 1 - a])
+            row += n - 1 - a
     # one product per R_k: at most three pairs x chunk arrays live at once
     xside = CC2 @ f
     xside *= CC2 @ ((d * d)[:, None] * f)

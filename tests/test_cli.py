@@ -178,6 +178,18 @@ class TestBoundaryScan:
         assert len(lines) == 8
         assert all(line.split(",")[6] == "0" for line in lines[1:])
 
+    def test_underflowing_monte_carlo_scan_exits_2(self, capsys):
+        # at n = 120 the Vandermonde and pair products underflow to 0/0:
+        # one convergence line and exit 2, not NaN rows labelled bounded
+        code = main(["boundary-scan", "--eps", "1/120", "--n", "120", "--ell", "0",
+                     "--radii", "2..5", "--mc-samples", "200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "nan" not in captured.out and "bounded" not in captured.out
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("convergence:") and "underflow" in lines[0]
+
     def test_bad_eps_rejected(self, capsys):
         code, _ = _run(capsys, ["boundary-scan", "--eps", "2/4", "--n", "4",
                                 "--ell", "1", "--radii", "2..5"])

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ising_lab import DomainError, PrecisionWarning, QuadratureSpec, lint_integral, s_n
+from ising_lab import (ConvergenceError, DomainError, PrecisionWarning, QuadratureSpec,
+                       lint_integral, s_n)
 from ising_lab import fredholm, integrals
 from ising_lab.integrals import _cauchy_sn, _lint_series, _tensor_core
 
@@ -307,6 +308,118 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def _per_coordinate_smooth(kappa, X, Y):
+    """The Monte Carlo smooth factor with one principal root and one
+    division per coordinate, prod_i sqrt((1 - kappa x_i)(1 - x_i) y_i /
+    (1 - kappa y_i)): the oracle for _mc_smooth's grouped roots."""
+    out = np.ones(X.shape[1], dtype=np.result_type(kappa))
+    for i in range(len(X)):
+        r = (1.0 - kappa * X[i]) * ((1.0 - X[i]) * Y[i])
+        out *= np.sqrt(r / (1.0 - kappa * Y[i]))
+    return out
+
+
+def _per_coordinate_samples(kappa, n, power, spec):
+    """Every Monte Carlo sample of _mc_core's stream with the smooth factor
+    and the density's factor 4 taken per coordinate after the squared
+    vdm / pair, and no check that the samples are finite: the oracle for
+    the grouped kernel's range."""
+    kappa = integrals._real(complex(kappa))
+    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    kn, done, parts = kappa**n, 0, []
+    with np.errstate(all="ignore"):
+        while done < spec.mc_samples:
+            c = min(integrals._MC_CHUNK, spec.mc_samples - done)
+            X, Y = integrals._draw_points(rng, c, n)
+            u = np.prod(X, axis=0) * np.prod(Y, axis=0)
+            vals = u / (1.0 - kn * u) ** power
+            vdm = np.ones(c)
+            pair = np.ones(c, dtype=np.result_type(kappa))
+            for i in range(n):
+                for j in range(n):
+                    pair *= 1.0 - kappa * (X[i] * Y[j])
+                    if i < j:
+                        vdm *= (X[j] - X[i]) * (Y[j] - Y[i])
+            core = vdm / pair
+            vals = vals * (core * core)
+            for i in range(n):
+                vals *= 4.0 * _per_coordinate_smooth(kappa, X[i : i + 1], Y[i : i + 1])
+            parts.append(vals)
+            done += c
+    return np.concatenate(parts)
+
+
+_SMOOTH_RADII = (0.5, 0.87, 0.99, 0.999)
+
+
+def _smooth_kappas(r):
+    """kappa of modulus r: real of both signs, and the phases 0, +-pi/4,
+    +-pi/2, +-3pi/4, pi and +-acos r.  At phase acos r (Re kappa = r^2)
+    1 - kappa x comes nearest the tangent from 0 to its disk about 1, so
+    its argument nears asin r, the bound _mc_group is built on."""
+    phases = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi, math.acos(r))
+    kappas = [r, -r] + [cmath.rect(r, s * p) for p in phases for s in (1, -1)]
+    return [integrals._real(complex(k)) for k in kappas]
+
+
+class TestGroupedSmoothFactor:
+    """_mc_smooth's one root per group of coordinates against one per coordinate."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_per_coordinate_roots(self, n):
+        rng = np.random.Generator(np.random.Philox(key=n))
+        X, Y = integrals._draw_points(rng, 4096, n)
+        for r in _SMOOTH_RADII:
+            for kappa in _smooth_kappas(r):
+                g = integrals._mc_group(kappa, n)
+                got = integrals._mc_smooth(kappa, X, Y, g)
+                want = _per_coordinate_smooth(kappa, X, Y)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (kappa, g)
+
+    def test_group_sizes(self):
+        # all of n at real kappa; two groups at n = 3 past |kappa| = sin(pi/3)
+        assert integrals._mc_group(0.999, 8) == 8
+        assert integrals._mc_group(-0.999, 8) == 8
+        assert integrals._mc_group(0.86 + 0.1j, 3) == 3
+        for r in _SMOOTH_RADII[1:]:
+            for kappa in _smooth_kappas(r):
+                if isinstance(kappa, complex):
+                    assert integrals._mc_group(kappa, 3) == 2
+        assert integrals._mc_group(0.4j, 9) == 7
+
+    def test_one_root_for_all_coordinates_fails(self):
+        # at kappa = 0.999i the arguments of eight ratios add past pi for
+        # some samples, and a single root then flips their sign
+        kappa, n = 0.999j, 8
+        X, Y = integrals._draw_points(np.random.Generator(np.random.Philox(key=n)), 4096, n)
+        want = _per_coordinate_smooth(kappa, X, Y)
+        grouped = integrals._mc_smooth(kappa, X, Y, integrals._mc_group(kappa, n))
+        single = integrals._mc_smooth(kappa, X, Y, n)
+        assert np.all(np.abs(grouped - want) <= 1e-14 * np.abs(want))
+        assert np.max(np.abs(single - want) / np.abs(want)) > 1.0
+
+
+class TestMonteCarloRange:
+    """Grouping the roots and scaling u by 4^n first underflows no earlier."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.99j])
+    @pytest.mark.parametrize("n", [10, 20, 40, 60, 120])
+    def test_no_earlier_underflow(self, n, kappa):
+        # finite wherever the per-coordinate kernel was, and to rounding the
+        # same mean; where its samples were not (n = 120, kappa = 0.99i:
+        # the pair product overflows to inf while the Vandermonde one
+        # underflows to 0), a ConvergenceError, not a NaN mean
+        spec = QuadratureSpec(method="monte_carlo", mc_samples=1000, seed=3)
+        old = _per_coordinate_samples(kappa, n, 1, spec)
+        if not np.all(np.isfinite(old)):
+            with pytest.raises(ConvergenceError, match="underflow"):
+                integrals._mc_core(complex(kappa), n, 1, spec)
+            return
+        mean, se = integrals._mc_core(complex(kappa), n, 1, spec)
+        assert np.isfinite(mean) and np.isfinite(se)
+        assert abs(mean - old.mean()) <= 1e-12 * abs(old.mean())
 
 
 def _check_three_particle_term(seed):
@@ -650,6 +763,40 @@ def _full_bm_chunk(kappa, G, m0, m1):
     xside = Q[:, :k] * Q[:, 2 * k:] - Q[:, k:2 * k] * Q[:, k:2 * k]
     yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i] * Xp[j]
     return 4.0 * np.einsum("pm,pm->m", yside, xside)
+
+
+def _gathered_bm_chunk(kappa, G, m0, m1):
+    """_bm_chunk with the pair matrix CC2 gathered by the index arrays of
+    every pair at once: the oracle for its block-built CC2."""
+    c = integrals._bm_drop(kappa, G, m0, m1)
+    kappa = integrals._real(kappa)
+    x, wx, wy = (v[c:] for v in integrals._axis_nodes(G, kappa))
+    C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
+    d = x - x[-1]
+    Xp = np.exp(np.log(x)[:, None] * np.arange(m0 + 1, m1 + 1))
+    f = wx[:, None] * Xp
+    i, j = np.triu_indices(len(x), 1)
+    CC2 = C2[i]
+    CC2 *= C2[j]
+    xside = CC2 @ f
+    xside *= CC2 @ ((d * d)[:, None] * f)
+    R1 = CC2 @ (d[:, None] * f)
+    R1 *= R1
+    xside -= R1
+    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i]
+    yside *= Xp[j]
+    return 4.0 * np.einsum("pm,pm->m", yside, xside), len(x)
+
+
+@pytest.mark.parametrize("G", [12, 64, 96])
+@pytest.mark.parametrize("kappa", [0.5, 0.5j, -0.99609375])
+@pytest.mark.parametrize("m0, m1", [(0, 16), (256, 512)])
+def test_block_pair_products_are_bit_identical(G, kappa, m0, m1):
+    # the same products in the same order: every B_m equal to the bit
+    got, kept = integrals._bm_chunk(complex(kappa), G, m0, m1)
+    want, want_kept = _gathered_bm_chunk(complex(kappa), G, m0, m1)
+    assert kept == want_kept
+    assert np.array_equal(got, want)
 
 
 def _tuple_terms(kappa, G, m):
