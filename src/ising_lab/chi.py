@@ -32,6 +32,7 @@ class ChiResult:
     terms_used: int
     est_error: float
     flagged: bool = False
+    reason: str = ""          # why a flagged row is flagged; "" otherwise
 
 
 def _assemble(m2, s):
@@ -84,7 +85,7 @@ def _flagged(k: CouplingK, route: str, exc: ConvergenceError, m2) -> ChiResult:
     est_error = 2.0 * abs(m2) * (exc.gap + _tail_bound(abs(k.k), n)) if n else math.inf
     return ChiResult(
         k=k.k, beta_inv_chi_d=value, route=route, terms_used=n,
-        est_error=float(est_error), flagged=True,
+        est_error=float(est_error), flagged=True, reason=str(exc),
     )
 
 
@@ -114,10 +115,12 @@ def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
     total = 1.0 - m2 + 2.0 * (dets - m2).sum()
     tail = 2.0 * abs(m2) * _tail_bound(a, used)
     rounding = _LEVINSON_ROUNDING * used * (used + 1)
-    return _finish(k, total, "toeplitz_direct", used, tail + rounding, n > used)
+    reason = (f"toeplitz_direct needs {n} terms at k={k.k}, past the cap "
+              f"{_TOEPLITZ_N_CAP}" if n > used else "")
+    return _finish(k, total, "toeplitz_direct", used, tail + rounding, reason)
 
 
-def _finish(k: CouplingK, value, route, terms, est_error, flagged=False) -> ChiResult:
+def _finish(k: CouplingK, value, route, terms, est_error, reason="") -> ChiResult:
     value = complex(value)
     if k.mode == "physical":
         if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
@@ -129,7 +132,8 @@ def _finish(k: CouplingK, value, route, terms, est_error, flagged=False) -> ChiR
         route=route,
         terms_used=terms,
         est_error=float(est_error),
-        flagged=flagged,
+        flagged=bool(reason),
+        reason=reason,
     )
 
 
@@ -137,7 +141,8 @@ def sweep(grid, route: str, tol: float = 1e-8):
     """One ChiResult per grid point, evaluated in parallel, order preserved.
 
     A point that raises a domain or convergence error becomes a flagged
-    NaN row; the sweep itself never aborts on one bad point.
+    NaN row whose reason is the error's text; the sweep itself never
+    aborts on one bad point.
     """
     grid = list(grid)
 
@@ -145,11 +150,11 @@ def sweep(grid, route: str, tol: float = 1e-8):
         try:
             k = kv if isinstance(kv, CouplingK) else CouplingK.physical(kv)
             return chi_d(k, tol, route)
-        except (DomainError, ConvergenceError, RuntimeError):
+        except (DomainError, ConvergenceError, RuntimeError) as exc:
             kk = kv.k if isinstance(kv, CouplingK) else complex(kv)
             return ChiResult(
                 k=kk, beta_inv_chi_d=complex(math.nan), route=route,
-                terms_used=0, est_error=math.inf, flagged=True,
+                terms_used=0, est_error=math.inf, flagged=True, reason=str(exc),
             )
 
     return parallel_map(one, grid)

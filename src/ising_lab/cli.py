@@ -8,6 +8,7 @@ reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -125,7 +126,9 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="ising-lab",
         description="Diagonal Ising correlations, susceptibility, and "
@@ -198,6 +201,13 @@ def _load_config(path: str) -> list:
     return flags
 
 
+@functools.lru_cache(maxsize=1)
+def _config_parser() -> argparse.ArgumentParser:
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _merge_config(argv: list) -> list:
     """argv with the --config file's flags inserted after the subcommand.
 
@@ -205,9 +215,7 @@ def _merge_config(argv: list) -> list:
     on the command line win, and the file can supply required flags.
     Unknown keys and bad values fail the parse like bad flags do.
     """
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _config_parser().parse_known_args(argv)[0].config
     if path is None:
         return argv
     at = next((i + 1 for i, tok in enumerate(argv) if not tok.startswith("-")), len(argv))
@@ -248,6 +256,8 @@ def _run_chi(args):
     rows = [[args.k, res.route, complex(res.beta_inv_chi_d).real,
              res.terms_used, res.est_error, res.flagged]]
     _emit(columns, rows, args.format)
+    if res.flagged:
+        _warn_flagged(args.k, res)
     return _EXIT_FLAGGED if res.flagged else _EXIT_OK
 
 
@@ -281,18 +291,22 @@ def _run_boundary_scan(args):
     return _EXIT_OK
 
 
+def _warn_flagged(k, res):
+    """One warning line naming a flagged row's k and its reason."""
+    print(f"warning: k={_fmt(k)}: {res.reason}", file=sys.stderr)
+
+
 def _run_sweep(args):
     grid = _parse_grid(args.grid)
     results = sweep(grid, args.route, args.tol)
     columns = ["k", "beta_inv_chi_d", "route", "terms_used", "est_error", "flagged"]
-    rows = []
-    any_flagged = False
-    for res in results:
-        any_flagged = any_flagged or res.flagged
-        rows.append([complex(res.k).real, complex(res.beta_inv_chi_d).real,
-                     res.route, res.terms_used, res.est_error, res.flagged])
+    rows = [[complex(res.k).real, complex(res.beta_inv_chi_d).real,
+             res.route, res.terms_used, res.est_error, res.flagged] for res in results]
     _emit(columns, rows, args.format)
-    return _EXIT_FLAGGED if any_flagged else _EXIT_OK
+    for row, res in zip(rows, results):
+        if res.flagged:
+            _warn_flagged(row[0], res)
+    return _EXIT_FLAGGED if any(res.flagged for res in results) else _EXIT_OK
 
 
 _RUNNERS = {

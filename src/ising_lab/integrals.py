@@ -77,11 +77,12 @@ class QuadratureSpec:
     n = 2 on.
     monte_carlo evaluates the Vandermonde form only, for any n; beyond
     n = 2 it is that form's only route.  It draws x = V^2 and y = 1 - W^2
-    from uniforms V, W.  The seed feeds a counter-based generator that is
-    read in fixed-size chunks, so a given (seed, mc_samples, n) triple
-    yields an identical sample stream regardless of how callers schedule
-    the work.  An s_n Monte Carlo result whose relative standard error
-    exceeds 5% (_MC_TARGET_REL) warns with PrecisionWarning.
+    from uniforms V, W.  The seed, an integer >= 0, feeds numpy's
+    PCG64DXSM generator, which is read in fixed-size chunks, so a given
+    (seed, mc_samples, n) triple yields an identical sample stream
+    regardless of how callers schedule the work.  An s_n Monte Carlo
+    result whose relative standard error exceeds 5% (_MC_TARGET_REL) warns
+    with PrecisionWarning.
     """
 
     method: str = "tensor_gauss"
@@ -96,6 +97,8 @@ class QuadratureSpec:
             raise DomainError("nodes_per_dim must be >= 2")
         if self.mc_samples < 2:
             raise DomainError("mc_samples must be >= 2")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
     def check_method(self, n: int):
         """The gate of the Vandermonde form: tensor_gauss only for n <= 2."""
@@ -307,7 +310,7 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
     sample that is not finite raises ConvergenceError.
     """
     kappa = _real(kappa)
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    rng = np.random.Generator(np.random.PCG64DXSM(spec.seed))
     m = spec.mc_samples
     kn = kappa**n
     g = _mc_group(kappa, n)
@@ -735,7 +738,9 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
     nodes_per_dim and 1.5 nodes_per_dim for tensor quadrature, standard
     error for Monte Carlo).  Where the prefactor kappa^(n(n+1)) / (n!^2
     pi^(2n)) underflows to 0 (kappa = 0, or n >= 79), the result is
-    exactly 0 with error estimate 0, without quadrature.
+    exactly 0 with error estimate 0, without quadrature, and so is Sn1's
+    where n exceeds both node counts.  Any other value that comes out 0
+    has underflowed: its error estimate is inf, with one PrecisionWarning.
     """
     kappa = _check_kappa(kappa)
     if n < 1:
@@ -765,17 +770,29 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
             )
         value = pref * fine
         rel = abs(fine - coarse) / max(abs(fine), _TINY)
+        # a term needs n distinct nodes: past the fine rule's node count
+        # S_n is exactly 0 on both rules
+        exact = form == "Sn1" and n > nodes[1]
     else:
         raw, se = _mc_core(kappa, n, 1, spec)
         value = pref * raw
         rel = se / max(abs(raw), _TINY)
-        if rel > _MC_TARGET_REL:
-            warnings.warn(
-                f"monte carlo standard error {rel:.2e} exceeds target "
-                f"{_MC_TARGET_REL:.2e} at n={n}, kappa={kappa}",
-                PrecisionWarning,
-                stacklevel=2,
-            )
+        exact = False
+    if value == 0 and not exact:
+        warnings.warn(
+            f"S_n at n={n}, kappa={kappa} underflows to 0: its {spec.method} "
+            "value is below the float range, so its relative error is unknown",
+            PrecisionWarning,
+            stacklevel=2,
+        )
+        rel = math.inf
+    elif spec.method == "monte_carlo" and rel > _MC_TARGET_REL:
+        warnings.warn(
+            f"monte carlo standard error {rel:.2e} exceeds target "
+            f"{_MC_TARGET_REL:.2e} at n={n}, kappa={kappa}",
+            PrecisionWarning,
+            stacklevel=2,
+        )
     return SnResult(n=n, kappa=kappa, value=value, rel_error_est=rel, form=form)
 
 

@@ -229,9 +229,26 @@ class TestIntegralRoute:
         res = chi_d(k, 1e-8, "integral")
         assert res.flagged
         assert math.isnan(complex(res.beta_inv_chi_d).real)
+        assert res.reason.startswith("the integral route at k=(0.9999+0j) needs ")
+        assert res.reason.endswith(f"past the cap {integrals._NYSTROM_N_CAP}")
 
 
 class TestResultContract:
+    def test_every_flagged_row_says_why(self, monkeypatch):
+        assert chi_d(CouplingK.physical(0.4), 1e-8, "fredholm").reason == ""
+        # past the Toeplitz cap: flagged without an exception
+        res = chi_d(CouplingK.physical(0.999), 1e-8, "toeplitz_direct")
+        assert res.flagged
+        assert res.reason == (f"toeplitz_direct needs {_terms_needed(0.999, 1e-8)} "
+                              "terms at k=(0.999+0j), past the cap 4096")
+
+        def failing(k, tol):
+            raise ConvergenceError("no sum")
+
+        monkeypatch.setattr(chi_module, "_s_nystrom_terms", failing)
+        res = chi_d(CouplingK.physical(0.5), 1e-8, "integral")
+        assert res.flagged and res.reason == "no sum"
+
     def test_metadata_populated(self):
         res = chi_d(CouplingK.physical(0.4), 1e-8, "fredholm")
         assert res.route == "fredholm"
@@ -275,6 +292,8 @@ class TestSweep:
         assert not rows[0].flagged
         assert rows[1].flagged
         assert math.isnan(complex(rows[1].beta_inv_chi_d).real)
+        assert rows[0].reason == ""
+        assert rows[1].reason == "|k| must be < 1, got |k| = 1.5"
 
     def test_routes_agree_across_grid(self):
         grid = [0.2, 0.4]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ising_lab
-from ising_lab import fredholm, integrals, params, toeplitz
+from ising_lab import cli, fredholm, integrals, params, toeplitz
 from ising_lab.cli import main
 
 
@@ -106,6 +106,14 @@ class TestChi:
         assert fields[1] == "integral"
         assert fields[2] == "nan"
         assert fields[5] == "true"
+
+    def test_flagged_row_warns_with_its_reason(self, capsys):
+        code = main(["chi", "--k", "0.9999", "--route", "integral"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("warning: k=0.99990000000000001: the integral route ")
+        assert err[0].endswith("past the cap 16384")
 
 
 class TestSn:
@@ -219,6 +227,22 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[2].split(",")[-1] == "true"
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_flagged_rows_warn_in_grid_order(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("ISING_LAB_THREADS", threads)
+        code = main(["sweep", "--grid", "0.9999,0.3,1.5", "--route", "integral"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.splitlines()[1:] == [
+            "0.99990000000000001,nan,integral,0,inf,true",
+            "0.29999999999999999,0.024149147835186735,integral,5,2.3849575780010585e-09,false",
+            "1.5,nan,integral,0,inf,true",
+        ]
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("warning: k=0.99990000000000001: the integral route ")
+        assert err[1] == "warning: k=1.5: |k| must be < 1, got |k| = 1.5"
+
     def test_byte_identical_runs(self, capsys):
         argv = ["sweep", "--grid", "0.1,0.3", "--route", "fredholm"]
         _, first = _run(capsys, argv)
@@ -290,6 +314,37 @@ class TestConfigFile:
         assert out != loose
 
 
+class TestInProcessCalls:
+    def test_calls_stay_independent(self, capsys, tmp_path):
+        # one parser serves every call in a process; each call prints what
+        # it prints with a freshly built parser
+        conf = tmp_path / "run.conf"
+        conf.write_text("k = 0.3\nroute = fredholm\ntol = 1e-3\n")
+        calls = [
+            ["chi", "--config", str(conf)],
+            ["chi", "--k", "0.3"],
+            ["chi", "--k", "0.3", "--toll", "1e-3"],
+            ["correlation", "--k", "0.25", "--n", "3"],
+        ]
+
+        def call(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            cli._config_parser.cache_clear()
+            alone.append(call(argv))
+        cli._build_parser.cache_clear()
+        together = [call(argv) for argv in calls]
+        assert together == alone
+        assert cli._build_parser.cache_info().misses == 1
+        assert [c for c, _, _ in alone] == [0, 0, 1, 0]
+        assert alone[0][1] != alone[1][1]
+
+
 class TestArgumentErrors:
     """Every bad argument exits 1 with one error line and no traceback."""
 
@@ -343,6 +398,11 @@ class TestArgumentErrors:
     )
     def test_bad_flag_value(self, capsys, argv):
         self._error(capsys, argv)
+
+    def test_negative_seed(self, capsys):
+        line = self._error(capsys, ["sn", "--kappa", "0.2,0.3", "--n", "3",
+                                    "--mc-samples", "1000", "--seed", "-1"])
+        assert line == "error: seed must be >= 0"
 
     def test_cauchy_form_has_no_monte_carlo(self, capsys):
         line = self._error(capsys, ["sn", "--kappa", "0.5", "--n", "2", "--form", "Sn1",

@@ -271,7 +271,7 @@ class TestMonteCarlo:
         # mean and std: _mc_core leaves the density's constant 4^n to the end
         n, seed, m = 2, 4, integrals._MC_CHUNK + 500
         kappa = 0.4 + 0.2j
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = np.random.Generator(np.random.PCG64DXSM(seed))
         vals = []
         for c in (integrals._MC_CHUNK, 500):
             X, Y = integrals._draw_points(rng, c, n)
@@ -298,6 +298,20 @@ class TestMonteCarlo:
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionWarning)
             assert s_n(0.5, 4, spec).rel_error_est <= 0.05
+
+    def test_underflowed_mean_is_not_exact(self):
+        # every sample underflows at n = 16: a 0 with an unknown error, not
+        # an exact 0; n = 12 still has samples and warns by its spread
+        spec = QuadratureSpec(method="monte_carlo", mc_samples=20_000, seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = s_n(0.5, 16, spec)
+        assert res.value == 0.0 and res.rel_error_est == math.inf
+        assert [str(w.message) for w in caught if w.category is PrecisionWarning] == [
+            "S_n at n=16, kappa=(0.5+0j) underflows to 0: its monte_carlo value is "
+            "below the float range, so its relative error is unknown"]
+        with pytest.warns(PrecisionWarning, match="standard error"):
+            assert s_n(0.5, 12, spec).value != 0.0
 
     def test_memory_flat_in_samples(self):
         spec = QuadratureSpec(method="monte_carlo", mc_samples=1_000_000, seed=1)
@@ -327,7 +341,7 @@ def _per_coordinate_samples(kappa, n, power, spec):
     vdm / pair, and no check that the samples are finite: the oracle for
     the grouped kernel's range."""
     kappa = integrals._real(complex(kappa))
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    rng = np.random.Generator(np.random.PCG64DXSM(spec.seed))
     kn, done, parts = kappa**n, 0, []
     with np.errstate(all="ignore"):
         while done < spec.mc_samples:
@@ -528,6 +542,24 @@ class TestCauchySpectralSum:
             for res in (s_n(0.99, n, _SPEC, form="Sn1"), s_n(0.5 + 0.1j, n, spec)):
                 assert res.value == 0.0 and res.rel_error_est == 0.0
 
+    def test_underflowed_sum_is_not_exact(self):
+        # e_20 of the eigenvalues at kappa = 0.9 underflows on both rules,
+        # so their gap reads 0 while the prefactor is about 1e-76
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = s_n(0.9, 20, QuadratureSpec(), form="Sn1")
+        assert integrals._prefactor(0.9, 20) != 0.0
+        assert res.value == 0.0 and res.rel_error_est == math.inf
+        msgs = [str(w.message) for w in caught if w.category is PrecisionWarning]
+        assert len(msgs) == 1 and "underflows to 0" in msgs[0]
+
+    def test_more_terms_than_nodes_is_exact(self):
+        # n above both node counts (8 and 12): no n distinct nodes, exact 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = s_n(0.5, 13, QuadratureSpec(nodes_per_dim=8), form="Sn1")
+        assert res.value == 0.0 and res.rel_error_est == 0.0
+
 
 class TestSTotal:
     def test_two_terms_dominate(self):
@@ -644,6 +676,11 @@ class TestQuadratureSpec:
         spec = QuadratureSpec()
         assert spec.method == "tensor_gauss"
         assert spec.nodes_per_dim == 64
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            QuadratureSpec(method="monte_carlo", seed=-1)
+        assert QuadratureSpec(method="monte_carlo", seed=0).seed == 0
 
     def test_method_gate(self):
         spec = QuadratureSpec()
