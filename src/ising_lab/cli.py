@@ -99,12 +99,16 @@ def _parse_jrange(text: str):
 
 
 def _spec_from(args) -> QuadratureSpec:
+    """The quadrature of the flags; --seed seeds Monte Carlo only, so it
+    needs --mc-samples."""
     if getattr(args, "mc_samples", None):
         return QuadratureSpec(
             method="monte_carlo",
             mc_samples=args.mc_samples,
-            seed=args.seed,
+            seed=QuadratureSpec.seed if args.seed is None else args.seed,
         )
+    if args.seed is not None:
+        raise DomainError("--seed needs --mc-samples: it seeds Monte Carlo only")
     return QuadratureSpec(nodes_per_dim=args.nodes or QuadratureSpec.nodes_per_dim)
 
 
@@ -116,7 +120,8 @@ def _add_common(sp):
 def _add_quad_flags(sp):
     sp.add_argument("--nodes", type=int, default=None, help="tensor Gauss nodes per axis")
     sp.add_argument("--mc-samples", type=int, default=None, help="Monte Carlo samples")
-    sp.add_argument("--seed", type=int, default=12345)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="Monte Carlo seed, default 12345; needs --mc-samples")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -190,12 +190,26 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int):
     float64 for real kappa.  At n = 1 both forms reduce to this pair sum;
     every caller passes n = 1.
     """
-    kappa = _real(kappa)
+    W, den = _pair_tables(G, _real(kappa))
+    return complex(np.sum(W / den ** power / (den * den)))
+
+
+@lru_cache(maxsize=16)
+def _pair_tables(G: int, kappa: complex):
+    """The G x G tables of the n = 1 pair sum, read-only: wx wy^T U and
+    1 - kappa U, with U = x x^T.
+
+    Cached per (G, kappa), so a probe that runs every order ell at the
+    same kappa builds them once.  An entry holds 2 G^2 numbers, 128 KB at
+    G = 64 for complex kappa.
+    """
     x, wx, wy = _axis_nodes(G, kappa)
     U = np.outer(x, x)
+    W = (wx[:, None] * wy[None, :]) * U
     den = 1.0 - kappa * U
-    val = np.sum((wx[:, None] * wy[None, :]) * U / den ** power / (den * den))
-    return complex(val)
+    for arr in (W, den):
+        arr.setflags(write=False)
+    return W, den
 
 
 def _refined_nodes(G: int) -> int:
@@ -356,6 +370,30 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
 # average entries per block of pairs from which _bm_chunk builds its pair
 # matrix by blocks rather than by two gathers (at 64 kept nodes and more)
 _CC2_BLOCK = 2048
+# kept pairs x moments per block of _bm_chunk's moments: 256 KB in float64
+_BM_BLOCK = 1 << 15
+
+
+@lru_cache(maxsize=16)
+def _bm_tables(G: int, kappa: complex):
+    """The node tables of the moment engine on all G nodes, read-only.
+
+    C^2 with C = 1/(1 - kappa x x^T), log x, (x_a - x_b)^2 and the ratio
+    of the smallest to the largest |C|.  Cached per (G, kappa), so
+    _bm_drop and every chunk of every window slice them to their kept
+    suffix of nodes instead of building them again.  An entry holds about
+    2 G^2 numbers, 96 KB at G = 64 for real kappa and 384 KB at G = 128
+    for complex kappa; a table evicted is rebuilt in O(G^2).
+    """
+    x = _axis_nodes(G, kappa)[0]
+    C = 1.0 / (1.0 - kappa * np.outer(x, x))
+    absC = np.abs(C)
+    C2 = C ** 2
+    logx = np.log(x)
+    d2 = (x[:, None] - x[None, :]) ** 2
+    for arr in (C2, logx, d2):
+        arr.setflags(write=False)
+    return C2, logx, d2, float(absC.min() / absC.max())
 
 
 def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
@@ -387,11 +425,9 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     node more on the test grid.
     """
     kappa = _real(kappa)
-    x, wx, wy = _axis_nodes(G, kappa)
-    absC = np.abs(1.0 / (1.0 - kappa * np.outer(x, x)))
-    scale = 2.0**-51 * (absC.min() / absC.max()) ** 8
-    logx = np.log(x)
-    d2 = (x[:, None] - x[None, :]) ** 2
+    _, wx, wy = _axis_nodes(G, kappa)
+    _, logx, d2, cratio = _bm_tables(G, kappa)
+    scale = 2.0**-51 * cratio ** 8
     first = np.exp(logx * (m0 + 1))
     last = np.exp(logx * (m1 + 2))
 
@@ -432,12 +468,20 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
     the x-side double sum carrying (x1 - x2)^2 = ((x1 - s) - (x2 - s))^2
     is 2 (R_0 R_2 - R_1^2).  The matrix CC2[(y1, y2), x] = C^2(x, y1)
     C^2(x, y2) times the columns f_m, (x - s) f_m and (x - s)^2 f_m gives
-    the three, one product each, which keeps at most three pairs x chunk
-    arrays live at once.  B_m sums the x side against
+    the three, one product each.  B_m sums the x side against
     g_m(y1) g_m(y2) (y1 - y2)^2 over y1 < y2, doubled by symmetry.
     Nothing divides by kappa, so small |kappa| loses no digits.
     Everything is BLAS-shaped in the m direction, and in float64 for real
     kappa.
+
+    CC2 is built once per chunk; the moments then run in blocks of at most
+    _BM_BLOCK = 2^15 kept pairs x moments (256 KB in float64), but never
+    fewer than n moments (n the kept nodes), so no block array is smaller
+    than CC2 and a 16-moment window of S_2 stays one block.  Each block
+    forms its powers x^(m+1), the three products, the y side and their
+    sum, and writes its B_m into the one output array, so the arrays live
+    at once are CC2 and a few blocks, whatever the chunk's length.  The
+    node tables (C^2, log x, (x_a - x_b)^2) come from _bm_tables.
 
     The shift is the top node, s = x[-1].  As m grows x^(m+1) lets a few
     top nodes dominate; with s = 0 the difference R_0 R_2 - R_1^2 then
@@ -445,7 +489,7 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
     R_1 and R_2, so it cannot cancel, and each B_m is accurate to
     rounding: within 1e-13 relative (4e-15 seen) of the brute-force tuple
     sum at G = 12 up to m = 2000, and the same to 1e-14 however the
-    moments are chunked.
+    moments are chunked or blocked.
 
     The kernel runs on the nodes _bm_drop keeps, on both axes, and the top
     node is always kept.  The part of B_m it leaves out is proven below
@@ -458,10 +502,10 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
     c = _bm_drop(kappa, G, m0, m1)
     kappa = _real(kappa)
     x, wx, wy = (v[c:] for v in _axis_nodes(G, kappa))
-    C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
+    C2, logx, d2, _ = _bm_tables(G, kappa)
+    C2, logx, d2 = C2[c:, c:], logx[c:], d2[c:, c:]
     d = x - x[-1]
-    Xp = np.exp(np.log(x)[:, None] * np.arange(m0 + 1, m1 + 1))
-    f = wx[:, None] * Xp
+    dd = d * d
     n = len(x)
     i, j = np.triu_indices(n, 1)
     # C2 is symmetric, so row (a, b) of CC2 is C2[a] C2[b], the same
@@ -478,16 +522,28 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
         for a in range(n - 1):
             np.multiply(C2[a], C2[a + 1:], out=CC2[row : row + n - 1 - a])
             row += n - 1 - a
-    # one product per R_k: at most three pairs x chunk arrays live at once
-    xside = CC2 @ f
-    xside *= CC2 @ ((d * d)[:, None] * f)
-    R1 = CC2 @ (d[:, None] * f)
-    R1 *= R1
-    xside -= R1
-    del R1
-    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i]
-    yside *= Xp[j]
-    return 4.0 * np.einsum("pm,pm->m", yside, xside), len(x)
+    ywt = wy[i] * wy[j] * d2[i, j]
+    out = np.empty(m1 - m0, dtype=np.result_type(CC2, wy))
+    # moments a block: _BM_BLOCK entries of pairs x moments, but never
+    # fewer than n, so a block's arrays are no smaller than CC2 itself
+    step = max(n, _BM_BLOCK // len(i))
+    for b0 in range(m0, m1, step):
+        b1 = min(m1, b0 + step)
+        Xp = np.exp(logx[:, None] * np.arange(b0 + 1, b1 + 1))
+        f = wx[:, None] * Xp
+        # one product per R_k: one product of the stacked columns
+        # [f | d f | d^2 f] measured slower
+        xside = CC2 @ f
+        xside *= CC2 @ (dd[:, None] * f)
+        R1 = CC2 @ (d[:, None] * f)
+        R1 *= R1
+        xside -= R1
+        del R1
+        yside = ywt[:, None] * Xp[i]
+        yside *= Xp[j]
+        out[b0 - m0 : b1 - m0] = np.einsum("pm,pm->m", yside, xside)
+    out *= 4.0
+    return out, n
 
 
 @lru_cache(maxsize=128)
@@ -503,13 +559,15 @@ def _bm_prefix(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
     stay far below it, under 10 MB: the default smoothness probe holds 56
     windows, and the --radii 4..14 --nodes 96 scan 110 windows of 4.2 MB in
     all.
-    A chunk is as long as 256 G(G-1)/2 array entries allow, the size of
-    one full-node 256-moment chunk: the kernel holds at most three arrays
-    of kept pairs x chunk entries and the node selection up to G x chunk.
-    The kept count of the chunk before sizes the next, since fewer nodes
-    stay as m grows.  The arrays are float64 for real kappa.
+    A chunk is as long as 256 G(G-1)/2 kept pair x moment entries allow,
+    the size of one full-node 256-moment chunk.  The kept count of the
+    chunk before sizes the next, since fewer nodes stay as m grows.  The
+    chunk length sets only how often _bm_drop and CC2 run, not the memory
+    of the kernel, which walks a chunk in bounded blocks of moments
+    (_bm_chunk): _bm_prefix(-0.7, 48, 0, 8192) peaks at about 2.3 MB.
+    _bm_drop's powers, chunk length x the nodes from its best pairs up,
+    are not blocked.  The arrays are float64 for real kappa.
     """
-    # ~35 MB per complex array at G = 128, half that for real kappa
     entries = 256 * (G * (G - 1) // 2)
     parts = []
     kept = G

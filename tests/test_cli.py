@@ -263,7 +263,8 @@ class TestThreadCount:
         outs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ISING_LAB_THREADS", threads)
-            for cached in (integrals._bm_prefix, params._lambda_pair, params._phi_series,
+            for cached in (integrals._bm_prefix, integrals._bm_tables,
+                           integrals._pair_tables, params._lambda_pair, params._phi_series,
                            toeplitz._shared_run, fredholm._det_block):
                 cached.cache_clear()
             code, out = _run(capsys, argv)
@@ -403,6 +404,24 @@ class TestArgumentErrors:
         line = self._error(capsys, ["sn", "--kappa", "0.2,0.3", "--n", "3",
                                     "--mc-samples", "1000", "--seed", "-1"])
         assert line == "error: seed must be >= 0"
+
+    @pytest.mark.parametrize("seed", ["-1", "7"])
+    def test_seed_without_monte_carlo(self, capsys, tmp_path, seed):
+        # --seed seeds Monte Carlo only: without --mc-samples it is an error,
+        # as a flag and as a config key, whatever its value
+        want = "error: --seed needs --mc-samples: it seeds Monte Carlo only"
+        for argv in (["sn", "--kappa", "0.5", "--n", "2", "--seed", seed],
+                     ["boundary-scan", "--eps", "1/2", "--n", "2", "--ell", "7",
+                      "--radii", "4..6", "--seed", seed]):
+            assert self._error(capsys, argv) == want
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"kappa = 0.5\nn = 2\nseed = {seed}\n")
+        assert self._error(capsys, ["sn", "--config", str(conf)]) == want
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_monte_carlo_seed_defaults_to_12345(self, capsys):
+        argv = ["sn", "--kappa", "0.3", "--n", "2", "--mc-samples", "2000"]
+        assert _run(capsys, argv) == _run(capsys, argv + ["--seed", "12345"])
 
     def test_cauchy_form_has_no_monte_carlo(self, capsys):
         line = self._error(capsys, ["sn", "--kappa", "0.5", "--n", "2", "--form", "Sn1",

@@ -14,7 +14,10 @@ from ising_lab.integrals import _cauchy_sn, _lint_series, _tensor_core
 
 _SPEC = QuadratureSpec(nodes_per_dim=64)
 # S_3(0.2+0.3i), prefactor included, from 40 x 500k samples drawn with numpy's
-# gamma-ratio Beta sampler, independent of the sampler under test
+# gamma-ratio Beta sampler, independent of the sampler under test.
+# scripts/s3_reference.py recomputes it that way (default seed 20240814):
+# complex(5.242176479795469e-18, 2.0234800859213403e-17), SE 5.93e-20, 0.95 SE
+# from the stored value below
 _S3_REF = complex(5.2080388102566976e-18, 2.0190310495494974e-17)
 _S3_REF_SE = 5.80e-20
 _RNG = np.random.default_rng(20240814)
@@ -804,25 +807,31 @@ def _full_bm_chunk(kappa, G, m0, m1):
 
 def _gathered_bm_chunk(kappa, G, m0, m1):
     """_bm_chunk with the pair matrix CC2 gathered by the index arrays of
-    every pair at once: the oracle for its block-built CC2."""
+    every pair at once, over the same blocks of moments: the oracle for its
+    block-built CC2.  Returns the moments, the kept count and the number of
+    moment blocks."""
     c = integrals._bm_drop(kappa, G, m0, m1)
     kappa = integrals._real(kappa)
     x, wx, wy = (v[c:] for v in integrals._axis_nodes(G, kappa))
     C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
     d = x - x[-1]
-    Xp = np.exp(np.log(x)[:, None] * np.arange(m0 + 1, m1 + 1))
-    f = wx[:, None] * Xp
     i, j = np.triu_indices(len(x), 1)
     CC2 = C2[i]
     CC2 *= C2[j]
-    xside = CC2 @ f
-    xside *= CC2 @ ((d * d)[:, None] * f)
-    R1 = CC2 @ (d[:, None] * f)
-    R1 *= R1
-    xside -= R1
-    yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i]
-    yside *= Xp[j]
-    return 4.0 * np.einsum("pm,pm->m", yside, xside), len(x)
+    step = max(len(x), integrals._BM_BLOCK // len(i))
+    parts = []
+    for b0 in range(m0, m1, step):
+        Xp = np.exp(np.log(x)[:, None] * np.arange(b0 + 1, min(m1, b0 + step) + 1))
+        f = wx[:, None] * Xp
+        xside = CC2 @ f
+        xside *= CC2 @ ((d * d)[:, None] * f)
+        R1 = CC2 @ (d[:, None] * f)
+        R1 *= R1
+        xside -= R1
+        yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i]
+        yside *= Xp[j]
+        parts.append(np.einsum("pm,pm->m", yside, xside))
+    return 4.0 * np.concatenate(parts), len(x), len(parts)
 
 
 @pytest.mark.parametrize("G", [12, 64, 96])
@@ -831,7 +840,17 @@ def _gathered_bm_chunk(kappa, G, m0, m1):
 def test_block_pair_products_are_bit_identical(G, kappa, m0, m1):
     # the same products in the same order: every B_m equal to the bit
     got, kept = integrals._bm_chunk(complex(kappa), G, m0, m1)
-    want, want_kept = _gathered_bm_chunk(complex(kappa), G, m0, m1)
+    want, want_kept, _ = _gathered_bm_chunk(complex(kappa), G, m0, m1)
+    assert kept == want_kept
+    assert np.array_equal(got, want)
+
+
+def test_block_pair_products_are_bit_identical_over_blocks():
+    # a chunk whose moments span several blocks, every block to the bit
+    kappa, G, m0, m1 = complex(-(1.0 - 2.0**-8)), 48, 2048, 4096
+    got, kept = integrals._bm_chunk(kappa, G, m0, m1)
+    want, want_kept, blocks = _gathered_bm_chunk(kappa, G, m0, m1)
+    assert blocks >= 3
     assert kept == want_kept
     assert np.array_equal(got, want)
 
@@ -943,6 +962,25 @@ class TestPrunedMoments:
             for m in range(m0, m0 + 258, 16):
                 bound = _drop_bound(kappa, G, m, c)
                 assert bound <= 2.0**-52 * _kept_pair_bound(kappa, G, m, c)
+
+
+class TestMomentMemory:
+    """_bm_chunk walks its moments in bounded blocks, so a longer chunk
+    does not hold more memory."""
+
+    @pytest.mark.parametrize("call, args, limit", [
+        (integrals._bm_chunk, (-(1.0 - 2.0**-8), 64, 2048, 4096), 2e6),
+        # past the window cache, so the chunks run every time
+        (integrals._bm_prefix.__wrapped__, (-0.7, 48, 0, 8192), 3e6),
+    ], ids=["chunk", "window"])
+    def test_memory_flat_in_moments(self, call, args, limit):
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestMomentAccuracy:
