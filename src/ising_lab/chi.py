@@ -6,7 +6,7 @@ contributes 1 - M^2, which is where the closed assembly comes from.
 Three routes are exposed and kept strictly independent so they can
 cross-check each other: Toeplitz determinants summed directly, the
 Fredholm form of S, and the form-factor integrals summed over every n.
-All three sum _terms_needed(|k|, tol) terms and add the same proven tail.
+The determinant routes sum _terms_needed(|k|, tol) terms and add one tail.
 """
 from __future__ import annotations
 
@@ -51,10 +51,10 @@ def chi_d(k: CouplingK, tol: float, route: str) -> ChiResult:
         to converge under the route caps come back flagged instead of
         raising.
     route : {"fredholm", "toeplitz_direct", "integral"}
-        Each route sums n = _terms_needed(|k|, tol) terms (terms_used)
-        and adds the proven tail past n to its own estimate.  Past
-        integrals._NYSTROM_N_CAP = 16384 terms, from about k = 0.9993 at
-        tol = 1e-8, the integral route comes back flagged without any work.
+        The determinant routes sum n = _terms_needed(|k|, tol) terms
+        (terms_used) and add the proven tail past n.  The integral route
+        stops at its own proven tail, and is flagged where its 64/96 node
+        gap exceeds tol, from about k = 0.9998 at tol = 1e-8.
     """
     if route not in _ROUTES:
         raise DomainError(f"unknown route {route!r}; expected one of {_ROUTES}")
@@ -76,13 +76,13 @@ def _flagged(k: CouplingK, route: str, exc: ConvergenceError, m2) -> ChiResult:
     """The flagged row of a route that raised, keeping the work it did.
 
     A route that summed n terms before it raised reports terms_used = n
-    and est_error = 2 |M^2| (gap + _tail_bound(|k|, n)), the scale of an
-    unflagged row; one that raised before any term reports 0 and inf.
+    and est_error = 2 |M^2| gap, gap being the route's whole estimate, as
+    an unflagged row; one that raised before any term reports 0 and inf.
     """
     best = exc.best if exc.best is not None else math.nan
     value = _assemble(m2, best) if best == best else complex(math.nan)
     n = exc.terms or 0
-    est_error = 2.0 * abs(m2) * (exc.gap + _tail_bound(abs(k.k), n)) if n else math.inf
+    est_error = 2.0 * abs(m2) * exc.gap if n else math.inf
     return ChiResult(
         k=k.k, beta_inv_chi_d=value, route=route, terms_used=n,
         est_error=float(est_error), flagged=True, reason=str(exc),

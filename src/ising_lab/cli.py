@@ -101,7 +101,7 @@ def _parse_jrange(text: str):
 def _spec_from(args) -> QuadratureSpec:
     """The quadrature of the flags; --seed seeds Monte Carlo only, so it
     needs --mc-samples."""
-    if getattr(args, "mc_samples", None):
+    if getattr(args, "mc_samples", None) is not None:
         return QuadratureSpec(
             method="monte_carlo",
             mc_samples=args.mc_samples,

@@ -248,8 +248,8 @@ def _s_fredholm_terms(k: CouplingK, tol: float):
     tail past n, _tail_bound, is at most tol/2.  est_error is the summed
     move of the n terms, an estimate, plus that tail.  A summed move above
     tol, a sum that is not finite or a section size past the cap raises
-    ConvergenceError, so est_error stays below 2*tol as promised by
-    s_via_fredholm.
+    ConvergenceError, the first carrying S and est_error, so est_error
+    stays below 2*tol as promised by s_via_fredholm.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -270,7 +270,7 @@ def _s_fredholm_terms(k: CouplingK, tol: float):
             f"the summed error estimate {moved:.3g} of the {n} terms of the "
             f"correlation sum at k={k.k} exceeds tol={tol:.3g}",
             best=s,
-            gap=moved,
+            gap=moved + _tail_bound(a, n),
             terms=n,
         )
     return s, n, moved + _tail_bound(a, n)

@@ -35,14 +35,12 @@ singular endpoint factors x^(-1/2) and (1-y)^(-1/2); the points are
 evaluated in fixed chunks (_mc_core), so memory does not grow with the
 sample count.
 
-The Cauchy-determinant form is, for every n >= 2, one spectral sum over
-the Nystrom matrices A_N of the integral route (_cauchy_sn): by
-Andreief's identity its G-node rule is sum_N z_N^n e_n(A_N), the same
-rule summed in another order, with its own proven stop.
-
-The integral route of chi_d sums every S_n at once: on the same node rule
-the S_n of one separation N add up to one Nystrom determinant
-(_nystrom_terms), with no S_n, moment or tensor sum in between.
+One pass over the Nystrom matrices A_N (_nystrom_pass) sums both the
+Cauchy-determinant form for n >= 2, by Andreief's identity sum_N z_N^n
+e_n(A_N) on the G-node rule (_cauchy_sn), and the integral route of
+chi_d, the particle expansion on that rule: S_1 in closed form plus the
+orders n >= 2 of the Nystrom determinants det(I + z_N A_N) (_s_rule).
+Each stops by its own proven tail.
 """
 from __future__ import annotations
 
@@ -56,13 +54,12 @@ import numpy as np
 import numpy.random  # numpy loads it lazily: import it here, not in the first Monte Carlo call
 
 from .errors import ConvergenceError, DomainError, PrecisionWarning
-from .params import CouplingK, _tail_bound, _terms_needed
+from .params import CouplingK, magnetization
 
 _TINY = 1e-300
 _SERIES_M_CAP = 1 << 18
 # series tolerance: the series stands in for the plain G-node sum
 _GAUSS_RTOL = 1e-14
-_NYSTROM_N_CAP = 1 << 14   # most terms of the integral route's sum
 
 
 @dataclass(frozen=True)
@@ -625,11 +622,11 @@ def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# The Cauchy-determinant form (Sn1) for n >= 2: one spectral sum over N
+# The Nystrom pass: Sn1 for n >= 2 and the integral route of chi_d
 
-# the part of |sum| that the nodes _cauchy_drop leaves out may reach, summed
-# over every N
-_CAUCHY_DROP_RTOL = 1e-15
+# the share of a pass's target that the nodes _cauchy_drop leaves out may
+# take, summed over every N; the proven tail past the stop takes the rest
+_DROP_SHARE = 0.1
 
 
 def _elementary(lam: np.ndarray, n: int) -> np.ndarray:
@@ -648,7 +645,7 @@ def _cauchy_drop(p: np.ndarray, awx: np.ndarray, awy: np.ndarray, slack: float) 
     p holds x^N0 over x_top^N0.  Dropping the t smallest nodes changes the
     term at N by at most H_N (D_f/S_f + D_g/S_g), with D and S the dropped
     and the whole sums of |wx| x^N and |wy| x^N, and H_N the Hadamard bound
-    of _cauchy_sn; slack is log(budget_N0 / H_N0).  The count returned fits
+    of _nystrom_pass; slack is log(budget_N0 / H_N0).  The count returned fits
     that budget at N0, and so at every later N: the nodes ascend, so the
     dropped shares D/S only fall as N grows, and H_N falls by at least q
     per N, as fast as the budget.  A share that underflows counts as 0.
@@ -661,110 +658,163 @@ def _cauchy_drop(p: np.ndarray, awx: np.ndarray, awy: np.ndarray, slack: float) 
         return int(np.count_nonzero(np.log(share) <= slack))
 
 
-def _cauchy_sn(kappa: complex, n: int, G: int):
-    """Sn1's S_n for n >= 2 on the G-node rule, as (value, terms, tail).
+@lru_cache(maxsize=8)
+def _cauchy_matrix(G: int, kappa: complex) -> np.ndarray:
+    """C = 1/(1 - kappa x x^T) on the G-node rule, read-only."""
+    x = _axis_nodes(G, kappa)[0]
+    C = 1.0 / (1.0 - kappa * np.outer(x, x))
+    C.setflags(write=False)
+    return C
 
-    With z_N = kappa^(N+1)/pi^2, C = 1/(1 - kappa x x^T) and A_N =
-    (diag(wx x^N) C)(diag(wy x^N) C^T), the matrices of _nystrom_terms,
-    Andreief's identity gives
 
-        S_n = sum_(N >= 1) z_N^n e_n(A_N),
+def _nystrom_pass(kappa: complex, G: int, n: int, target, reduce):
+    """sum_(N >= 1) of reduce's terms on the G-node rule, as (sum, N, tail,
+    drop): N where it stopped, and proven bounds on the terms past N and on
+    the change the dropped nodes made.  kappa must not be 0.
 
-    the G-node tensor rule of the squared Cauchy determinant with
-    u/(1 - kappa^n u) expanded as a geometric series in N: the same rule
-    summed in another order.  A_N is similar to B B^T, B = diag(sqrt(wx
-    x^N)) C diag(sqrt(wy x^N)).  For real kappa B is real and the
-    eigenvalues are its squared singular values, each accurate to eps
-    sqrt(lambda_max lambda); for complex kappa they come from
-    np.linalg.eigvals of B B^T, accurate to eps lambda_max, which limits
-    e_n for n >= 3 (1e-10 relative at n = 3, G = 6, kappa = 0.2 + 0.3i,
-    against 4e-14 at real kappa).  e_n of the eigenvalues (z_N folded in) comes
-    from the recurrence of _elementary, one formula for every n.  The N run
-    in stacks, one batched call per stack: 8 N at first, doubling up to 64
-    N and, as the kept nodes thin out, up to 64 G^2 matrix entries, but no
-    further than the tail bound below says the stop is.
+    With z_N = kappa^(N+1)/pi^2 and C = 1/(1 - kappa x x^T), det(I + z_N
+    A_N) = sum_m z_N^m e_m(A_N), A_N = (diag(wx x^N) C)(diag(wy x^N) C^T),
+    is the Fredholm determinant of the Cauchy kernel on the G-node rule
+    (Bornemann, Math. Comp. 79 (2010) 871); by Andreief's identity its
+    order m is the rule of S_m at separation N.  A_N is similar to B B^T,
+    B = diag(sqrt(wx x^N)) C diag(sqrt(wy x^N)), and reduce(B, z) maps a
+    stack of them to the orders m >= n of each N.  A stack holds 8 N,
+    doubling up to 64 N and, as the kept nodes thin out, to 64 G^2
+    entries, but no further than the tail bound says the stop is.
 
-    The nodes ascend, so the kept nodes are a suffix.  By Hadamard,
-    |det C[S, T]|^2 <= n^n cmax^(2n), so the nodes a stack drops
-    (_cauchy_drop) change term N by at most H_N (D_f/S_f + D_g/S_g), with
-    H_N = |z_N|^n n^n cmax^(2n) S_f^n S_g^n / ((n-1)! n!).  The budget of
-    term N is _CAUCHY_DROP_RTOL |sum so far| (1 - q) q^(N-1), so the whole
-    dropped part stays below 1e-15 of the running sum (a bound on the final
-    sum where the terms share one sign: real kappa and even n, or
-    kappa > 0).  Both this budget and the stop below take |sum| as at
-    least _TINY, so the first stack keeps all but nodes of no weight, and
-    a sum that underflows to 0 (e_n of many tiny eigenvalues) still stops.
-
-    The sum stops by a proven tail.  |e_n(A_N)| <= ||A_N||_*^n / n! <=
-    (||diag(wx x^N) C||_F ||diag(wy x^N) C^T||_F)^n / n!, and with |z_N|^n
-    this bound T_N falls by at least q = (|kappa| x_top^2)^n per N, so the
-    terms past N are at most T_N q/(1 - q).  The sum stops once that is
-    at most _GAUSS_RTOL |sum|, and raises ConvergenceError past
-    _SERIES_M_CAP terms.  The tail is kept apart from _lint_series's
-    estimate: Sn1's terms equal Sn2's moments term by term, and a shared
-    stop rule would hide a truncation error from the comparison of the two
-    forms.
+    target(s) is the error the pass may leave, given the sum s so far.  By
+    Hadamard and m^m/m! <= e^m, dropping nodes (_cauchy_drop) changes the
+    orders m >= n of term N by at most H_N (D_f/S_f + D_g/S_g), H_N = (e
+    u)^n e^(e u)/(n-1)!, u = |z_N| cmax^2 S_f S_g, and term N may drop
+    _DROP_SHARE target(s) (1 - q) q^(N-1), q = (|kappa| x_top^2)^n; drop
+    sums that budget over the stacks that dropped.  As |z_N^m e_m(A_N)| <=
+    t_N^m/m!, t_N = |z_N| ||diag(wx x^N) C||_F ||diag(wy x^N) C^T||_F, the
+    orders m >= n of term N are at most T_N = t_N^n e^(t_N)/n!.  H_N and
+    T_N fall by at least q per N, so the terms past N are at most T_N q/(1
+    - q), and the sum stops once that is within the rest of target(s).
+    Past _SERIES_M_CAP terms it raises ConvergenceError with the sum so far.
     """
     kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
-    if n > G:
-        # a term needs n distinct nodes, so the G-node rule's S_n is exactly 0
-        return 0j, 0, 0.0
-    C = 1.0 / (1.0 - kappa * np.outer(x, x))
+    C = _cauchy_matrix(G, kappa)
     absC = np.abs(C)
     rows = np.sum(absC * absC, axis=1)
     awx, awy = np.abs(wx), np.abs(wy)
     # x^N is taken over x_top^N on both axes, and z_N carries x_top^(2N)
     logx = np.log(x)
     rel = logx - logx[-1]
-    lk = math.log(abs(kappa))
-    lq = n * (lk + 2.0 * logx[-1])
+    # log |z_N| = lz + N lr, and H_N and T_N fall by q = e^(n lr) per N
+    lz, lr = math.log(abs(kappa) / math.pi**2), math.log(abs(kappa)) + 2.0 * logx[-1]
+    lq = n * lr
     q = math.exp(lq)
     ltail = lq - math.log1p(-q)
-    lfact = math.lgamma(n + 1)
-    lhad = n * math.log(n) + 2 * n * math.log(absC.max()) - math.lgamma(n) - lfact
-
-    def log_z(N):
-        return (N + 1) * lk + 2.0 * N * logx[-1] - 2.0 * math.log(math.pi)
-
-    entries = 64 * G * G
-    total, N0, size = 0.0, 1, 8
+    l2c = 2.0 * math.log(absC.max())
+    total, drop, N0, size, t = 0.0, 0.0, 1, 4, 0
     while True:
+        # T_N at N0 - 1, the last N summed, on every node
+        p2 = np.exp(2.0 * (N0 - 1) * rel)
+        lt = lz + (N0 - 1) * lr + 0.5 * math.log(
+            (p2 @ (awx * awx * rows)) * (p2 @ (awy * awy * rows)))
+        lT = n * lt + math.exp(lt) - math.lgamma(n + 1)
+        # the bound falls by q per N, so the stop is about `left` N away
+        left = (lT + ltail - math.log((1.0 - _DROP_SHARE) * target(total))) / -lq
+        if not left > 0:
+            return total, N0 - 1, math.exp(lT + ltail), drop
+        if N0 > _SERIES_M_CAP:
+            raise ConvergenceError(f"the Nystrom pass did not converge within {_SERIES_M_CAP} "
+                                   f"terms at kappa={kappa}", best=total, terms=N0 - 1,
+                                   gap=math.exp(min(lT + ltail, 700.0)) + drop)
+        size = min(2 * size, 64 * G * G // (G - t) ** 2, math.ceil(left))
         p = np.exp(N0 * rel)
-        lH = n * (log_z(N0) + math.log(awx @ p) + math.log(awy @ p)) + lhad
-        lbudget = (math.log(_CAUCHY_DROP_RTOL * max(abs(total), _TINY))
-                   + math.log1p(-q) + (N0 - 1) * lq)
+        leu = 1.0 + lz + N0 * lr + l2c + math.log((awx @ p) * (awy @ p))
+        lH = n * leu + math.exp(leu) - math.lgamma(n)
+        lbudget = math.log(_DROP_SHARE * target(total) * (1.0 - q)) + (N0 - 1) * lq
         t = _cauchy_drop(p, awx, awy, lbudget - lH)
+        if t:
+            drop += math.exp(lbudget) * (1.0 - q**size) / (1.0 - q)
         Ns = np.arange(N0, N0 + size)
         P = np.exp(Ns[:, None] * rel[t:])
         B = np.sqrt(wx[t:] * P)[:, :, None] * C[t:, t:]
         B *= np.sqrt(wy[t:] * P)[:, None, :]
+        z = kappa ** (Ns + 1) * np.exp(2.0 * Ns * logx[-1]) / math.pi**2
+        total += reduce(B, z).sum()
+        N0 += size
+
+
+def _cauchy_sn(kappa: complex, n: int, G: int):
+    """Sn1's S_n for n >= 2 on the G-node rule, as (value, terms, tail).
+
+    Its rule, with u/(1 - kappa^n u) expanded in N, is sum_N z_N^n
+    e_n(A_N): one _nystrom_pass, held to max(_GAUSS_RTOL |sum so far|,
+    _TINY) and apart from _lint_series's stop, so a truncation error shows
+    between the two forms.  The eigenvalues of B B^T are, for real kappa,
+    B's squared singular values, each accurate to eps sqrt(lambda_max
+    lambda); for complex kappa np.linalg.eigvals gives them to eps
+    lambda_max, which limits e_n for n >= 3 (1e-10 relative at n = 3,
+    G = 6, kappa = 0.2 + 0.3i).
+    """
+    if n > G:
+        # a term needs n distinct nodes, so the G-node rule's S_n is exactly 0
+        return 0j, 0, 0.0
+
+    def e_n(B, z):
         if B.dtype.kind == "f":
             lam = np.linalg.svd(B, compute_uv=False) ** 2
         else:
             lam = np.linalg.eigvals(B @ B.transpose(0, 2, 1))
-        z = kappa ** (Ns + 1) * np.exp(2.0 * Ns * logx[-1]) / math.pi**2
-        total += _elementary(lam * z[:, None], n).sum()
-        N0 += size
-        # T_N at the last N of the stack, on every node
-        p2 = np.exp(2.0 * (N0 - 1) * rel)
-        lT = n * (log_z(N0 - 1) + 0.5 * math.log(p2 @ (awx * awx * rows))
-                  + 0.5 * math.log(p2 @ (awy * awy * rows))) - lfact
-        # the bound falls by q per N, so the stop is about `left` N away
-        left = (lT + ltail - math.log(_GAUSS_RTOL * max(abs(total), _TINY))) / -lq
-        if left <= 0:
-            return complex(total), N0 - 1, math.exp(lT + ltail)
-        if N0 > _SERIES_M_CAP:
-            raise ConvergenceError(
-                f"the Sn1 series did not converge within {_SERIES_M_CAP} terms "
-                f"at kappa={kappa}",
-                best=total,
-                gap=math.exp(min(lT + ltail, 700.0)),
-                terms=N0 - 1,
-            )
-        size = min(2 * size, entries // (G - t) ** 2)
-        if left < size:
-            size = math.ceil(left)
+        return _elementary(lam * z[:, None], n)
+
+    value, terms, tail, _ = _nystrom_pass(
+        kappa, G, n, lambda s: max(_GAUSS_RTOL * abs(s), _TINY), e_n)
+    return complex(value), terms, tail
+
+
+def _det_terms(B: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """det(I + z_N A_N) - 1 - z_N tr A_N for each N of a stack: the orders
+    n >= 2 of the Nystrom determinant, by one batched det."""
+    zA = z[:, None, None] * (B @ B.transpose(0, 2, 1))
+    return np.linalg.det(zA + np.eye(B.shape[1])) - 1.0 - np.trace(zA, axis1=1, axis2=2)
+
+
+def _s_rule(kappa: complex, G: int, tol: float):
+    """The integral route's S = S_1 + R on the G-node rule, as (S, N,
+    proven).  S_1 = kappa^2/pi^2 sum_ab wx_a wy_b U_ab C_ab^3, U = x x^T,
+    is the order z_N tr A_N summed over every N in closed form; R is one
+    _nystrom_pass of _det_terms held to tol/2, and proven its tail + drop.
+    """
+    kappa = _real(kappa)
+    x, wx, wy = _axis_nodes(G, kappa)
+    C = _cauchy_matrix(G, kappa)
+    s1 = kappa**2 / math.pi**2 * ((wx * x) @ (C * C * C) @ (wy * x))
+    try:
+        r, terms, tail, drop = _nystrom_pass(kappa, G, 2, lambda s: tol / 2.0, _det_terms)
+    except ConvergenceError as exc:
+        exc.best += s1
+        raise
+    return complex(s1 + r), terms, tail + drop
+
+
+def _s_nystrom_terms(k: CouplingK, tol: float):
+    """The integral route's S = sum_N (det(I - K_N) - 1) = sum_n S_n, as
+    (S, N, est_error): S from _s_rule on 96 nodes (_refined_nodes of 64),
+    N where its pass stopped, est_error its proven bounds (at most tol/2)
+    plus the gap |S_96 - S_64|, an estimate.  A gap above tol in beta^-1
+    chi_d = 1 + M^2 (2 S - 1), or a sum that is not finite, raises
+    ConvergenceError carrying S and est_error.  At kappa = 0 S is 0.
+    """
+    if k.kappa == 0:
+        return 0.0, 0, 0.0
+    G = QuadratureSpec().nodes_per_dim
+    (s, n, proven), (coarse, _, _) = (_s_rule(k.kappa, g, tol) for g in (_refined_nodes(G), G))
+    gap = abs(s - coarse) if cmath.isfinite(s - coarse) else math.inf
+    chi_gap = 2.0 * abs(magnetization(k)) ** 2 * gap
+    if not chi_gap <= tol:
+        raise ConvergenceError(
+            f"the integral route at k={k.k} stopped at N = {n} with a "
+            f"node-refinement gap of {chi_gap:.3g} in chi_d, above tol={tol:.3g}",
+            best=s, gap=gap + proven, terms=n,
+        )
+    return s, n, gap + proven
 
 
 # ---------------------------------------------------------------------------
@@ -852,61 +902,6 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
             stacklevel=2,
         )
     return SnResult(n=n, kappa=kappa, value=value, rel_error_est=rel, form=form)
-
-
-def _nystrom_terms(kappa: complex, n: int, G: int) -> np.ndarray:
-    """det(I - K_N) - 1 for N = 1 .. n on the G-node rule.
-
-    Summed over every order n, the S_n integrals at separation N are one
-    Fredholm determinant with the Cauchy kernel (Bornemann, Math. Comp. 79
-    (2010) 871).  On the nodes and weights of _axis_nodes it is
-    det(I + kappa^(N+1)/pi^2 A_N), with A_N = (diag(wx x^N) C)(diag(wy x^N) C^T)
-    and C = 1/(1 - kappa x x^T): one G x G product and determinant per N,
-    in float64 for real kappa.  At kappa = 0 every term is exactly 0.
-    """
-    kappa = _real(kappa)
-    x, wx, wy = _axis_nodes(G, kappa)
-    C = 1.0 / (1.0 - kappa * np.outer(x, x))
-    eye = np.eye(G)
-    out = np.empty(n, dtype=C.dtype)
-    for N in range(1, n + 1):
-        xn = x**N
-        A = ((wx * xn)[:, None] * C) @ ((wy * xn)[:, None] * C.T)
-        out[N - 1] = np.linalg.det(eye + kappa ** (N + 1) / math.pi**2 * A) - 1.0
-    return out
-
-
-def _s_nystrom_terms(k: CouplingK, tol: float):
-    """The integral route's S = sum_N (det(I - K_N) - 1), N = 1 .. n, as
-    (S, n, est_error), like fredholm._s_fredholm_terms.
-
-    n = _terms_needed(|k|, tol).  S is taken on the 96-node rule
-    (_refined_nodes of the default 64), and est_error is its summed gap to
-    the 64-node rule, an estimate, plus the proven _tail_bound past n.  An
-    n past _NYSTROM_N_CAP (about 8 s of work) raises ConvergenceError
-    before any determinant is formed; a gap above tol or a sum that is not
-    finite raises it carrying S.
-    """
-    a = abs(k.k)
-    n = _terms_needed(a, tol)
-    if n > _NYSTROM_N_CAP:
-        raise ConvergenceError(
-            f"the integral route at k={k.k} needs {n} terms, past the cap "
-            f"{_NYSTROM_N_CAP}"
-        )
-    G = QuadratureSpec().nodes_per_dim
-    coarse, fine = (_nystrom_terms(k.kappa, n, g) for g in (G, _refined_nodes(G)))
-    s = complex(np.sum(fine))
-    gap = float(np.sum(np.abs(fine - coarse))) if cmath.isfinite(s) else math.inf
-    if not gap <= tol:
-        raise ConvergenceError(
-            f"the {n} terms of the correlation sum at k={k.k} sum to {s} with "
-            f"a node-refinement gap of {gap:.3g}, above tol={tol:.3g}",
-            best=s,
-            gap=gap,
-            terms=n,
-        )
-    return s, n, gap + _tail_bound(a, n)
 
 
 def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> complex:

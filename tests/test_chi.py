@@ -12,7 +12,7 @@ from ising_lab import (
     ConvergenceError, CouplingK, DomainError, chi_d, fredholm, integrals, magnetization,
     params, sweep,
 )
-from ising_lab.params import _tail_bound, _terms_needed
+from ising_lab.params import _terms_needed
 
 # frozen regression value for the Fredholm route at tol 1e-8
 _CHI_03 = 0.024149147835178963
@@ -153,26 +153,47 @@ class TestProvenTail:
 
 
 class TestIntegralRoute:
-    """One Nystrom determinant per N: the fredholm route's sum, from Gauss
-    nodes and the Cauchy kernel alone."""
+    """The particle expansion on Gauss nodes and the Cauchy kernel: S_1 in
+    closed form plus one Nystrom pass over N, independent of the Hankel
+    factorization of the fredholm route."""
 
     @pytest.mark.parametrize("kv", [0.3, 0.7, 0.9, 0.95, 0.5 + 0.3j, 0.9 * cmath.exp(0.5j)])
     def test_matches_fredholm(self, kv):
         k = CouplingK.physical(kv) if isinstance(kv, float) else CouplingK.analytic(kv)
-        a = chi_d(k, 1e-8, "fredholm")
+        # fredholm at tol 1e-8 stops where its loose proven tail allows, up
+        # to 5.3e-10 short of the sum on this grid; at 1e-11 it is within
+        # 5e-12 of a 1e-13 run
+        a = chi_d(k, 1e-11, "fredholm")
         c = chi_d(k, 1e-8, "integral")
         assert not a.flagged and not c.flagged
         assert abs(a.beta_inv_chi_d - c.beta_inv_chi_d) <= 1e-10
-        assert c.terms_used == a.terms_used == _terms_needed(abs(k.k), 1e-8)
+        # terms_used is where the 96-node pass stopped, by its own tail
+        assert c.terms_used == integrals._s_rule(k.kappa, 96, 1e-8)[1]
 
     def test_est_error_covers_error_at_099(self):
         start = time.perf_counter()
         res = chi_d(CouplingK.physical(0.99), 1e-8, "integral")
         elapsed = time.perf_counter() - start
         assert not res.flagged
-        assert res.terms_used == 943
+        # the pass's own tail stops it well before the determinant routes'
+        # 943 terms
+        assert res.terms_used == integrals._s_rule(0.99**2, 96, 1e-8)[1]
+        assert res.terms_used < _terms_needed(0.99, 1e-8) / 2
         assert elapsed < 4.0
         assert abs(res.beta_inv_chi_d - _reference(0.99)) <= res.est_error
+
+    @pytest.mark.parametrize("kv", [0.9993, 0.9995])
+    def test_near_critical(self, kv):
+        # each integral evaluation within 1 s; today's route was past its
+        # term cap here
+        k = CouplingK.physical(kv)
+        start = time.perf_counter()
+        c = chi_d(k, 1e-8, "integral")
+        elapsed = time.perf_counter() - start
+        a = chi_d(k, 1e-8, "fredholm")
+        assert not c.flagged and not a.flagged
+        assert elapsed < 1.0
+        assert abs(a.beta_inv_chi_d - c.beta_inv_chi_d) <= 1e-10
 
     def test_independent_of_other_paths(self, monkeypatch):
         def forbidden(*args):
@@ -184,6 +205,10 @@ class TestIntegralRoute:
             (params, "_lambda_pair"),
         ):
             monkeypatch.setattr(module, name, forbidden)
+        # nor the determinant routes' stop: wherever a module looks it up
+        for module in (params, integrals, chi_module, fredholm):
+            for name in ("_terms_needed", "_tail_bound"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         res = chi_d(CouplingK.physical(0.5), 1e-8, "integral")
         assert not res.flagged
         assert math.isfinite(res.beta_inv_chi_d)
@@ -199,38 +224,41 @@ class TestIntegralRoute:
         assert res.est_error == math.inf
 
     def test_refinement_gap_above_tol_flagged(self, monkeypatch):
-        real = integrals._nystrom_terms
+        real = integrals._s_rule
+        fine, n, proven = real(0.25, 96, 1e-8)
+        coarse = real(0.25, 64, 1e-8)[0] + 1e-6
 
-        def coarse_off(kappa, n, G):
-            terms = real(kappa, n, G)
-            if G == 64:
-                terms[0] += 1e-6
-            return terms
+        def coarse_off(kappa, G, tol):
+            s, terms, bound = real(kappa, G, tol)
+            return (s + 1e-6 if G == 64 else s), terms, bound
 
-        monkeypatch.setattr(integrals, "_nystrom_terms", coarse_off)
+        monkeypatch.setattr(integrals, "_s_rule", coarse_off)
         k = CouplingK.physical(0.5)
         res = chi_d(k, 1e-8, "integral")
         assert res.flagged
-        # the flagged row keeps its terms and reports an unflagged row's scale
-        n = _terms_needed(0.5, 1e-8)
+        assert "node-refinement gap" in res.reason
+        # the flagged row keeps the 96-node sum and its N, and its est_error
+        # carries the route's whole estimate: the gap plus the proven bounds
         assert res.terms_used == n
-        want_err = 2.0 * magnetization(k) ** 2 * (1e-6 + _tail_bound(0.5, n))
+        want_err = 2.0 * magnetization(k) ** 2 * (abs(fine - coarse) + proven)
         assert abs(res.est_error - want_err) < 1e-12
-        want = chi_d(k, 1e-8, "fredholm").beta_inv_chi_d
-        assert abs(res.beta_inv_chi_d - want) < 1e-10
+        assert abs(res.beta_inv_chi_d - _reference(0.5)) < 1e-10
 
-    def test_past_the_cap_flagged_before_any_work(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("determinant formed past the cap")
-
-        monkeypatch.setattr(integrals, "_nystrom_terms", forbidden)
+    def test_node_gap_flags_near_critical_with_its_value(self):
+        # past k = 0.9998 the 64- and 96-node rules part by more than tol:
+        # the row is flagged within a second, keeping the value it summed
         k = CouplingK.physical(0.9999)
-        assert _terms_needed(0.9999, 1e-8) > integrals._NYSTROM_N_CAP
+        start = time.perf_counter()
         res = chi_d(k, 1e-8, "integral")
+        elapsed = time.perf_counter() - start
         assert res.flagged
-        assert math.isnan(complex(res.beta_inv_chi_d).real)
-        assert res.reason.startswith("the integral route at k=(0.9999+0j) needs ")
-        assert res.reason.endswith(f"past the cap {integrals._NYSTROM_N_CAP}")
+        assert elapsed < 2.0
+        assert res.reason.startswith("the integral route at k=(0.9999+0j) stopped at N = ")
+        assert "node-refinement gap" in res.reason
+        assert res.terms_used > 0
+        assert 1e-5 < res.est_error < 1e-3
+        # chi_d (1 - k)^(3/4) = 0.15116 on 128 and more nodes
+        assert abs(res.beta_inv_chi_d * 1e-4 ** 0.75 - 0.15116) < 1e-5
 
 
 class TestResultContract:

@@ -99,12 +99,16 @@ class TestChi:
         ref = ising_lab.chi_d(ising_lab.CouplingK.physical(0.99), 1e-10, "fredholm")
         assert abs(float(fields[2]) - ref.beta_inv_chi_d) <= want + ref.est_error
 
-    def test_integral_route_past_the_cap(self, capsys):
+    def test_integral_route_node_gap_row(self, capsys):
+        # past k = 0.9998 the 64- and 96-node rules part by more than tol:
+        # a flagged row that keeps the value summed, its N and its est_error
         code, out = _run(capsys, ["chi", "--k", "0.9999", "--route", "integral"])
         fields = out.strip().splitlines()[1].split(",")
         assert code == 2
         assert fields[1] == "integral"
-        assert fields[2] == "nan"
+        assert abs(float(fields[2]) * 1e-4 ** 0.75 - 0.15116) < 1e-5
+        assert int(fields[3]) > 0
+        assert 1e-5 < float(fields[4]) < 1e-3
         assert fields[5] == "true"
 
     def test_flagged_row_warns_with_its_reason(self, capsys):
@@ -113,7 +117,7 @@ class TestChi:
         assert code == 2
         assert len(err) == 1
         assert err[0].startswith("warning: k=0.99990000000000001: the integral route ")
-        assert err[0].endswith("past the cap 16384")
+        assert "node-refinement gap of 8.71e-05 in chi_d, above tol=1e-08" in err[0]
 
 
 class TestSn:
@@ -234,8 +238,8 @@ class TestSweep:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out.splitlines()[1:] == [
-            "0.99990000000000001,nan,integral,0,inf,true",
-            "0.29999999999999999,0.024149147835186735,integral,5,2.3849575780010585e-09,false",
+            "0.99990000000000001,151.15588059268629,integral,38720,8.7051831560558575e-05,true",
+            "0.29999999999999999,0.0241491482281605,integral,2,9.87882372700245e-10,false",
             "1.5,nan,integral,0,inf,true",
         ]
         err = captured.err.splitlines()
@@ -404,6 +408,14 @@ class TestArgumentErrors:
         line = self._error(capsys, ["sn", "--kappa", "0.2,0.3", "--n", "3",
                                     "--mc-samples", "1000", "--seed", "-1"])
         assert line == "error: seed must be >= 0"
+
+    @pytest.mark.parametrize("extra", [[], ["--seed", "3"]])
+    def test_zero_monte_carlo_samples(self, capsys, extra):
+        # --mc-samples 0 asks for Monte Carlo with too few samples, with or
+        # without a seed; it does not fall back to the tensor rule
+        line = self._error(capsys, ["sn", "--kappa", "0.5", "--n", "2",
+                                    "--mc-samples", "0"] + extra)
+        assert line == "error: mc_samples must be >= 2"
 
     @pytest.mark.parametrize("seed", ["-1", "7"])
     def test_seed_without_monte_carlo(self, capsys, tmp_path, seed):

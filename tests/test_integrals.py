@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ising_lab import (ConvergenceError, DomainError, PrecisionWarning, QuadratureSpec,
-                       lint_integral, s_n)
+from ising_lab import (ConvergenceError, CouplingK, DomainError, PrecisionWarning,
+                       QuadratureSpec, lint_integral, s_n)
 from ising_lab import fredholm, integrals
 from ising_lab.integrals import _cauchy_sn, _lint_series, _tensor_core
 
@@ -572,6 +572,28 @@ class TestSTotal:
         assert abs(total) > abs(lone)
 
 
+def _pass_terms(kappa, G, count):
+    """det(I + z_N A_N) - 1 for N = 1 .. count from the Nystrom pass of the
+    integral route, with every node kept: its terms R_N plus z_N tr A_N."""
+    got = []
+
+    class Enough(Exception):
+        pass
+
+    def recording(B, z):
+        R = integrals._det_terms(B, z)
+        got.extend(R + z * np.einsum("nij,nij->n", B, B))
+        if len(got) >= count:
+            raise Enough
+        return R
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrals, "_cauchy_drop", lambda *args: 0)
+        with pytest.raises(Enough):
+            integrals._nystrom_pass(kappa, G, 2, lambda s: 1e-300, recording)
+    return np.array(got[:count])
+
+
 class TestNystrom:
     """The integral route's det(I - K_N) - 1 on Gauss nodes and the Cauchy
     kernel, against the Hankel factorization of the fredholm route."""
@@ -582,12 +604,31 @@ class TestNystrom:
     @pytest.mark.parametrize("G", [64, 96])
     def test_terms_match_det_at(self, k, G):
         n = 40
-        got = integrals._nystrom_terms(k * k, n, G)
+        got = _pass_terms(k * k, G, n)
         want = fredholm._det_at(complex(k), 1, n).values - 1.0
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_real_kappa_stays_real(self):
-        assert integrals._nystrom_terms(0.25, 3, 64).dtype == np.float64
+        assert _pass_terms(0.25, 64, 3).dtype == np.float64
+
+    @pytest.mark.parametrize("k", [0.5, 0.9, 0.5 + 0.3j])
+    def test_particle_identity(self, k):
+        # the route's S is sum_n S_n on the same rule: S_1 plus the Sn1
+        # spectral sums, up to the first S_n below 1e-16 |S|
+        kappa = k * k
+        ck = CouplingK.physical(k) if isinstance(k, float) else CouplingK.analytic(k)
+        tol = 1e-12
+        S, _, proven = integrals._s_rule(kappa, 96, tol)
+        assert S == integrals._s_nystrom_terms(ck, tol)[0]
+        total, n = s_n(kappa, 1, _SPEC).value, 2
+        while True:
+            term = s_n(kappa, n, _SPEC, form="Sn1").value
+            total += term
+            if abs(term) < 1e-16 * abs(S):
+                break
+            n += 1
+        assert n >= 4
+        assert abs(S - total) <= proven + 1e-13 * abs(S)
 
 
 def _cauchy_derivative(kappa, n, ell, radius):
