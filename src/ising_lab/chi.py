@@ -73,7 +73,8 @@ def chi_d(k: CouplingK, tol: float, route: str) -> ChiResult:
 
 
 def _flagged(k: CouplingK, route: str, exc: ConvergenceError, m2) -> ChiResult:
-    """The flagged row of a route that raised, keeping the work it did.
+    """The flagged row of a route that raised, keeping the work it did,
+    built by _finish as every row is: a physical k gives float fields.
 
     A route that summed n terms before it raised reports terms_used = n
     and est_error = 2 |M^2| gap, gap being the route's whole estimate, as
@@ -83,10 +84,7 @@ def _flagged(k: CouplingK, route: str, exc: ConvergenceError, m2) -> ChiResult:
     value = _assemble(m2, best) if best == best else complex(math.nan)
     n = exc.terms or 0
     est_error = 2.0 * abs(m2) * exc.gap if n else math.inf
-    return ChiResult(
-        k=k.k, beta_inv_chi_d=value, route=route, terms_used=n,
-        est_error=float(est_error), flagged=True, reason=str(exc),
-    )
+    return _finish(k, value, route, n, est_error, str(exc))
 
 
 def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
@@ -115,7 +113,7 @@ def _chi_toeplitz(k: CouplingK, tol: float, m2) -> ChiResult:
     total = 1.0 - m2 + 2.0 * (dets - m2).sum()
     tail = 2.0 * abs(m2) * _tail_bound(a, used)
     rounding = _LEVINSON_ROUNDING * used * (used + 1)
-    reason = (f"toeplitz_direct needs {n} terms at k={k.k}, past the cap "
+    reason = (f"toeplitz_direct needs {n} terms at k={k.value}, past the cap "
               f"{_TOEPLITZ_N_CAP}" if n > used else "")
     return _finish(k, total, "toeplitz_direct", used, tail + rounding, reason)
 
@@ -127,7 +125,7 @@ def _finish(k: CouplingK, value, route, terms, est_error, reason="") -> ChiResul
             raise RuntimeError(f"physical chi_d came out complex: {value!r}")
         value = value.real
     return ChiResult(
-        k=k.k if k.mode != "physical" else k.k.real,
+        k=k.value,
         beta_inv_chi_d=value,
         route=route,
         terms_used=terms,

@@ -232,7 +232,7 @@ def fredholm_det(k: CouplingK, N: int, tol: float) -> FredholmResult:
     value, move = complex(seq.values[N - N0]), float(seq.move[N - N0])
     if move > tol:
         raise ConvergenceError(
-            f"det(I - K_N) at k={k.k}, N={N}: error estimate {move:.3g} "
+            f"det(I - K_N) at k={k.value}, N={N}: error estimate {move:.3g} "
             f"exceeds tol={tol:.3g}",
             best=value,
             gap=move,
@@ -260,7 +260,7 @@ def _s_fredholm_terms(k: CouplingK, tol: float):
     moved = float(np.sum(seq.move))
     if not np.isfinite(s):
         raise ConvergenceError(
-            f"the sum of the {n} terms of the correlation sum at k={k.k} is {s}",
+            f"the sum of the {n} terms of the correlation sum at k={k.value} is {s}",
             best=s,
             gap=math.inf,
             terms=n,
@@ -268,7 +268,7 @@ def _s_fredholm_terms(k: CouplingK, tol: float):
     if not moved <= tol:
         raise ConvergenceError(
             f"the summed error estimate {moved:.3g} of the {n} terms of the "
-            f"correlation sum at k={k.k} exceeds tol={tol:.3g}",
+            f"correlation sum at k={k.value} exceeds tol={tol:.3g}",
             best=s,
             gap=moved + _tail_bound(a, n),
             terms=n,

@@ -8,29 +8,27 @@ node set handles for every axis.  Each S_n has two algebraic forms, the
 Vandermonde form (Sn2) and the squared Cauchy determinant (Sn1), and each
 form has one evaluator on the G-node rule, so comparing them stays an
 independent cross-check.  At n = 1 both are the same O(G^2) pair sum.
+Every kernel of the rule reads the Cauchy kernel C = 1/(1 - kappa x x^T)
+from one node table per (kappa, nodes) (_node_tables): the n = 1 pair
+sum, the moment engine and the Nystrom pass.
 
 lint_integral owns the G-node rule of the Vandermonde form, and s_n
 evaluates Sn2 through lint_integral.  For n = 2 the rule is
 summed by the moment engine at every kappa: 1/(1 - kappa^2 u)^(l+1) is
 expanded as a geometric series in u = x1 x2 y1 y2, and each power reduces
 to one-dimensional node sums, the moments B_m (_bm_chunk), in O(G^3 M)
-instead of the O(G^4) tensor sum.  As m grows, x^(m+1) drives the small
-nodes to nothing, and each chunk of moments runs on the nodes left after
-dropping the smallest ones whose whole share of B_m is proven below 2^-52
-of the sum of the moduli of its terms (_bm_drop): at G = 64, all 64 nodes
-at m < 256 and 12 at m = 4096.  The B_m are cached per (kappa, G) and
-doubling window of m (_bm_prefix) and shared by every order l, so S_2
-and the probe integral at every ell reuse one set.  This is the same
-G-node rule summed in another order, not a finer one: the summed rule
-agrees with the tensor sum to ~1e-15 relative, and near a resonant
-direction (kappa^n approaching the positive real axis) it resolves the
-spike no better than the tensor product.
-Each single B_m is accurate to rounding too, ~1e-15 relative against the
-brute-force tuple sum at G = 12 up to m = 2000: its x side is formed
-about the top node, which dominates as m grows and so cannot cancel.
-For real kappa the nodes, the moments and the sums are float64.  Past
-n = 2 the Vandermonde form is evaluated by importance-sampled Monte Carlo
-on squared uniforms, X = V^2 and Y = 1 - W^2, whose densities absorb the
+instead of the O(G^4) tensor sum.  Each B_m is accurate to rounding, and
+each chunk of them runs on the nodes left after dropping the smallest
+ones whose share is proven below rounding (_bm_drop).  The B_m are cached
+per (kappa, G) and doubling window of m (_bm_prefix) and shared by every
+order l, so S_2 and the probe integral at every ell reuse one set.  This
+is the same G-node rule summed in another order, not a finer one: the
+summed rule agrees with the tensor sum to ~1e-15 relative, and near a
+resonant direction (kappa^n approaching the positive real axis) it
+resolves the spike no better than the tensor product.  For real kappa
+the nodes, the moments and the sums are float64.  Past n = 2 the
+Vandermonde form is evaluated by importance-sampled Monte Carlo on
+squared uniforms, X = V^2 and Y = 1 - W^2, whose densities absorb the
 singular endpoint factors x^(-1/2) and (1-y)^(-1/2); the points are
 evaluated in fixed chunks (_mc_core), so memory does not grow with the
 sample count.
@@ -165,6 +163,28 @@ def _axis_nodes(G: int, kappa: complex):
     return s2, wx, wy
 
 
+@lru_cache(maxsize=16)
+def _node_tables(G: int, kappa: complex):
+    """The kernel table of the G-node rule, read-only: C = 1/(1 - kappa x
+    x^T), log x, (x_a - x_b)^2 and min |C| / max |C|.
+
+    The n = 1 pair sum, the moment engine (sliced to its kept nodes) and
+    the Nystrom pass all read C here.  Cached per (G, kappa), kappa as
+    _real gives it, so a float kappa and a complex one with imaginary part
+    0 share one entry and one dtype: about 2 G^2 numbers, 64 KB at G = 64
+    for real kappa and 384 KB at G = 128 for complex kappa.
+    """
+    kappa = _real(kappa)
+    x = _axis_nodes(G, kappa)[0]
+    C = 1.0 / (1.0 - kappa * np.outer(x, x))
+    absC = np.abs(C)
+    logx = np.log(x)
+    d2 = (x[:, None] - x[None, :]) ** 2
+    for arr in (C, logx, d2):
+        arr.setflags(write=False)
+    return C, logx, d2, float(absC.min() / absC.max())
+
+
 def _prefactor(kappa: complex, n: int) -> complex:
     """kappa^(n(n+1)) / (n!^2 pi^(2n)), the constant of the Vandermonde form.
 
@@ -183,30 +203,13 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int):
     """Raw n = 1 integral with resonant exponent `power`: the G x G tensor sum.
 
     The axis weights already carry the Lambda_1 densities, so this is the
-    plain weighted sum of the pair factor U/(1 - kappa U)^(power+2), in
-    float64 for real kappa.  At n = 1 both forms reduce to this pair sum;
-    every caller passes n = 1.
-    """
-    W, den = _pair_tables(G, _real(kappa))
-    return complex(np.sum(W / den ** power / (den * den)))
-
-
-@lru_cache(maxsize=16)
-def _pair_tables(G: int, kappa: complex):
-    """The G x G tables of the n = 1 pair sum, read-only: wx wy^T U and
-    1 - kappa U, with U = x x^T.
-
-    Cached per (G, kappa), so a probe that runs every order ell at the
-    same kappa builds them once.  An entry holds 2 G^2 numbers, 128 KB at
-    G = 64 for complex kappa.
+    plain weighted sum of the pair factor U C^(power+2), U = x x^T, read
+    from the node table's C = 1/(1 - kappa U), in float64 for real kappa.
+    At n = 1 both forms reduce to this pair sum; every caller passes n = 1.
     """
     x, wx, wy = _axis_nodes(G, kappa)
-    U = np.outer(x, x)
-    W = (wx[:, None] * wy[None, :]) * U
-    den = 1.0 - kappa * U
-    for arr in (W, den):
-        arr.setflags(write=False)
-    return W, den
+    C = _node_tables(G, kappa)[0]
+    return complex((wx * x) @ C ** (power + 2) @ (wy * x))
 
 
 def _refined_nodes(G: int) -> int:
@@ -371,28 +374,6 @@ _CC2_BLOCK = 2048
 _BM_BLOCK = 1 << 15
 
 
-@lru_cache(maxsize=16)
-def _bm_tables(G: int, kappa: complex):
-    """The node tables of the moment engine on all G nodes, read-only.
-
-    C^2 with C = 1/(1 - kappa x x^T), log x, (x_a - x_b)^2 and the ratio
-    of the smallest to the largest |C|.  Cached per (G, kappa), so
-    _bm_drop and every chunk of every window slice them to their kept
-    suffix of nodes instead of building them again.  An entry holds about
-    2 G^2 numbers, 96 KB at G = 64 for real kappa and 384 KB at G = 128
-    for complex kappa; a table evicted is rebuilt in O(G^2).
-    """
-    x = _axis_nodes(G, kappa)[0]
-    C = 1.0 / (1.0 - kappa * np.outer(x, x))
-    absC = np.abs(C)
-    C2 = C ** 2
-    logx = np.log(x)
-    d2 = (x[:, None] - x[None, :]) ** 2
-    for arr in (C2, logx, d2):
-        arr.setflags(write=False)
-    return C2, logx, d2, float(absC.min() / absC.max())
-
-
 def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     """How many of the smallest nodes _bm_chunk drops for m in [m0, m1).
 
@@ -417,13 +398,13 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     (m1 - m0)), t the lower pair node: for any split of ascending nodes
     the shares D/S and S/K (K: the sum from node t up) only fall as m
     grows, so both are read at column m0, and only the nodes from t up are
-    summed at every column.  The test is exact at m0 and overstates E_m
-    after it; against the exact test at every column it keeps at most one
-    node more on the test grid.
+    summed at every column, in blocks of at most _BM_BLOCK powers.  The
+    test is exact at m0 and overstates E_m after it; against the exact
+    test at every column it keeps at most one node more on the test grid.
     """
     kappa = _real(kappa)
     _, wx, wy = _axis_nodes(G, kappa)
-    _, logx, d2, cratio = _bm_tables(G, kappa)
+    _, logx, d2, cratio = _node_tables(G, kappa)
     scale = 2.0**-51 * cratio ** 8
     first = np.exp(logx * (m0 + 1))
     last = np.exp(logx * (m1 + 2))
@@ -434,23 +415,24 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
 
     (a, b), (i, j) = best_pair(wx), best_pair(wy)
     t = min(a, i)
-    # one row per column m, the nodes from t up
-    Xp = np.exp(np.arange(m0 + 1, m1 + 3)[:, None] * logx[t:])
-
-    def shares(w, a, b):
-        """Dropped share D/S at m0 per count 1..t; R / (bound on S)^2 per column."""
-        w = np.abs(w)
-        D = np.cumsum(w * first)
-        K = Xp @ w[t:]
-        R = w[a] * w[b] * d2[a, b] * Xp[:, a - t] * Xp[:, b - t]
-        return D[:t] / D[-1], R / (K * (D[-1] / K[0])) ** 2
-
+    axes = ((np.abs(wx), a, b), (np.abs(wy), i, j))
+    D = [np.cumsum(w * first) for w, _, _ in axes]  # dropped sums at m0
+    K0, low, step = None, np.inf, max(1, _BM_BLOCK // (G - t))
     with np.errstate(divide="ignore", invalid="ignore"):
-        hx, rx = shares(wx, a, b)
-        hy, ry = shares(wy, i, j)
-        # E_m / (2 cmax^8) <= S_x^2 S_y^2 (hx + hy); NaN (all x^(m+1)
-        # underflowing) fails the test and keeps every node
-        fits = hx + hy <= scale * np.min(rx * ry)
+        # one row of powers per column m, the nodes from t up: the smallest
+        # product over the columns of the axes' R / (bound on S)^2
+        for c0 in range(m0 + 1, m1 + 3, step):
+            Xp = np.exp(np.arange(c0, min(m1 + 3, c0 + step))[:, None] * logx[t:])
+            K = [Xp @ w[t:] for w, _, _ in axes]
+            if K0 is None:
+                K0 = [k[0] for k in K]
+            rx, ry = (w[p] * w[q] * d2[p, q] * Xp[:, p - t] * Xp[:, q - t]
+                      / (k * (d[-1] / k0)) ** 2
+                      for (w, p, q), d, k, k0 in zip(axes, D, K, K0))
+            low = np.minimum(low, np.min(rx * ry))
+        # E_m / (2 cmax^8) <= S_x^2 S_y^2 (D_x/S_x + D_y/S_y); NaN (all
+        # x^(m+1) underflowing) fails the test and keeps every node
+        fits = D[0][:t] / D[0][-1] + D[1][:t] / D[1][-1] <= scale * low
     return int(t if fits.all() else np.argmin(fits))
 
 
@@ -477,8 +459,9 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
     than CC2 and a 16-moment window of S_2 stays one block.  Each block
     forms its powers x^(m+1), the three products, the y side and their
     sum, and writes its B_m into the one output array, so the arrays live
-    at once are CC2 and a few blocks, whatever the chunk's length.  The
-    node tables (C^2, log x, (x_a - x_b)^2) come from _bm_tables.
+    at once are CC2 and a few blocks, whatever the chunk's length.  C,
+    log x and (x_a - x_b)^2 come from _node_tables, sliced to the kept
+    nodes; the kept block of C is squared once per chunk.
 
     The shift is the top node, s = x[-1].  As m grows x^(m+1) lets a few
     top nodes dominate; with s = 0 the difference R_0 R_2 - R_1^2 then
@@ -499,8 +482,8 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
     c = _bm_drop(kappa, G, m0, m1)
     kappa = _real(kappa)
     x, wx, wy = (v[c:] for v in _axis_nodes(G, kappa))
-    C2, logx, d2, _ = _bm_tables(G, kappa)
-    C2, logx, d2 = C2[c:, c:], logx[c:], d2[c:, c:]
+    C, logx, d2, _ = _node_tables(G, kappa)
+    C2, logx, d2 = C[c:, c:] ** 2, logx[c:], d2[c:, c:]
     d = x - x[-1]
     dd = d * d
     n = len(x)
@@ -560,10 +543,9 @@ def _bm_prefix(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
     the size of one full-node 256-moment chunk.  The kept count of the
     chunk before sizes the next, since fewer nodes stay as m grows.  The
     chunk length sets only how often _bm_drop and CC2 run, not the memory
-    of the kernel, which walks a chunk in bounded blocks of moments
-    (_bm_chunk): _bm_prefix(-0.7, 48, 0, 8192) peaks at about 2.3 MB.
-    _bm_drop's powers, chunk length x the nodes from its best pairs up,
-    are not blocked.  The arrays are float64 for real kappa.
+    of _bm_drop and the kernel, which walk a chunk in bounded blocks of
+    moments: _bm_prefix(-0.7, 48, 0, 8192) peaks at about 2.3 MB.  The
+    arrays are float64 for real kappa.
     """
     entries = 256 * (G * (G - 1) // 2)
     parts = []
@@ -658,15 +640,6 @@ def _cauchy_drop(p: np.ndarray, awx: np.ndarray, awy: np.ndarray, slack: float) 
         return int(np.count_nonzero(np.log(share) <= slack))
 
 
-@lru_cache(maxsize=8)
-def _cauchy_matrix(G: int, kappa: complex) -> np.ndarray:
-    """C = 1/(1 - kappa x x^T) on the G-node rule, read-only."""
-    x = _axis_nodes(G, kappa)[0]
-    C = 1.0 / (1.0 - kappa * np.outer(x, x))
-    C.setflags(write=False)
-    return C
-
-
 def _nystrom_pass(kappa: complex, G: int, n: int, target, reduce):
     """sum_(N >= 1) of reduce's terms on the G-node rule, as (sum, N, tail,
     drop): N where it stopped, and proven bounds on the terms past N and on
@@ -695,13 +668,12 @@ def _nystrom_pass(kappa: complex, G: int, n: int, target, reduce):
     Past _SERIES_M_CAP terms it raises ConvergenceError with the sum so far.
     """
     kappa = _real(kappa)
-    x, wx, wy = _axis_nodes(G, kappa)
-    C = _cauchy_matrix(G, kappa)
+    _, wx, wy = _axis_nodes(G, kappa)
+    C, logx, _, _ = _node_tables(G, kappa)
     absC = np.abs(C)
     rows = np.sum(absC * absC, axis=1)
     awx, awy = np.abs(wx), np.abs(wy)
     # x^N is taken over x_top^N on both axes, and z_N carries x_top^(2N)
-    logx = np.log(x)
     rel = logx - logx[-1]
     # log |z_N| = lz + N lr, and H_N and T_N fall by q = e^(n lr) per N
     lz, lr = math.log(abs(kappa) / math.pi**2), math.log(abs(kappa)) + 2.0 * logx[-1]
@@ -771,9 +743,13 @@ def _cauchy_sn(kappa: complex, n: int, G: int):
 
 def _det_terms(B: np.ndarray, z: np.ndarray) -> np.ndarray:
     """det(I + z_N A_N) - 1 - z_N tr A_N for each N of a stack: the orders
-    n >= 2 of the Nystrom determinant, by one batched det."""
-    zA = z[:, None, None] * (B @ B.transpose(0, 2, 1))
-    return np.linalg.det(zA + np.eye(B.shape[1])) - 1.0 - np.trace(zA, axis1=1, axis2=2)
+    n >= 2 of the Nystrom determinant, by one batched det of z_N A_N + I
+    formed in place."""
+    A = B @ B.transpose(0, 2, 1)
+    A *= z[:, None, None]
+    tr = np.trace(A, axis1=1, axis2=2)
+    A += np.eye(B.shape[1])
+    return np.linalg.det(A) - 1.0 - tr
 
 
 def _s_rule(kappa: complex, G: int, tol: float):
@@ -784,7 +760,7 @@ def _s_rule(kappa: complex, G: int, tol: float):
     """
     kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
-    C = _cauchy_matrix(G, kappa)
+    C = _node_tables(G, kappa)[0]
     s1 = kappa**2 / math.pi**2 * ((wx * x) @ (C * C * C) @ (wy * x))
     try:
         r, terms, tail, drop = _nystrom_pass(kappa, G, 2, lambda s: tol / 2.0, _det_terms)
@@ -810,7 +786,7 @@ def _s_nystrom_terms(k: CouplingK, tol: float):
     chi_gap = 2.0 * abs(magnetization(k)) ** 2 * gap
     if not chi_gap <= tol:
         raise ConvergenceError(
-            f"the integral route at k={k.k} stopped at N = {n} with a "
+            f"the integral route at k={k.value} stopped at N = {n} with a "
             f"node-refinement gap of {chi_gap:.3g} in chi_d, above tol={tol:.3g}",
             best=s, gap=gap + proven, terms=n,
         )

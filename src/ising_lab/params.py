@@ -54,6 +54,11 @@ class CouplingK:
         if self.kappa != self.k * self.k:
             raise DomainError("kappa must equal k*k exactly as computed")
 
+    @property
+    def value(self):
+        """k as result rows and messages give it: a float in physical mode."""
+        return self.k.real if self.mode == "physical" else self.k
+
     @classmethod
     def physical(cls, k: float) -> "CouplingK":
         k = complex(float(k), 0.0)

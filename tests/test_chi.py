@@ -253,10 +253,11 @@ class TestIntegralRoute:
         elapsed = time.perf_counter() - start
         assert res.flagged
         assert elapsed < 2.0
-        assert res.reason.startswith("the integral route at k=(0.9999+0j) stopped at N = ")
+        assert res.reason.startswith("the integral route at k=0.9999 stopped at N = ")
         assert "node-refinement gap" in res.reason
         assert res.terms_used > 0
         assert 1e-5 < res.est_error < 1e-3
+        assert type(res.k) is float and type(res.beta_inv_chi_d) is float
         # chi_d (1 - k)^(3/4) = 0.15116 on 128 and more nodes
         assert abs(res.beta_inv_chi_d * 1e-4 ** 0.75 - 0.15116) < 1e-5
 
@@ -268,7 +269,7 @@ class TestResultContract:
         res = chi_d(CouplingK.physical(0.999), 1e-8, "toeplitz_direct")
         assert res.flagged
         assert res.reason == (f"toeplitz_direct needs {_terms_needed(0.999, 1e-8)} "
-                              "terms at k=(0.999+0j), past the cap 4096")
+                              "terms at k=0.999, past the cap 4096")
 
         def failing(k, tol):
             raise ConvergenceError("no sum")
@@ -276,6 +277,13 @@ class TestResultContract:
         monkeypatch.setattr(chi_module, "_s_nystrom_terms", failing)
         res = chi_d(CouplingK.physical(0.5), 1e-8, "integral")
         assert res.flagged and res.reason == "no sum"
+
+    def test_flagged_physical_row_is_real(self):
+        # a flagged row is built as an unflagged one: float k and value,
+        # and its reason prints k as the real number it is
+        res = chi_d(CouplingK.physical(0.5), 1e-17, "fredholm")
+        assert res.flagged and "correlation sum at k=0.5 exceeds" in res.reason
+        assert type(res.k) is float and type(res.beta_inv_chi_d) is float
 
     def test_metadata_populated(self):
         res = chi_d(CouplingK.physical(0.4), 1e-8, "fredholm")

@@ -1,6 +1,8 @@
 """Command-line surface: schemas, determinism, config handling, exit codes."""
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import ising_lab
-from ising_lab import cli, fredholm, integrals, params, toeplitz
+from ising_lab import cli, fredholm, params
 from ising_lab.cli import main
 
 
@@ -254,23 +256,33 @@ class TestSweep:
         assert first == second
 
 
+def _clear_caches():
+    """Clear every cache of the package, found by walking its modules, so a
+    new or renamed cache cannot carry one run's tables into the next."""
+    cleared = 0
+    for info in pkgutil.iter_modules(ising_lab.__path__, "ising_lab."):
+        for obj in vars(importlib.import_module(info.name)).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+                cleared += 1
+    assert cleared > 0
+
+
 class TestThreadCount:
     @pytest.mark.parametrize("argv", [
         ["boundary-scan", "--eps", "1/2", "--n", "2", "--ell", "7", "--radii", "4..8"],
         ["sweep", "--grid", "0.1,0.5,0.9", "--route", "fredholm"],
         ["sweep", "--grid", "0.7,0.7,0.9,0.9", "--route", "toeplitz_direct"],
         ["gcbo-check", "--k", "0.7", "--n-max", "64"],
+        ["sweep", "--grid", "0.3,0.9,0.99", "--route", "integral"],
     ])
     def test_stdout_independent_of_threads(self, capsys, monkeypatch, argv):
-        # each run computes its moments, series, runs and blocks afresh
-        # under its own pool
+        # each run computes its tables, moments, series, runs and blocks
+        # afresh under its own pool
         outs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ISING_LAB_THREADS", threads)
-            for cached in (integrals._bm_prefix, integrals._bm_tables,
-                           integrals._pair_tables, params._lambda_pair, params._phi_series,
-                           toeplitz._shared_run, fredholm._det_block):
-                cached.cache_clear()
+            _clear_caches()
             code, out = _run(capsys, argv)
             assert code == 0
             outs.append(out)

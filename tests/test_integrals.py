@@ -1006,14 +1006,16 @@ class TestPrunedMoments:
 
 
 class TestMomentMemory:
-    """_bm_chunk walks its moments in bounded blocks, so a longer chunk
-    does not hold more memory."""
+    """_bm_chunk and _bm_drop walk their moments in bounded blocks, so a
+    longer chunk does not hold more memory."""
 
     @pytest.mark.parametrize("call, args, limit", [
         (integrals._bm_chunk, (-(1.0 - 2.0**-8), 64, 2048, 4096), 2e6),
         # past the window cache, so the chunks run every time
         (integrals._bm_prefix.__wrapped__, (-0.7, 48, 0, 8192), 3e6),
-    ], ids=["chunk", "window"])
+        # 50000 columns of powers on the top 4 nodes, 1.6 MB if built whole
+        (integrals._bm_drop, (-(1.0 - 2.0**-14), 96, 16640, 66640), 1.5e6),
+    ], ids=["chunk", "window", "drop"])
     def test_memory_flat_in_moments(self, call, args, limit):
         tracemalloc.start()
         try:
@@ -1061,6 +1063,8 @@ class TestRealPath:
     def test_dtypes(self, kappa, kind):
         kappa, G = complex(kappa), 16
         assert all(v.dtype.kind == kind for v in integrals._axis_nodes(G, kappa)[1:])
+        integrals._node_tables.cache_clear()
+        assert integrals._node_tables(G, kappa)[0].dtype.kind == kind
         integrals._bm_prefix.cache_clear()
         lint_integral(kappa, 2, 3, QuadratureSpec(nodes_per_dim=G))
         hits = integrals._bm_prefix.cache_info().hits
