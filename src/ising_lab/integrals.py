@@ -417,7 +417,8 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     t = min(a, i)
     axes = ((np.abs(wx), a, b), (np.abs(wy), i, j))
     D = [np.cumsum(w * first) for w, _, _ in axes]  # dropped sums at m0
-    K0, low, step = None, np.inf, max(1, _BM_BLOCK // (G - t))
+    # each column holds G - t powers and about eight arrays of K, R and ratios
+    K0, low, step = None, np.inf, max(1, _BM_BLOCK // (G - t + 8))
     with np.errstate(divide="ignore", invalid="ignore"):
         # one row of powers per column m, the nodes from t up: the smallest
         # product over the columns of the axes' R / (bound on S)^2

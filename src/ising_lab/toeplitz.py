@@ -13,6 +13,8 @@ _phi_series caches, (k, _cache_length(N)), held in an lru_cache of the
 same size and advanced only as far as a call needs.  A prefix of a
 longer run on the same series is bit-identical to a fresh run, so the
 values do not depend on the order or the threads of the calls.
+_s_toeplitz_terms, the toeplitz_direct route, meets every chi_d route's
+contract: it returns (S, terms, est_error) or raises ConvergenceError.
 """
 from __future__ import annotations
 
@@ -24,11 +26,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .params import CouplingK, magnetization, _cache_length, _phi_series
+from .params import _tail_bound, _terms_needed
 
 _COND_FLAG = 1e12
 # absolute rounding allowance of one Levinson D(N), per N: the D(N) carry
 # an error that grows like N eps with a mostly constant sign
 _LEVINSON_ROUNDING = 8.0 * 2.0**-52
+_TOEPLITZ_N_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,30 @@ def _correlations(k: CouplingK, N: int):
                 f"correlation {dets[n - 1]!r} violates M^2 <= D(N) <= 1 at N={n}"
             )
     return dets, eps
+
+
+def _s_toeplitz_terms(k: CouplingK, tol: float):
+    """(S, n, est_error) with S = sum_N (D(N) - M^2) / M^2 over the shared
+    run's D(1..n), n = _terms_needed(|k|, tol) as in the fredholm sum.
+
+    est_error is the proven tail _tail_bound(|k|, n) plus an estimated
+    rounding allowance: each D(N) is allowed _LEVINSON_ROUNDING N, so
+    2 sum_N (D(N) - M^2) is allowed 8 eps n(n+1), over 2 |M^2| here.
+    Against a deep fredholm sum (k 0.3 to 0.997, complex k of modulus 0.9
+    to 0.995, tol 1e-8 to 1e-12) the real error reached 4.1 eps n(n+1).
+    An n past _TOEPLITZ_N_CAP raises ConvergenceError with the first cap
+    terms' S and est_error.
+    """
+    a = abs(k.k)
+    n = _terms_needed(a, tol)
+    used = min(n, _TOEPLITZ_N_CAP)
+    m2 = magnetization(k) ** 2
+    s = complex((_correlations(k, used)[0] - m2).sum() / m2)
+    est_error = _tail_bound(a, used) + _LEVINSON_ROUNDING * used * (used + 1) / (2 * abs(m2))
+    if n > used:
+        raise ConvergenceError(f"toeplitz_direct needs {n} terms at k={k.value}, past the cap "
+                               f"{_TOEPLITZ_N_CAP}", best=s, gap=est_error, terms=used)
+    return s, n, est_error
 
 
 def diagonal_correlation(k: CouplingK, N: int) -> CorrelationResult:

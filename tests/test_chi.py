@@ -12,7 +12,8 @@ from ising_lab import (
     ConvergenceError, CouplingK, DomainError, chi_d, fredholm, integrals, magnetization,
     params, sweep,
 )
-from ising_lab.params import _terms_needed
+from ising_lab.params import _tail_bound, _terms_needed
+from ising_lab.toeplitz import _LEVINSON_ROUNDING, _correlations
 
 # frozen regression value for the Fredholm route at tol 1e-8
 _CHI_03 = 0.024149147835178963
@@ -152,6 +153,37 @@ class TestProvenTail:
         assert math.isnan(res.beta_inv_chi_d.real)
 
 
+class TestToeplitzSum:
+    """toeplitz_direct through the shared S-sum contract is the Toeplitz
+    sum 1 - M^2 + 2 sum_N (D(N) - M^2) it always was, to rounding."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("k", [
+        *(CouplingK.physical(kv) for kv in (0.1, 0.5, 0.9, 0.99, 0.995)),
+        *(CouplingK.analytic(z) for z in (0.5 + 0.3j, 0.85 * cmath.exp(2j),
+                                          0.9 * cmath.exp(0.5j))),
+    ], ids=lambda k: str(k.value))
+    def test_value_is_the_toeplitz_sum(self, k, tol):
+        res = chi_d(k, tol, "toeplitz_direct")
+        n = _terms_needed(abs(k.k), tol)
+        m2 = magnetization(k) ** 2
+        want = 1.0 - m2 + 2.0 * (_correlations(k, n)[0] - m2).sum()
+        assert not res.flagged and res.terms_used == n
+        # the shared assembly 1 + M^2 (2 S - 1) rounds on the scale of
+        # M^2 (2 S - 1), not chi: 5.4 eps at k = 0.5+0.3i, tol 1e-8
+        assert abs(res.beta_inv_chi_d - want) <= 2e-15 * abs(want)
+
+    def test_capped_row_keeps_its_tail(self):
+        k = CouplingK.physical(0.999)
+        res = chi_d(k, 1e-8, "toeplitz_direct")
+        m2 = magnetization(k) ** 2
+        want = 2.0 * m2 * _tail_bound(0.999, 4096) + _LEVINSON_ROUNDING * 4096 * 4097
+        assert res.flagged and res.terms_used == 4096
+        assert res.reason == (f"toeplitz_direct needs {_terms_needed(0.999, 1e-8)} "
+                              "terms at k=0.999, past the cap 4096")
+        assert res.est_error == pytest.approx(want, rel=1e-15)
+
+
 class TestIntegralRoute:
     """The particle expansion on Gauss nodes and the Cauchy kernel: S_1 in
     closed form plus one Nystrom pass over N, independent of the Hankel
@@ -278,6 +310,23 @@ class TestResultContract:
         res = chi_d(CouplingK.physical(0.5), 1e-8, "integral")
         assert res.flagged and res.reason == "no sum"
 
+    @pytest.mark.parametrize("route, name", [
+        ("fredholm", "_s_fredholm_terms"), ("toeplitz_direct", "_s_toeplitz_terms"),
+        ("integral", "_s_nystrom_terms"),
+    ])
+    def test_every_route_flags_one_way(self, monkeypatch, route, name):
+        def failing(k, tol):
+            raise ConvergenceError("why", best=0.25, gap=1e-9, terms=7)
+
+        monkeypatch.setattr(chi_module, name, failing)
+        k = CouplingK.physical(0.5)
+        m2 = magnetization(k) ** 2
+        res = chi_d(k, 1e-8, route)
+        assert res.flagged and res.reason == "why" and res.terms_used == 7
+        assert res.est_error == pytest.approx(2.0 * m2 * 1e-9, rel=1e-15)
+        assert res.beta_inv_chi_d == pytest.approx(1.0 + m2 * (2.0 * 0.25 - 1.0), rel=1e-15)
+        assert type(res.k) is float and type(res.beta_inv_chi_d) is float
+
     def test_flagged_physical_row_is_real(self):
         # a flagged row is built as an unflagged one: float k and value,
         # and its reason prints k as the real number it is
@@ -328,6 +377,9 @@ class TestSweep:
         assert not rows[0].flagged
         assert rows[1].flagged
         assert math.isnan(complex(rows[1].beta_inv_chi_d).real)
+        # built as every row: a physical point has a float k and value
+        assert type(rows[1].k) is float and rows[1].k == 1.5
+        assert type(rows[1].beta_inv_chi_d) is float
         assert rows[0].reason == ""
         assert rows[1].reason == "|k| must be < 1, got |k| = 1.5"
 

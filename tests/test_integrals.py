@@ -1014,7 +1014,7 @@ class TestMomentMemory:
         # past the window cache, so the chunks run every time
         (integrals._bm_prefix.__wrapped__, (-0.7, 48, 0, 8192), 3e6),
         # 50000 columns of powers on the top 4 nodes, 1.6 MB if built whole
-        (integrals._bm_drop, (-(1.0 - 2.0**-14), 96, 16640, 66640), 1.5e6),
+        (integrals._bm_drop, (-(1.0 - 2.0**-14), 96, 16640, 66640), 0.6e6),
     ], ids=["chunk", "window", "drop"])
     def test_memory_flat_in_moments(self, call, args, limit):
         tracemalloc.start()
