@@ -52,6 +52,13 @@ class RootOfUnity:
 
 @dataclass(frozen=True)
 class RadialScan:
+    """One scan and its fit of Re(values) against L = log 1/(1-r).
+
+    slope_se (the slope's standard error), resid_rms (the residual scatter)
+    and swing (max - min of Re(values)) are the fit statistics that
+    classification is read from, by the rule of _label.
+    """
+
     epsilon: RootOfUnity
     n: int
     ell: int
@@ -61,6 +68,9 @@ class RadialScan:
     fit_intercept: float
     fit_r2: float
     classification: str
+    slope_se: float
+    resid_rms: float
+    swing: float
 
 
 def radii_grid(j0: int = 4, j1: int = 10) -> tuple:
@@ -167,6 +177,9 @@ def radial_scan(
         fit_intercept=st["intercept"],
         fit_r2=st["r2"],
         classification=_label(st),
+        slope_se=st["slope_se"],
+        resid_rms=st["resid_rms"],
+        swing=st["swing"],
     )
 
 

@@ -21,7 +21,11 @@ instead of the O(G^4) tensor sum.  Each B_m is accurate to rounding, and
 each chunk of them runs on the nodes left after dropping the smallest
 ones whose share is proven below rounding (_bm_drop).  The B_m are cached
 per (kappa, G) and doubling window of m (_bm_prefix) and shared by every
-order l, so S_2 and the probe integral at every ell reuse one set.  This
+order l, so S_2 and the probe integral at every ell reuse one set.  No
+series reads a moment past m* = 512 (_TAIL_M): on the nodes kept there the
+rest of the series has a closed form in 1/(1 - kappa^2 u), summed once
+per (kappa, G) for every order l (_bm_tail), so the series has no moment
+cap at any |kappa| < 1.  This
 is the same G-node rule summed in another order, not a finer one: the
 summed rule agrees with the tensor sum to ~1e-15 relative, and near a
 resonant direction (kappa^n approaching the positive real axis) it
@@ -55,6 +59,7 @@ from .errors import ConvergenceError, DomainError, PrecisionWarning
 from .params import CouplingK, magnetization
 
 _TINY = 1e-300
+# separations N past which the Nystrom pass raises ConvergenceError
 _SERIES_M_CAP = 1 << 18
 # series tolerance: the series stands in for the plain G-node sum
 _GAUSS_RTOL = 1e-14
@@ -205,11 +210,15 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int):
     The axis weights already carry the Lambda_1 densities, so this is the
     plain weighted sum of the pair factor U C^(power+2), U = x x^T, read
     from the node table's C = 1/(1 - kappa U), in float64 for real kappa.
+    Complex C is raised as exp((power+2) log C): numpy's complex ** loses
+    about power ulps (1.6e-14 relative at kappa = 0.99 e^(0.4i), G = 64,
+    power 20, against 3.6e-15 this way).
     At n = 1 both forms reduce to this pair sum; every caller passes n = 1.
     """
     x, wx, wy = _axis_nodes(G, kappa)
     C = _node_tables(G, kappa)[0]
-    return complex((wx * x) @ C ** (power + 2) @ (wy * x))
+    Cp = C ** (power + 2) if C.dtype.kind == "f" else np.exp((power + 2) * np.log(C))
+    return complex((wx * x) @ Cp @ (wy * x))
 
 
 def _refined_nodes(G: int) -> int:
@@ -372,6 +381,13 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
 _CC2_BLOCK = 2048
 # kept pairs x moments per block of _bm_chunk's moments: 256 KB in float64
 _BM_BLOCK = 1 << 15
+# the moment order past which _lint_series reads no moment and adds the rest
+# of its series in closed form (_bm_tail); the end of a doubling window.  The
+# kept nodes thin out by then (21 of 64, 32 of 96 toward -1), and a switch
+# at 256 keeps too many of them to pay
+_TAIL_M = 512
+# orders k of one tail table: every ell < 8 reads the same one
+_TAIL_ORDERS = 8
 
 
 def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
@@ -532,14 +548,10 @@ def _bm_prefix(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
     """B_m for m in [m0, m1) as one read-only array, cached per window.
 
     _lint_series asks only for the doubling windows [0, 16), [16, 32),
-    [32, 64), ... up to 2^18, so each B_m depends on (kappa, G, window)
-    alone, and every order ell and call at the same kappa and G reuses the
-    windows.  The cache holds at most 128 windows of at most 2^17 moments
-    each, 8 bytes per moment for real kappa and 16 for complex.  Reaching
-    that bound takes 128 series that each ran to the 2^18 cap; the probes
-    stay far below it, under 10 MB: the default smoothness probe holds 56
-    windows, and the --radii 4..14 --nodes 96 scan 110 windows of 4.2 MB in
-    all.
+    [32, 64), ... up to _TAIL_M = 512, so each B_m depends on (kappa, G,
+    window) alone, and every order ell and call at the same kappa and G
+    reuses the windows.  A series holds at most six windows, 512 moments:
+    the cache of 128 windows stays below 0.5 MB at complex kappa.
     A chunk is as long as 256 G(G-1)/2 kept pair x moment entries allow,
     the size of one full-node 256-moment chunk.  The kept count of the
     chunk before sizes the next, since fewer nodes stay as m grows.  The
@@ -561,6 +573,105 @@ def _bm_prefix(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
     return window
 
 
+def _tail_table(kappa: complex, G: int, c: int, orders: int):
+    """Phi_k for k < orders on the nodes from c up, and their drop bounds.
+
+    With t = kappa^2 u, every pair term of the moment series from m* =
+    _TAIL_M on sums in closed form,
+
+        sum_(m >= m*) binom(m+l, l) t^m
+            = t^m* sum_(k=0..l) binom(m*-1+l-k, l-k) (1 - t)^-(k+1),
+
+    so the series past m* is sum_k binom(m*-1+l-k, l-k) Phi_k with Phi_k =
+    sum_(p,q) W_pq t_pq^m* (1 - t_pq)^-(k+1) over the kept y pairs p and x
+    pairs q, W_pq the pair term of B_0 (_bm_chunk).  The table runs in
+    blocks of y pairs of at most _BM_BLOCK entries, so no P x P array is
+    held.
+
+    1 - t is formed without cancellation as r -> 1.  Each pair's product
+    u_p = e^(lu_p) has e_p = u_p - 1 = expm1(lu_p), lu_p summed from the
+    logs of its two nodes, each accurate to rounding.  With s_p = (1 -
+    kappa)(1 + kappa)/2 - kappa^2 e_p, 1 - kappa^2 u_p u_q is exactly s_p +
+    s_q - kappa^2 e_p e_q, and for real kappa the last term takes at most
+    half of the first two, so every digit of 1 - t holds however close
+    1 - kappa^2 and 1 - u come to 0.
+
+    drop[k] bounds the change the c dropped nodes make to Phi_k.  That
+    change is the sum of W_pq t_pq^m* (1 - t_pq)^-(k+1) over the pairs with
+    a dropped node.  Their |W_pq t_pq^m*| sum to at most |kappa|^(2 m*)
+    E_m*, E_m the bound of _bm_drop, and their u_pq are at most rho =
+    x_(c-1) x_top^3, so |1 - t_pq| >= d, the distance from 0 to the segment
+    1 - kappa^2 [0, rho]: drop[k] = |kappa|^(2 m*) E_m* / d^(k+1).  For real
+    kappa d = 1 - kappa^2 rho, and Phi_k and drop are float64.
+    """
+    kappa = _real(kappa)
+    _, wx, wy = _axis_nodes(G, kappa)
+    C, logx, d2, _ = _node_tables(G, kappa)
+    k2 = kappa * kappa
+    drop = np.zeros(orders)
+    if c:
+        # E_m* from the dropped and the whole sums of |w| x^(m*+1)
+        p = np.exp(logx * (_TAIL_M + 1))
+        px, py = np.abs(wx) * p, np.abs(wy) * p
+        Sx, Sy, Dx, Dy = px.sum(), py.sum(), px[:c].sum(), py[:c].sum()
+        E = 2.0 * np.abs(C).max() ** 8 * (Dx * Sx * Sy**2 + Dy * Sy * Sx**2)
+        rho = math.exp(logx[c - 1] + 3.0 * logx[-1])
+        # the point of the segment nearest 0: u = Re(k2)/|k2|^2, clipped
+        near = min(max(k2.real / abs(k2) ** 2, 0.0), rho) if k2 else 0.0
+        d = abs(1.0 - k2 * near)
+        drop = E * abs(kappa) ** (2 * _TAIL_M) / d ** np.arange(1, orders + 1)
+    wx, wy = wx[c:], wy[c:]
+    C2, logx, d2 = C[c:, c:] ** 2, logx[c:], d2[c:, c:]
+    n = len(logx)
+    i, j = np.triu_indices(n, 1)
+    # the weights of the x side, wx x^(m*+1), ride on the columns of CC2
+    CC2 = C2[i]
+    CC2 *= C2[j]
+    CC2 *= wx * np.exp((_TAIL_M + 1) * logx)
+    lu = logx[i] + logx[j]
+    e = np.expm1(lu)
+    s = 0.5 * (1.0 - kappa) * (1.0 + kappa) - k2 * e
+    ke = k2 * e
+    # W_pq t_pq^m* = gy_p H_pq d2_q, H_pq = CC2[p, i_q] CC2[p, j_q]
+    dq = d2[i, j]
+    gy = (4.0 * kappa ** (2 * _TAIL_M)) * wy[i] * wy[j] * dq * np.exp((_TAIL_M + 1) * lu)
+    phi = np.zeros(orders, dtype=np.result_type(CC2, gy))
+    rows = max(1, _BM_BLOCK // len(i))
+    for r0 in range(0, len(i), rows):
+        blk, r1 = CC2[r0 : r0 + rows], min(len(i), r0 + rows)
+        # the x pairs (a, a+1..) of H a slice at a time, as in _bm_chunk
+        H = np.empty((r1 - r0, len(i)), dtype=phi.dtype)
+        col = 0
+        for a in range(n - 1):
+            np.multiply(blk[:, a : a + 1], blk[:, a + 1 :], out=H[:, col : col + n - 1 - a])
+            col += n - 1 - a
+        inv = s[r0:r1, None] + s
+        inv -= ke[r0:r1, None] * e
+        np.reciprocal(inv, out=inv)
+        for k in range(orders):
+            H *= inv
+            phi[k] += gy[r0:r1] @ (H @ dq)
+    return phi, drop
+
+
+@lru_cache(maxsize=64)
+def _bm_tail(kappa: complex, G: int, orders: int):
+    """(Phi_k, drop bound) for k < orders (_tail_table), read-only, cached
+    per (kappa, G, orders) and shared by every order ell < orders.
+
+    The table runs on the nodes _bm_drop keeps at m* = _TAIL_M when each
+    drop bound is within 2^-52 |Phi_k|, the rounding scale of the tail,
+    and on all G nodes otherwise (drop bound 0).
+    """
+    for c in (_bm_drop(kappa, G, _TAIL_M, _TAIL_M), 0):
+        phi, drop = _tail_table(kappa, G, c, orders)
+        if np.all(drop <= 2.0**-52 * np.abs(phi)):
+            break
+    for arr in (phi, drop):
+        arr.setflags(write=False)
+    return phi, drop
+
+
 def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
     """Probe value at order ell via the m expansion (n = 2).
 
@@ -568,9 +679,10 @@ def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
     the integral into sum_m binom(m+ell, ell) kappa^(2 m) B_m, the
     Vandermonde-form G-node rule summed in another order.  The summed length
     starts at 16 moments (S_2 at |kappa| = 0.5 needs about 23) and doubles
-    until the tail estimate drops below rtol relative to the sum, so it
-    overshoots the length it needs by at most 2x.  For real kappa the sum
-    runs in float64, since kappa^2 > 0.
+    until the tail estimate drops below rtol relative to the sum.  If that
+    has not happened by m* = _TAIL_M, the series past m* is added in closed
+    form on the nodes kept there (_bm_tail), so no series reads a moment
+    past m*.  For real kappa the sum runs in float64, since kappa^2 > 0.
     """
     k2 = _real(kappa) ** 2
     q = abs(k2)
@@ -578,7 +690,7 @@ def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
         raise DomainError("|kappa^2| must be < 1")
     total = 0.0
     m0, m1 = 0, 16
-    while True:
+    while m0 < _TAIL_M:
         bm = _bm_prefix(kappa, G, m0, m1)
         mm = np.arange(m0, m1)
         # at kappa = 0 only the m = 0 term survives (and log 0 is undefined)
@@ -594,14 +706,10 @@ def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
             tail = abs(t[-1]) * ratio / (1.0 - ratio)
             if tail <= rtol * max(abs(total), _TINY):
                 return complex(total)
-        if m1 >= _SERIES_M_CAP:
-            raise ConvergenceError(
-                f"moment series did not converge within {_SERIES_M_CAP} terms "
-                f"at kappa={kappa}",
-                best=complex(total),
-                gap=rtol,
-            )
-        m0, m1 = m1, min(2 * m1, _SERIES_M_CAP)
+        m0, m1 = m1, 2 * m1
+    phi = _bm_tail(kappa, G, max(_TAIL_ORDERS, ell + 1))[0]
+    coef = [math.comb(_TAIL_M - 1 + ell - k, ell - k) for k in range(ell + 1)]
+    return complex(total + np.dot(coef, phi[: ell + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -755,43 +863,64 @@ def _det_terms(B: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _s_rule(kappa: complex, G: int, tol: float):
     """The integral route's S = S_1 + R on the G-node rule, as (S, N,
-    proven).  S_1 = kappa^2/pi^2 sum_ab wx_a wy_b U_ab C_ab^3, U = x x^T,
+    error).  S_1 = kappa^2/pi^2 sum_ab wx_a wy_b U_ab C_ab^3, U = x x^T,
     is the order z_N tr A_N summed over every N in closed form; R is one
-    _nystrom_pass of _det_terms held to tol/2, and proven its tail + drop.
+    _nystrom_pass of _det_terms held to tol/2.  error is that pass's proven
+    tail + drop plus an estimate of the rounding of its terms.
+
+    Each pivot of the LU of I + z_N A_N is 1 + z_N (A_N)_ii plus smaller
+    terms, rounded to about eps, but by no more than |z_N (A_N)_ii| where
+    that is below eps (the pivot then rounds to 1).  Subtracting 1 - z_N tr
+    A_N keeps those errors whole, so term N is off by about sum_i min(eps,
+    |z_N (A_N)_ii|); the estimate is twice that, summed over every N.  On
+    96 nodes at k = 0.5, 0.9 and 0.99 it is 20 times the summed error of
+    the terms against the orders n >= 2 summed from A_N's eigenvalues, and
+    at least the error of each single term.
     """
     kappa = _real(kappa)
     x, wx, wy = _axis_nodes(G, kappa)
     C = _node_tables(G, kappa)[0]
     s1 = kappa**2 / math.pi**2 * ((wx * x) @ (C * C * C) @ (wy * x))
+    rounding = 0.0
+
+    def terms(B, z):
+        nonlocal rounding
+        # |z_N (A_N)_ii|, A_N = B B^T
+        diag = np.abs(z[:, None] * np.einsum("nij,nij->ni", B, B))
+        rounding += 2.0 * float(np.minimum(2.0**-52, diag).sum())
+        return _det_terms(B, z)
+
     try:
-        r, terms, tail, drop = _nystrom_pass(kappa, G, 2, lambda s: tol / 2.0, _det_terms)
+        r, n, tail, drop = _nystrom_pass(kappa, G, 2, lambda s: tol / 2.0, terms)
     except ConvergenceError as exc:
         exc.best += s1
+        exc.gap += rounding
         raise
-    return complex(s1 + r), terms, tail + drop
+    return complex(s1 + r), n, tail + drop + rounding
 
 
 def _s_nystrom_terms(k: CouplingK, tol: float):
     """The integral route's S = sum_N (det(I - K_N) - 1) = sum_n S_n, as
     (S, N, est_error): S from _s_rule on 96 nodes (_refined_nodes of 64),
-    N where its pass stopped, est_error its proven bounds (at most tol/2)
-    plus the gap |S_96 - S_64|, an estimate.  A gap above tol in beta^-1
-    chi_d = 1 + M^2 (2 S - 1), or a sum that is not finite, raises
-    ConvergenceError carrying S and est_error.  At kappa = 0 S is 0.
+    N where its pass stopped, est_error the error of _s_rule (proven bounds
+    of at most tol/2 plus a rounding estimate) plus the gap |S_96 - S_64|,
+    an estimate.  A gap above tol in beta^-1 chi_d = 1 + M^2 (2 S - 1), or
+    a sum that is not finite, raises ConvergenceError carrying S and
+    est_error.  At kappa = 0 S is 0.
     """
     if k.kappa == 0:
         return 0.0, 0, 0.0
     G = QuadratureSpec().nodes_per_dim
-    (s, n, proven), (coarse, _, _) = (_s_rule(k.kappa, g, tol) for g in (_refined_nodes(G), G))
+    (s, n, err), (coarse, _, _) = (_s_rule(k.kappa, g, tol) for g in (_refined_nodes(G), G))
     gap = abs(s - coarse) if cmath.isfinite(s - coarse) else math.inf
     chi_gap = 2.0 * abs(magnetization(k)) ** 2 * gap
     if not chi_gap <= tol:
         raise ConvergenceError(
             f"the integral route at k={k.value} stopped at N = {n} with a "
             f"node-refinement gap of {chi_gap:.3g} in chi_d, above tol={tol:.3g}",
-            best=s, gap=gap + proven, terms=n,
+            best=s, gap=gap + err, terms=n,
         )
-    return s, n, gap + proven
+    return s, n, gap + err
 
 
 # ---------------------------------------------------------------------------
@@ -897,12 +1026,12 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
       m grows, dropping only nodes whose share of B_m is proven below
       2^-52 of its terms' moduli: the same G-node rule to rounding.
 
-    The series needs more moments as |kappa^2| -> 1 and raises
-    ConvergenceError past 2^18 of them; the ray toward -1 reaches
-    r = 1 - 2^-14.  Near that ray's end the G-node rule itself limits the
-    accuracy: G = 64 is within 2e-13 relative of G = 96 and 128 up to
-    r = 1 - 2^-10, then 1.5e-10 at 2^-11, 2.4e-9 at 2^-12, ~2e-8 at 2^-13
-    and ~1.3e-7 at 2^-14, so use 96 nodes past 2^-10.
+    The series reads at most 512 moments and adds the rest in closed form,
+    so no moment cap binds at n = 2 at any |kappa| < 1: the ray toward -1
+    runs to r = 1 - 2^-18 and beyond.  Near that ray's end the G-node rule
+    itself limits the accuracy: G = 64 is within 2e-13 relative of G = 96
+    and 128 up to r = 1 - 2^-10, then 1.5e-10 at 2^-11, 2.4e-9 at 2^-12,
+    ~2e-8 at 2^-13 and ~1.3e-7 at 2^-14, so use 96 nodes past 2^-10.
     """
     kappa = _check_kappa(kappa)
     if n < 1:

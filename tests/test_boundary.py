@@ -129,6 +129,14 @@ class TestRadialScan:
         # the acceptance scans toward -1: the field is the classifier's label
         scan = radial_scan(RootOfUnity(1, 2), 2, ell, radii_grid(4, 10), QuadratureSpec())
         assert scan.classification == _classify(scan.radii, scan.values) == label
+        # slope_se, resid_rms and swing are the fit's, and the label follows
+        # from them by _label's rule
+        fit = boundary._ols_log(scan.radii, scan.values)
+        assert (scan.slope_se, scan.resid_rms, scan.swing) == (
+            fit["slope_se"], fit["resid_rms"], fit["swing"])
+        significant = scan.fit_slope > boundary._SLOPE_SIGMA * scan.slope_se
+        swings = scan.swing > boundary._RANGE_OVER_RESID * scan.resid_rms
+        assert ("diverging" if significant and swings else "bounded") == label
 
     def test_monte_carlo_scan_deterministic(self):
         spec = QuadratureSpec(method="monte_carlo", mc_samples=20000, seed=17)

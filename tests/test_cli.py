@@ -239,9 +239,10 @@ class TestSweep:
         code = main(["sweep", "--grid", "0.9999,0.3,1.5", "--route", "integral"])
         captured = capsys.readouterr()
         assert code == 2
+        # est_error holds the rounding estimate of the Nystrom terms too
         assert captured.out.splitlines()[1:] == [
-            "0.99990000000000001,151.15588059268629,integral,38720,8.7051831560558575e-05,true",
-            "0.29999999999999999,0.0241491482281605,integral,2,9.87882372700245e-10,false",
+            "0.99990000000000001,151.15588059268629,integral,38720,8.705187556715253e-05,true",
+            "0.29999999999999999,0.0241491482281605,integral,2,9.8802984467176003e-10,false",
             "1.5,nan,integral,0,inf,true",
         ]
         err = captured.err.splitlines()

@@ -105,6 +105,51 @@ def _cauchy_tuples(kappa, n, G):
     return kappa ** (2 * n) / (math.factorial(n) ** 2 * math.pi ** (2 * n)) * raw
 
 
+def _mp_nodes(kappa, G):
+    """The G-node rule's nodes and weights as mpmath numbers, exactly the
+    float64 (or complex128) values the package uses."""
+    mpmath = pytest.importorskip("mpmath")
+    x, wx, wy = integrals._axis_nodes(G, integrals._real(kappa))
+
+    def mp(v):
+        v = complex(v)
+        return mpmath.mpc(v.real, v.imag)
+
+    return [mpmath.mpf(float(v)) for v in x], [mp(v) for v in wx], [mp(v) for v in wy]
+
+
+def _mp_pair_sum(kappa, power, G):
+    """_tensor_core's n = 1 pair sum of U/(1 - kappa U)^(power+2) on the
+    G-node rule, summed in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        X, WX, WY = _mp_nodes(kappa, G)
+        k = mpmath.mpc(complex(kappa).real, complex(kappa).imag)
+        total = mpmath.fsum(WX[a] * WY[b] * X[a] * X[b] / (1 - k * X[a] * X[b]) ** (power + 2)
+                            for a in range(G) for b in range(G))
+        return complex(total)
+
+
+def _mp_vandermonde_rule(kappa, power, G):
+    """The n = 2 Vandermonde-form G-node rule with resonant exponent power,
+    summed over pairs a < b, i < j in 40-digit arithmetic: the oracle for
+    the moment series with its closed-form tail."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        X, WX, WY = _mp_nodes(kappa, G)
+        k = mpmath.mpc(complex(kappa).real, complex(kappa).imag)
+        C2 = [[1 / (1 - k * X[a] * X[b]) ** 2 for b in range(G)] for a in range(G)]
+        pairs = [(a, b) for a in range(G) for b in range(a + 1, G)]
+        total = mpmath.mpc(0)
+        for i, j in pairs:
+            gy = WY[i] * WY[j] * (X[i] - X[j]) ** 2
+            for a, b in pairs:
+                u = X[a] * X[b] * X[i] * X[j]
+                H = C2[a][i] * C2[a][j] * C2[b][i] * C2[b][j]
+                total += gy * WX[a] * WX[b] * (X[a] - X[b]) ** 2 * H * u / (1 - k * k * u) ** power
+        return complex(4 * total)
+
+
 class TestLambda1:
     def test_free_point(self):
         assert abs(_lambda1(0.5, 0.0) - 1.0) < 1e-15
@@ -198,6 +243,14 @@ class TestTensorQuadrature:
     def test_physical_kappa_result_is_real(self):
         v = s_n(0.49, 2, _SPEC).value
         assert v.imag == 0.0
+
+    def test_complex_power_matches_high_precision_sum(self):
+        # numpy's complex C ** (power+2) is 1.6e-14 off here, exp((power+2)
+        # log C) 3.6e-15
+        kappa, power, G = complex(0.99 * np.exp(0.4j)), 20, 64
+        want = _mp_pair_sum(kappa, power, G)
+        got = _tensor_core(kappa, 1, power, G)
+        assert abs(got - want) <= 5e-15 * abs(want)
 
     def test_non_finite_kappa_rejected(self):
         for bad in (math.nan, complex(0.1, math.inf)):
@@ -630,6 +683,19 @@ class TestNystrom:
         assert n >= 4
         assert abs(S - total) <= proven + 1e-13 * abs(S)
 
+    @pytest.mark.parametrize("k", [0.3, 0.5, 0.7, 0.9])
+    def test_error_covers_the_particle_gap(self, k):
+        # the route's S against S_1 + S_2..S_6 of the Cauchy form on the same
+        # 96 nodes: at tol 1e-16 the proven tail and drop are near 4e-17 at
+        # k = 0.5, below the 5.6e-15 gap; the rounding estimate covers it
+        kappa, G = k * k, 96
+        S, _, err = integrals._s_rule(kappa, G, 1e-16)
+        total = integrals._prefactor(kappa, 1) * _tensor_core(kappa, 1, 1, G)
+        total += sum(_cauchy_sn(kappa, n, G)[0] for n in range(2, 7))
+        assert abs(S - total) <= err
+        # an allowance on the scale of rounding, not a loose cap
+        assert err <= 1e-11
+
 
 def _cauchy_derivative(kappa, n, ell, radius):
     """ell-th derivative of S_n at kappa by the Cauchy integral formula,
@@ -1005,9 +1071,84 @@ class TestPrunedMoments:
                 assert bound <= 2.0**-52 * _kept_pair_bound(kappa, G, m, c)
 
 
+class TestSeriesTail:
+    """Past m* = _TAIL_M the series is summed in closed form on the nodes
+    kept there (_bm_tail)."""
+
+    @pytest.mark.parametrize("ell", [0, 7])
+    def test_deep_radius_matches_high_precision_rule(self, ell):
+        # about 8e5 moments at r = 1 - 2^-16, past the old 2^18-moment cap
+        r = 1.0 - 2.0**-16
+        want = _mp_vandermonde_rule(-r, ell + 1, 12)
+        got = _lint_series(complex(-r), ell, 12, 1e-14)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("kappa", [0.99 * np.exp(0.3j), -0.995 + 0.01j])
+    def test_complex_kappa_matches_tensor_sum(self, kappa):
+        want = _vandermonde_tensor(kappa, 4, 64)
+        got = _lint_series(complex(kappa), 3, 64, 1e-14)
+        assert abs(got - want) <= 5e-15 * abs(want)
+
+    @pytest.mark.parametrize("kappa", [-(1.0 - 2.0**-10), 0.99 * np.exp(0.4j), 0.95j, 0.9])
+    def test_drop_bound_covers_the_dropped_nodes(self, kappa):
+        G = 12
+        full, none = integrals._tail_table(kappa, G, 0, 8)
+        assert not none.any()
+        moved = 0.0
+        for c in range(1, G - 1):
+            phi, drop = integrals._tail_table(kappa, G, c, 8)
+            change = np.abs(phi - full)
+            assert np.all(change <= drop + 1e-15 * np.abs(full))
+            moved = max(moved, np.max(change / np.abs(full)))
+        # the bound is tested where the dropped nodes count
+        assert moved > 1e-6
+
+    def test_no_moment_read_past_the_switch(self, monkeypatch):
+        asked = []
+        kernel = integrals._bm_chunk
+
+        def counting(kappa, G, m0, m1):
+            asked.append((m0, m1))
+            return kernel(kappa, G, m0, m1)
+
+        monkeypatch.setattr(integrals, "_bm_chunk", counting)
+        integrals._bm_prefix.cache_clear()
+        r = 1.0 - 2.0**-8
+        value = lint_integral(-r, 2, 7, QuadratureSpec(nodes_per_dim=48))
+        # the series reached m* and added the tail there
+        assert max(m1 for _, m1 in asked) == integrals._TAIL_M
+        tensor = _vandermonde_tensor(-r, 8, 48)
+        assert abs(value - tensor) <= 1e-12 * abs(tensor)
+
+    def test_kept_nodes_that_miss_rounding_keep_every_node(self, monkeypatch):
+        # two kept nodes leave a drop bound far above 2^-52 |Phi_k|: the
+        # table runs again on all G nodes, and the value stays the rule
+        G, r = 16, 1.0 - 2.0**-8
+        drop, table, counts = integrals._bm_drop, integrals._tail_table, []
+
+        def few(kappa, G, m0, m1):
+            return G - 2 if m0 == integrals._TAIL_M else drop(kappa, G, m0, m1)
+
+        def spy(kappa, G, c, orders):
+            counts.append(c)
+            return table(kappa, G, c, orders)
+
+        monkeypatch.setattr(integrals, "_bm_drop", few)
+        monkeypatch.setattr(integrals, "_tail_table", spy)
+        integrals._bm_tail.cache_clear()
+        try:
+            value = _lint_series(complex(-r), 7, G, 1e-14)
+        finally:
+            integrals._bm_tail.cache_clear()
+        assert counts == [G - 2, 0]
+        tensor = _vandermonde_tensor(-r, 8, G)
+        assert abs(value - tensor) <= 1e-12 * abs(tensor)
+
+
 class TestMomentMemory:
     """_bm_chunk and _bm_drop walk their moments in bounded blocks, so a
-    longer chunk does not hold more memory."""
+    longer chunk does not hold more memory, and _tail_table walks its pair
+    table in blocks of y pairs."""
 
     @pytest.mark.parametrize("call, args, limit", [
         (integrals._bm_chunk, (-(1.0 - 2.0**-8), 64, 2048, 4096), 2e6),
@@ -1015,7 +1156,9 @@ class TestMomentMemory:
         (integrals._bm_prefix.__wrapped__, (-0.7, 48, 0, 8192), 3e6),
         # 50000 columns of powers on the top 4 nodes, 1.6 MB if built whole
         (integrals._bm_drop, (-(1.0 - 2.0**-14), 96, 16640, 66640), 0.6e6),
-    ], ids=["chunk", "window", "drop"])
+        # every node kept: 2016 x 2016 pairs, 33 MB if built whole
+        (integrals._tail_table, (-(1.0 - 2.0**-14), 64, 0, 8), 3e6),
+    ], ids=["chunk", "window", "drop", "tail"])
     def test_memory_flat_in_moments(self, call, args, limit):
         tracemalloc.start()
         try:
