@@ -17,15 +17,16 @@ evaluates Sn2 through lint_integral.  For n = 2 the rule is
 summed by the moment engine at every kappa: 1/(1 - kappa^2 u)^(l+1) is
 expanded as a geometric series in u = x1 x2 y1 y2, and each power reduces
 to one-dimensional node sums, the moments B_m (_bm_chunk), in O(G^3 M)
-instead of the O(G^4) tensor sum.  Each B_m is accurate to rounding, and
-each chunk of them runs on the nodes left after dropping the smallest
-ones whose share is proven below rounding (_bm_drop).  The B_m are cached
-per (kappa, G) and doubling window of m (_bm_prefix) and shared by every
-order l, so S_2 and the probe integral at every ell reuse one set.  No
-series reads a moment past m* = 512 (_TAIL_M): on the nodes kept there the
-rest of the series has a closed form in 1/(1 - kappa^2 u), summed once
-per (kappa, G) for every order l (_bm_tail), so the series has no moment
-cap at any |kappa| < 1.  This
+instead of the O(G^4) tensor sum.  The moments come in the six doubling
+windows [0, 16), [16, 32), ..., [256, 512) below m* = 512 (_TAIL_M), one
+kernel call a window (_bm_prefix), cached per (kappa, G) and window and
+shared by every order l, so S_2 and the probe integral at every ell
+reuse one set.  Each B_m is accurate to rounding, and each window of
+them runs on the nodes left after dropping the smallest ones whose share
+is proven below rounding (_bm_drop).  No series reads a moment past m*:
+on the nodes kept there the rest of the series has a closed form in
+1/(1 - kappa^2 u), summed once per (kappa, G) for every order l
+(_bm_tail), so the series has no moment cap at any |kappa| < 1.  This
 is the same G-node rule summed in another order, not a finer one: the
 summed rule agrees with the tensor sum to ~1e-15 relative, and near a
 resonant direction (kappa^n approaching the positive real axis) it
@@ -171,7 +172,7 @@ def _axis_nodes(G: int, kappa: complex):
 @lru_cache(maxsize=16)
 def _node_tables(G: int, kappa: complex):
     """The kernel table of the G-node rule, read-only: C = 1/(1 - kappa x
-    x^T), log x, (x_a - x_b)^2 and min |C| / max |C|.
+    x^T), log x, (x_a - x_b)^2 and min |C|, max |C|.
 
     The n = 1 pair sum, the moment engine (sliced to its kept nodes) and
     the Nystrom pass all read C here.  Cached per (G, kappa), kappa as
@@ -187,7 +188,7 @@ def _node_tables(G: int, kappa: complex):
     d2 = (x[:, None] - x[None, :]) ** 2
     for arr in (C, logx, d2):
         arr.setflags(write=False)
-    return C, logx, d2, float(absC.min() / absC.max())
+    return C, logx, d2, float(absC.min()), float(absC.max())
 
 
 def _prefactor(kappa: complex, n: int) -> complex:
@@ -376,10 +377,11 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
 # ---------------------------------------------------------------------------
 # Moment series for the n = 2 probe integral
 
-# average entries per block of pairs from which _bm_chunk builds its pair
-# matrix by blocks rather than by two gathers (at 64 kept nodes and more)
+# average entries per broadcast product past which _pair_products builds
+# its pairs by one product per first node rather than by two gathers
 _CC2_BLOCK = 2048
-# kept pairs x moments per block of _bm_chunk's moments: 256 KB in float64
+# kept pairs x moments per block of _bm_chunk's moments, and y pairs x x
+# pairs per block of _tail_table's pairs of pairs: 256 KB in float64
 _BM_BLOCK = 1 << 15
 # the moment order past which _lint_series reads no moment and adds the rest
 # of its series in closed form (_bm_tail); the end of a doubling window.  The
@@ -388,6 +390,39 @@ _BM_BLOCK = 1 << 15
 _TAIL_M = 512
 # orders k of one tail table: every ell < 8 reads the same one
 _TAIL_ORDERS = 8
+
+
+def _pair_products(M: np.ndarray, axis: int) -> np.ndarray:
+    """M[a] M[b] along `axis` for every pair a < b, in np.triu_indices
+    order, by two gathers or by one broadcast product per first node a,
+    M.size / 2 entries on average: past _CC2_BLOCK entries a product the
+    gathered copies cost more than the n - 1 products, below it less."""
+    n = M.shape[axis]
+    i, j = np.triu_indices(n, 1)
+    if M.size < 2 * _CC2_BLOCK:
+        out = np.take(M, i, axis)
+        out *= np.take(M, j, axis)
+        return out
+    out = np.empty(M.shape[:axis] + (len(i),) + M.shape[axis + 1 :], dtype=M.dtype)
+    rows, view = np.moveaxis(M, axis, 0), np.moveaxis(out, axis, 0)
+    k = 0
+    for a in range(n - 1):
+        np.multiply(rows[a], rows[a + 1 :], out=view[k : k + n - 1 - a])
+        k += n - 1 - a
+    return out
+
+
+def _drop_sums(kappa: complex, G: int, m: int):
+    """(D_x, D_y, E_m) of _bm_drop for dropping the c smallest nodes at
+    moment m, at index c - 1: the cumulative sums of |wx| x^(m+1) and |wy|
+    x^(m+1), whose last entries are S_x and S_y, and the bound E_m."""
+    kappa = _real(kappa)
+    _, wx, wy = _axis_nodes(G, kappa)
+    _, logx, _, _, cmax = _node_tables(G, kappa)
+    p = np.exp(logx * (m + 1))
+    Dx, Dy = np.cumsum(np.abs(wx) * p), np.cumsum(np.abs(wy) * p)
+    Sx, Sy = Dx[-1], Dy[-1]
+    return Dx, Dy, 2.0 * cmax**8 * (Dx * Sx * Sy**2 + Dy * Sy * Sx**2)
 
 
 def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
@@ -414,48 +449,41 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     (m1 - m0)), t the lower pair node: for any split of ascending nodes
     the shares D/S and S/K (K: the sum from node t up) only fall as m
     grows, so both are read at column m0, and only the nodes from t up are
-    summed at every column, in blocks of at most _BM_BLOCK powers.  The
+    summed at every column, at most 258 columns of a window at once.  The
     test is exact at m0 and overstates E_m after it; against the exact
     test at every column it keeps at most one node more on the test grid.
     """
     kappa = _real(kappa)
     _, wx, wy = _axis_nodes(G, kappa)
-    _, logx, d2, cratio = _node_tables(G, kappa)
-    scale = 2.0**-51 * cratio ** 8
-    first = np.exp(logx * (m0 + 1))
+    _, logx, d2, cmin, cmax = _node_tables(G, kappa)
+    scale = 2.0**-51 * (cmin / cmax) ** 8
     last = np.exp(logx * (m1 + 2))
+    awx, awy = np.abs(wx), np.abs(wy)
 
     def best_pair(w):
-        p = np.abs(w) * last
+        p = w * last
         return np.unravel_index(np.argmax(np.triu(np.outer(p, p) * d2, 1)), (G, G))
 
-    (a, b), (i, j) = best_pair(wx), best_pair(wy)
+    (a, b), (i, j) = best_pair(awx), best_pair(awy)
     t = min(a, i)
-    axes = ((np.abs(wx), a, b), (np.abs(wy), i, j))
-    D = [np.cumsum(w * first) for w, _, _ in axes]  # dropped sums at m0
-    # each column holds G - t powers and about eight arrays of K, R and ratios
-    K0, low, step = None, np.inf, max(1, _BM_BLOCK // (G - t + 8))
+    Dx, Dy, _ = _drop_sums(kappa, G, m0)
     with np.errstate(divide="ignore", invalid="ignore"):
         # one row of powers per column m, the nodes from t up: the smallest
         # product over the columns of the axes' R / (bound on S)^2
-        for c0 in range(m0 + 1, m1 + 3, step):
-            Xp = np.exp(np.arange(c0, min(m1 + 3, c0 + step))[:, None] * logx[t:])
-            K = [Xp @ w[t:] for w, _, _ in axes]
-            if K0 is None:
-                K0 = [k[0] for k in K]
-            rx, ry = (w[p] * w[q] * d2[p, q] * Xp[:, p - t] * Xp[:, q - t]
-                      / (k * (d[-1] / k0)) ** 2
-                      for (w, p, q), d, k, k0 in zip(axes, D, K, K0))
-            low = np.minimum(low, np.min(rx * ry))
+        Xp = np.exp(np.arange(m0 + 1, m1 + 3)[:, None] * logx[t:])
+        rx, ry = (w[p] * w[q] * d2[p, q] * Xp[:, p - t] * Xp[:, q - t]
+                  / (K * (D[-1] / K[0])) ** 2
+                  for w, p, q, D, K in ((awx, a, b, Dx, Xp @ awx[t:]),
+                                        (awy, i, j, Dy, Xp @ awy[t:])))
         # E_m / (2 cmax^8) <= S_x^2 S_y^2 (D_x/S_x + D_y/S_y); NaN (all
         # x^(m+1) underflowing) fails the test and keeps every node
-        fits = D[0][:t] / D[0][-1] + D[1][:t] / D[1][-1] <= scale * low
+        fits = Dx[:t] / Dx[-1] + Dy[:t] / Dy[-1] <= scale * np.min(rx * ry)
     return int(t if fits.all() else np.argmin(fits))
 
 
-def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
-    """B_m for m in [m0, m1) (the u^m moments of the n = 2 non-resonant
-    factor) and the number of nodes kept for them.
+def _bm_chunk(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
+    """B_m for m in [m0, m1), the u^m moments of the n = 2 non-resonant
+    factor; _bm_prefix asks for one doubling window below _TAIL_M a call.
 
     Each u^m moment factorizes into one-dimensional node sums
     with f_m(x) = wx x^(m+1) and g_m(y) = wy y^(m+1), and C(x, y) =
@@ -463,62 +491,50 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
     s: with h(x) = C^2(x, y1) C^2(x, y2) and R_k = sum_x (x - s)^k h f_m,
     the x-side double sum carrying (x1 - x2)^2 = ((x1 - s) - (x2 - s))^2
     is 2 (R_0 R_2 - R_1^2).  The matrix CC2[(y1, y2), x] = C^2(x, y1)
-    C^2(x, y2) times the columns f_m, (x - s) f_m and (x - s)^2 f_m gives
-    the three, one product each.  B_m sums the x side against
-    g_m(y1) g_m(y2) (y1 - y2)^2 over y1 < y2, doubled by symmetry.
+    C^2(x, y2) (_pair_products) times the columns f_m, (x - s) f_m and
+    (x - s)^2 f_m gives the three, one product each.  B_m sums the x side
+    against g_m(y1) g_m(y2) (y1 - y2)^2 over y1 < y2, doubled by symmetry.
     Nothing divides by kappa, so small |kappa| loses no digits.
     Everything is BLAS-shaped in the m direction, and in float64 for real
     kappa.
 
-    CC2 is built once per chunk; the moments then run in blocks of at most
+    CC2 is built once per call; the moments then run in blocks of at most
     _BM_BLOCK = 2^15 kept pairs x moments (256 KB in float64), but never
     fewer than n moments (n the kept nodes), so no block array is smaller
     than CC2 and a 16-moment window of S_2 stays one block.  Each block
     forms its powers x^(m+1), the three products, the y side and their
     sum, and writes its B_m into the one output array, so the arrays live
-    at once are CC2 and a few blocks, whatever the chunk's length.  C,
+    at once are CC2 and a few blocks, whatever the length of [m0, m1).  C,
     log x and (x_a - x_b)^2 come from _node_tables, sliced to the kept
-    nodes; the kept block of C is squared once per chunk.
+    nodes; the kept block of C is squared once per call.
 
     The shift is the top node, s = x[-1].  As m grows x^(m+1) lets a few
     top nodes dominate; with s = 0 the difference R_0 R_2 - R_1^2 then
     cancels to about 1e-8 of its terms, but the top node adds nothing to
     R_1 and R_2, so it cannot cancel, and each B_m is accurate to
     rounding: within 1e-13 relative (4e-15 seen) of the brute-force tuple
-    sum at G = 12 up to m = 2000, and the same to 1e-14 however the
-    moments are chunked or blocked.
+    sum at G = 12 up to m = 2000, and the same to 1e-14 however [m0, m1)
+    is split or blocked.
 
     The kernel runs on the nodes _bm_drop keeps, on both axes, and the top
     node is always kept.  The part of B_m it leaves out is proven below
     2^-52 of the sum of the moduli of its terms, the scale of the
     rounding error of any double-precision evaluation, so this is the same
     G-node rule to rounding: on the test grid it equals the full-node
-    kernel to 1e-15 relative.  A 256-moment chunk keeps all 64 nodes of
-    G = 64 at m = 0, 25 at m = 256 and 12 at m = 4096.
+    kernel to 1e-15 relative.  At G = 64 the window [0, 16) keeps all 64
+    nodes and [256, 512) keeps 25, toward kappa = -1 and at 0.5 alike.
     """
     c = _bm_drop(kappa, G, m0, m1)
     kappa = _real(kappa)
     x, wx, wy = (v[c:] for v in _axis_nodes(G, kappa))
-    C, logx, d2, _ = _node_tables(G, kappa)
+    C, logx, d2, _, _ = _node_tables(G, kappa)
     C2, logx, d2 = C[c:, c:] ** 2, logx[c:], d2[c:, c:]
     d = x - x[-1]
     dd = d * d
     n = len(x)
     i, j = np.triu_indices(n, 1)
-    # C2 is symmetric, so row (a, b) of CC2 is C2[a] C2[b], the same
-    # product either way: gathered rows i and j, or one broadcast product
-    # per block of pairs (a, a+1..), n^2/2 entries a block on average.
-    # Past _CC2_BLOCK entries a block the two gathered copies cost more
-    # than the n - 1 calls; below it the calls cost more
-    if n * n < 2 * _CC2_BLOCK:
-        CC2 = C2[i]
-        CC2 *= C2[j]
-    else:
-        CC2 = np.empty((len(i), n), dtype=C2.dtype)
-        row = 0
-        for a in range(n - 1):
-            np.multiply(C2[a], C2[a + 1:], out=CC2[row : row + n - 1 - a])
-            row += n - 1 - a
+    # C2 is symmetric, so row (a, b) of CC2 is C2[a] C2[b]
+    CC2 = _pair_products(C2, 0)
     ywt = wy[i] * wy[j] * d2[i, j]
     out = np.empty(m1 - m0, dtype=np.result_type(CC2, wy))
     # moments a block: _BM_BLOCK entries of pairs x moments, but never
@@ -540,35 +556,22 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int):
         yside *= Xp[j]
         out[b0 - m0 : b1 - m0] = np.einsum("pm,pm->m", yside, xside)
     out *= 4.0
-    return out, n
+    return out
 
 
 @lru_cache(maxsize=128)
 def _bm_prefix(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
-    """B_m for m in [m0, m1) as one read-only array, cached per window.
+    """B_m for m in [m0, m1) by one _bm_chunk call, read-only, cached per
+    window.
 
-    _lint_series asks only for the doubling windows [0, 16), [16, 32),
-    [32, 64), ... up to _TAIL_M = 512, so each B_m depends on (kappa, G,
-    window) alone, and every order ell and call at the same kappa and G
-    reuses the windows.  A series holds at most six windows, 512 moments:
-    the cache of 128 windows stays below 0.5 MB at complex kappa.
-    A chunk is as long as 256 G(G-1)/2 kept pair x moment entries allow,
-    the size of one full-node 256-moment chunk.  The kept count of the
-    chunk before sizes the next, since fewer nodes stay as m grows.  The
-    chunk length sets only how often _bm_drop and CC2 run, not the memory
-    of _bm_drop and the kernel, which walk a chunk in bounded blocks of
-    moments: _bm_prefix(-0.7, 48, 0, 8192) peaks at about 2.3 MB.  The
-    arrays are float64 for real kappa.
+    _lint_series asks only for the six doubling windows [0, 16), [16, 32),
+    [32, 64), ..., [256, 512) below _TAIL_M, so each B_m depends on
+    (kappa, G, window) alone, and every order ell and call at the same
+    kappa and G reuses the windows.  A series holds at most six windows,
+    512 moments: the cache of 128 windows stays below 0.5 MB at complex
+    kappa.  The arrays are float64 for real kappa.
     """
-    entries = 256 * (G * (G - 1) // 2)
-    parts = []
-    kept = G
-    while m0 < m1:
-        stop = min(m1, m0 + entries // max(G, kept * (kept - 1) // 2))
-        bm, kept = _bm_chunk(kappa, G, m0, stop)
-        parts.append(bm)
-        m0 = stop
-    window = np.concatenate(parts)
+    window = _bm_chunk(kappa, G, m0, m1)
     window.setflags(write=False)
     return window
 
@@ -599,22 +602,18 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
     drop[k] bounds the change the c dropped nodes make to Phi_k.  That
     change is the sum of W_pq t_pq^m* (1 - t_pq)^-(k+1) over the pairs with
     a dropped node.  Their |W_pq t_pq^m*| sum to at most |kappa|^(2 m*)
-    E_m*, E_m the bound of _bm_drop, and their u_pq are at most rho =
+    E_m*, E_m the bound of _drop_sums, and their u_pq are at most rho =
     x_(c-1) x_top^3, so |1 - t_pq| >= d, the distance from 0 to the segment
     1 - kappa^2 [0, rho]: drop[k] = |kappa|^(2 m*) E_m* / d^(k+1).  For real
     kappa d = 1 - kappa^2 rho, and Phi_k and drop are float64.
     """
     kappa = _real(kappa)
     _, wx, wy = _axis_nodes(G, kappa)
-    C, logx, d2, _ = _node_tables(G, kappa)
+    C, logx, d2, _, _ = _node_tables(G, kappa)
     k2 = kappa * kappa
     drop = np.zeros(orders)
     if c:
-        # E_m* from the dropped and the whole sums of |w| x^(m*+1)
-        p = np.exp(logx * (_TAIL_M + 1))
-        px, py = np.abs(wx) * p, np.abs(wy) * p
-        Sx, Sy, Dx, Dy = px.sum(), py.sum(), px[:c].sum(), py[:c].sum()
-        E = 2.0 * np.abs(C).max() ** 8 * (Dx * Sx * Sy**2 + Dy * Sy * Sx**2)
+        E = _drop_sums(kappa, G, _TAIL_M)[2][c - 1]
         rho = math.exp(logx[c - 1] + 3.0 * logx[-1])
         # the point of the segment nearest 0: u = Re(k2)/|k2|^2, clipped
         near = min(max(k2.real / abs(k2) ** 2, 0.0), rho) if k2 else 0.0
@@ -622,11 +621,9 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
         drop = E * abs(kappa) ** (2 * _TAIL_M) / d ** np.arange(1, orders + 1)
     wx, wy = wx[c:], wy[c:]
     C2, logx, d2 = C[c:, c:] ** 2, logx[c:], d2[c:, c:]
-    n = len(logx)
-    i, j = np.triu_indices(n, 1)
+    i, j = np.triu_indices(len(logx), 1)
     # the weights of the x side, wx x^(m*+1), ride on the columns of CC2
-    CC2 = C2[i]
-    CC2 *= C2[j]
+    CC2 = _pair_products(C2, 0)
     CC2 *= wx * np.exp((_TAIL_M + 1) * logx)
     lu = logx[i] + logx[j]
     e = np.expm1(lu)
@@ -638,13 +635,8 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
     phi = np.zeros(orders, dtype=np.result_type(CC2, gy))
     rows = max(1, _BM_BLOCK // len(i))
     for r0 in range(0, len(i), rows):
-        blk, r1 = CC2[r0 : r0 + rows], min(len(i), r0 + rows)
-        # the x pairs (a, a+1..) of H a slice at a time, as in _bm_chunk
-        H = np.empty((r1 - r0, len(i)), dtype=phi.dtype)
-        col = 0
-        for a in range(n - 1):
-            np.multiply(blk[:, a : a + 1], blk[:, a + 1 :], out=H[:, col : col + n - 1 - a])
-            col += n - 1 - a
+        r1 = min(len(i), r0 + rows)
+        H = _pair_products(CC2[r0:r1], 1)
         inv = s[r0:r1, None] + s
         inv -= ke[r0:r1, None] * e
         np.reciprocal(inv, out=inv)
@@ -672,14 +664,14 @@ def _bm_tail(kappa: complex, G: int, orders: int):
     return phi, drop
 
 
-def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
+def _lint_series(kappa: complex, ell: int, G: int) -> complex:
     """Probe value at order ell via the m expansion (n = 2).
 
     1/(1 - kappa^2 u)^(ell+1) = sum_m binom(m+ell, ell) (kappa^2 u)^m turns
     the integral into sum_m binom(m+ell, ell) kappa^(2 m) B_m, the
     Vandermonde-form G-node rule summed in another order.  The summed length
     starts at 16 moments (S_2 at |kappa| = 0.5 needs about 23) and doubles
-    until the tail estimate drops below rtol relative to the sum.  If that
+    until the tail estimate drops below _GAUSS_RTOL of the sum.  If that
     has not happened by m* = _TAIL_M, the series past m* is added in closed
     form on the nodes kept there (_bm_tail), so no series reads a moment
     past m*.  For real kappa the sum runs in float64, since kappa^2 > 0.
@@ -704,7 +696,7 @@ def _lint_series(kappa: complex, ell: int, G: int, rtol: float) -> complex:
         ratio = q * (1.0 + ell / max(1.0, float(mm[-1])))
         if ratio < 1.0:
             tail = abs(t[-1]) * ratio / (1.0 - ratio)
-            if tail <= rtol * max(abs(total), _TINY):
+            if tail <= _GAUSS_RTOL * max(abs(total), _TINY):
                 return complex(total)
         m0, m1 = m1, 2 * m1
     phi = _bm_tail(kappa, G, max(_TAIL_ORDERS, ell + 1))[0]
@@ -778,9 +770,8 @@ def _nystrom_pass(kappa: complex, G: int, n: int, target, reduce):
     """
     kappa = _real(kappa)
     _, wx, wy = _axis_nodes(G, kappa)
-    C, logx, _, _ = _node_tables(G, kappa)
-    absC = np.abs(C)
-    rows = np.sum(absC * absC, axis=1)
+    C, logx, _, _, cmax = _node_tables(G, kappa)
+    rows = np.sum(np.abs(C) ** 2, axis=1)
     awx, awy = np.abs(wx), np.abs(wy)
     # x^N is taken over x_top^N on both axes, and z_N carries x_top^(2N)
     rel = logx - logx[-1]
@@ -789,7 +780,7 @@ def _nystrom_pass(kappa: complex, G: int, n: int, target, reduce):
     lq = n * lr
     q = math.exp(lq)
     ltail = lq - math.log1p(-q)
-    l2c = 2.0 * math.log(absC.max())
+    l2c = 2.0 * math.log(cmax)
     total, drop, N0, size, t = 0.0, 0.0, 1, 4, 0
     while True:
         # T_N at N0 - 1, the last N summed, on every node
@@ -1050,6 +1041,6 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
         raw, _ = _mc_core(kappa, n, ell + 1, spec)
         return raw
     if n == 2:
-        return _lint_series(kappa, ell, spec.nodes_per_dim, _GAUSS_RTOL)
+        return _lint_series(kappa, ell, spec.nodes_per_dim)
     return _tensor_core(kappa, n, ell + 1, spec.nodes_per_dim)
 

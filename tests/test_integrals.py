@@ -805,13 +805,13 @@ class TestMomentEngine:
     @pytest.mark.parametrize("G", [32, 48])
     @pytest.mark.parametrize("kappa", [1e-4, 1e-2, 0.5j, -0.7, 0.7 + 0.3j])
     def test_series_matches_tensor_sum(self, kappa, G):
-        series = _lint_series(kappa, 0, G, 1e-14)
+        series = _lint_series(kappa, 0, G)
         tensor = _vandermonde_tensor(kappa, 1, G)
         assert abs(series - tensor) <= 1e-12 * abs(tensor)
 
     def test_resonant_order_seven_matches_tensor_sum(self):
         r = 1.0 - 2.0 ** -8
-        series = _lint_series(-r, 7, 48, 1e-12)
+        series = _lint_series(-r, 7, 48)
         tensor = _vandermonde_tensor(-r, 8, 48)
         assert abs(series - tensor) <= 1e-12 * abs(tensor)
 
@@ -915,8 +915,7 @@ def _full_bm_chunk(kappa, G, m0, m1):
 def _gathered_bm_chunk(kappa, G, m0, m1):
     """_bm_chunk with the pair matrix CC2 gathered by the index arrays of
     every pair at once, over the same blocks of moments: the oracle for its
-    block-built CC2.  Returns the moments, the kept count and the number of
-    moment blocks."""
+    block-built CC2.  Returns the moments and the number of moment blocks."""
     c = integrals._bm_drop(kappa, G, m0, m1)
     kappa = integrals._real(kappa)
     x, wx, wy = (v[c:] for v in integrals._axis_nodes(G, kappa))
@@ -938,7 +937,7 @@ def _gathered_bm_chunk(kappa, G, m0, m1):
         yside = (wy[i] * wy[j] * (x[i] - x[j]) ** 2)[:, None] * Xp[i]
         yside *= Xp[j]
         parts.append(np.einsum("pm,pm->m", yside, xside))
-    return 4.0 * np.concatenate(parts), len(x), len(parts)
+    return 4.0 * np.concatenate(parts), len(parts)
 
 
 @pytest.mark.parametrize("G", [12, 64, 96])
@@ -946,20 +945,31 @@ def _gathered_bm_chunk(kappa, G, m0, m1):
 @pytest.mark.parametrize("m0, m1", [(0, 16), (256, 512)])
 def test_block_pair_products_are_bit_identical(G, kappa, m0, m1):
     # the same products in the same order: every B_m equal to the bit
-    got, kept = integrals._bm_chunk(complex(kappa), G, m0, m1)
-    want, want_kept, _ = _gathered_bm_chunk(complex(kappa), G, m0, m1)
-    assert kept == want_kept
+    got = integrals._bm_chunk(complex(kappa), G, m0, m1)
+    want, _ = _gathered_bm_chunk(complex(kappa), G, m0, m1)
     assert np.array_equal(got, want)
 
 
 def test_block_pair_products_are_bit_identical_over_blocks():
     # a chunk whose moments span several blocks, every block to the bit
     kappa, G, m0, m1 = complex(-(1.0 - 2.0**-8)), 48, 2048, 4096
-    got, kept = integrals._bm_chunk(kappa, G, m0, m1)
-    want, want_kept, blocks = _gathered_bm_chunk(kappa, G, m0, m1)
+    got = integrals._bm_chunk(kappa, G, m0, m1)
+    want, blocks = _gathered_bm_chunk(kappa, G, m0, m1)
     assert blocks >= 3
-    assert kept == want_kept
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape, axis", [((12, 12), 0), ((96, 96), 0), ((7, 12), 1),
+                                          ((300, 40), 1)])
+def test_pair_products_both_ways_are_bit_identical(shape, axis, monkeypatch):
+    # gathered and broadcast pairs: the same products, in triu order
+    rng = np.random.default_rng(3)
+    M = rng.random(shape) + 1j * rng.random(shape)
+    i, j = np.triu_indices(shape[axis], 1)
+    want = np.take(M, i, axis) * np.take(M, j, axis)
+    for block in (0, 1 << 30):
+        monkeypatch.setattr(integrals, "_CC2_BLOCK", block)
+        assert np.array_equal(integrals._pair_products(M, axis), want)
 
 
 def _tuple_terms(kappa, G, m):
@@ -1006,35 +1016,59 @@ class TestPrunedMoments:
     @pytest.mark.parametrize("kappa", _PRUNE_KAPPAS)
     def test_matches_full_kernel(self, kappa, G):
         for m0 in range(0, 4096, 256):
-            pruned, _ = integrals._bm_chunk(complex(kappa), G, m0, m0 + 256)
+            pruned = integrals._bm_chunk(complex(kappa), G, m0, m0 + 256)
             full = _full_bm_chunk(complex(kappa), G, m0, m0 + 256)
             assert np.all(np.abs(pruned - full) <= 1e-15 * np.abs(full))
 
     @pytest.mark.parametrize("kappa", [-0.7, 0.7 + 0.3j, -(1.0 - 2.0**-10)])
     def test_prefix_chunks(self, kappa, monkeypatch):
-        # the chunks _bm_prefix splits a window into: each within
-        # 256 G(G-1)/2 kept pair entries, and each the full-node rule to
-        # rounding
+        # _bm_prefix reads each doubling window by one kernel call, holds it
+        # read-only and cached, and each is the full-node rule to rounding
         kappa, G = complex(kappa), 48
         chunks = []
         kernel = integrals._bm_chunk
 
         def spy(kappa, G, m0, m1):
-            bm, kept = kernel(kappa, G, m0, m1)
-            chunks.append((m0, m1, kept))
-            return bm, kept
+            chunks.append((m0, m1))
+            return kernel(kappa, G, m0, m1)
+
+        monkeypatch.setattr(integrals, "_bm_chunk", spy)
+        windows = [(0, 16), (16, 32), (32, 64), (64, 128), (128, 256), (256, 512)]
+        integrals._bm_prefix.cache_clear()
+        try:
+            for m0, m1 in windows:
+                bm = integrals._bm_prefix(kappa, G, m0, m1)
+                assert len(bm) == m1 - m0
+                assert not bm.flags.writeable
+                assert integrals._bm_prefix(kappa, G, m0, m1) is bm
+                full = _full_bm_chunk(kappa, G, m0, m1)
+                assert np.all(np.abs(bm - full) <= 1e-15 * np.abs(full))
+        finally:
+            integrals._bm_prefix.cache_clear()
+        assert chunks == windows
+
+    @pytest.mark.parametrize("G", [2, 48])
+    def test_one_chunk_per_window(self, G, monkeypatch):
+        # the series reads the six doubling windows below _TAIL_M, each by
+        # one kernel call, and each the full-node rule to rounding
+        kappa = complex(-(1.0 - 2.0**-8))
+        windows = []
+        kernel = integrals._bm_chunk
+
+        def spy(kappa, G, m0, m1):
+            bm = kernel(kappa, G, m0, m1)
+            windows.append((m0, m1, bm))
+            return bm
 
         monkeypatch.setattr(integrals, "_bm_chunk", spy)
         integrals._bm_prefix.cache_clear()
-        bm = integrals._bm_prefix(kappa, G, 0, 8192)
-        assert len(bm) == 8192
-        assert chunks[0][:2] == (0, 256) and chunks[-1][1] == 8192
-        assert len(chunks) < 8192 // 256
-        for m0, m1, kept in chunks:
-            assert kept == G - integrals._bm_drop(kappa, G, m0, m1)
-            assert kept * (kept - 1) // 2 * (m1 - m0) <= 256 * G * (G - 1) // 2
+        _lint_series(kappa, 7, G)
+        integrals._bm_prefix.cache_clear()
+        assert [w[:2] for w in windows] == [(0, 16), (16, 32), (32, 64), (64, 128),
+                                            (128, 256), (256, 512)]
+        for m0, m1, bm in windows:
             full = _full_bm_chunk(kappa, G, m0, m1)
-            assert np.all(np.abs(bm[m0:m1] - full) <= 1e-15 * np.abs(full))
+            assert np.all(np.abs(bm - full) <= 1e-15 * np.abs(full))
 
     @pytest.mark.parametrize("G", [16, 48])
     @pytest.mark.parametrize("kappa", _PRUNE_KAPPAS)
@@ -1059,6 +1093,17 @@ class TestPrunedMoments:
                 assert abs(dropped) <= _drop_bound(kappa, G, m, c)
                 assert _kept_pair_bound(kappa, G, m, c) <= scale
 
+    @pytest.mark.parametrize("kappa", [0.5, 0.7 + 0.3j, -(1.0 - 2.0**-10)])
+    def test_drop_sums_form_the_bound(self, kappa):
+        # the bound the kernel and the tail table read is E_m for every
+        # count; x^(m+1) as exp((m+1) log x) moves it by about m ulps
+        kappa, G = complex(kappa), 12
+        for m in (0, 40, 512):
+            E = integrals._drop_sums(kappa, G, m)[2]
+            for c in range(1, G):
+                want = _drop_bound(kappa, G, m, c)
+                assert abs(E[c - 1] - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("G", [16, 48])
     @pytest.mark.parametrize("kappa", _PRUNE_KAPPAS)
     def test_drop_bound_below_kept_pairs(self, kappa, G):
@@ -1080,13 +1125,13 @@ class TestSeriesTail:
         # about 8e5 moments at r = 1 - 2^-16, past the old 2^18-moment cap
         r = 1.0 - 2.0**-16
         want = _mp_vandermonde_rule(-r, ell + 1, 12)
-        got = _lint_series(complex(-r), ell, 12, 1e-14)
+        got = _lint_series(complex(-r), ell, 12)
         assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("kappa", [0.99 * np.exp(0.3j), -0.995 + 0.01j])
     def test_complex_kappa_matches_tensor_sum(self, kappa):
         want = _vandermonde_tensor(kappa, 4, 64)
-        got = _lint_series(complex(kappa), 3, 64, 1e-14)
+        got = _lint_series(complex(kappa), 3, 64)
         assert abs(got - want) <= 5e-15 * abs(want)
 
     @pytest.mark.parametrize("kappa", [-(1.0 - 2.0**-10), 0.99 * np.exp(0.4j), 0.95j, 0.9])
@@ -1137,7 +1182,7 @@ class TestSeriesTail:
         monkeypatch.setattr(integrals, "_tail_table", spy)
         integrals._bm_tail.cache_clear()
         try:
-            value = _lint_series(complex(-r), 7, G, 1e-14)
+            value = _lint_series(complex(-r), 7, G)
         finally:
             integrals._bm_tail.cache_clear()
         assert counts == [G - 2, 0]
@@ -1146,16 +1191,17 @@ class TestSeriesTail:
 
 
 class TestMomentMemory:
-    """_bm_chunk and _bm_drop walk their moments in bounded blocks, so a
-    longer chunk does not hold more memory, and _tail_table walks its pair
-    table in blocks of y pairs."""
+    """_bm_chunk walks its moments in bounded blocks, so a longer run of
+    moments does not hold more memory; _bm_drop holds its powers whole,
+    bounded by the widest window at the largest node count; and
+    _tail_table walks its pair table in blocks of y pairs."""
 
     @pytest.mark.parametrize("call, args, limit", [
         (integrals._bm_chunk, (-(1.0 - 2.0**-8), 64, 2048, 4096), 2e6),
-        # past the window cache, so the chunks run every time
+        # past the window cache, so the kernel runs every time
         (integrals._bm_prefix.__wrapped__, (-0.7, 48, 0, 8192), 3e6),
-        # 50000 columns of powers on the top 4 nodes, 1.6 MB if built whole
-        (integrals._bm_drop, (-(1.0 - 2.0**-14), 96, 16640, 66640), 0.6e6),
+        # the widest window a series reads at 128 nodes: 0.28 MB
+        (integrals._bm_drop, (-(1.0 - 2.0**-14), 128, 256, 512), 0.6e6),
         # every node kept: 2016 x 2016 pairs, 33 MB if built whole
         (integrals._tail_table, (-(1.0 - 2.0**-14), 64, 0, 8), 3e6),
     ], ids=["chunk", "window", "drop", "tail"])
@@ -1177,7 +1223,7 @@ class TestMomentAccuracy:
         kappa, G = complex(kappa), 12
         for m in (0, 40, 300, 2000):
             want = _tuple_terms(kappa, G, m).sum()
-            got = integrals._bm_chunk(kappa, G, m, m + 1)[0][0]
+            got = integrals._bm_chunk(kappa, G, m, m + 1)[0]
             assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("kappa", [0.5, 0.7 + 0.3j, 0.5j, -(1.0 - 2.0**-10)])
@@ -1185,7 +1231,7 @@ class TestMomentAccuracy:
         kappa, G, M = complex(kappa), 16, 2048
 
         def chunked(size):
-            return np.concatenate([integrals._bm_chunk(kappa, G, m0, min(M, m0 + size))[0]
+            return np.concatenate([integrals._bm_chunk(kappa, G, m0, min(M, m0 + size))
                                    for m0 in range(0, M, size)])
 
         a, b = chunked(256), chunked(200)
