@@ -54,11 +54,13 @@ def chi_d(k: CouplingK, tol: float, route: str) -> ChiResult:
         to converge under the route caps come back flagged instead of
         raising.
     route : {"fredholm", "toeplitz_direct", "integral"}
-        The determinant routes sum the terms their proven tail needs at
-        tol (terms_used, toeplitz_direct flagged past 4096) and add that
-        tail.  The integral route stops at its own proven tail, and is
-        flagged where its 64/96 node gap exceeds tol, from about
-        k = 0.9998 at tol = 1e-8.
+        The determinant routes add the one-particle part S_1^H in closed
+        form to the orders >= 2 of the terms N <= terms_used, where the
+        proven tail t_N^2 e^(t_N) / 2 of those orders falls to tol/2, and
+        add that tail; toeplitz_direct is flagged past 4096 terms.  The
+        integral route stops at its own proven tail, and is flagged where
+        its 64/96 node gap exceeds tol, from about k = 0.9998 at
+        tol = 1e-8.
     """
     if route not in _ROUTES:
         raise DomainError(f"unknown route {route!r}; expected one of {tuple(_ROUTES)}")

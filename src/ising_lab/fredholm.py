@@ -14,7 +14,9 @@ rows and H_(N+j)(b) is H_N(b) without its first j columns, so Sylvester's
 identity det(I - XY) = det(I - YX) makes every det(I - K_(N+j)) the r x r
 determinant det(I - s_a s_b (U^T V) W_j), W_j = sum_(i >= j) v_i u_i^T,
 with v_i, u_i the rows of V and U.  The W_j are one reversed cumulative
-sum.  The sum S takes every term from one such call.
+sum.  The sum S is the one-particle part S_1^H of params._one_particle
+plus det(I - K_N) - 1 + tr K_N, the orders >= 2, for every N up to the
+table's stop, all from one such call.
 
 _det_at reads Lambda and Lambda^-1 as _lambda_pair returns them, at degrees
 0 .. length-1 (both are even in the degree), and slices the degrees
@@ -35,9 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import CouplingK, _cache_length, _lambda_pair, _tail_bound, _terms_needed
+from .params import CouplingK, _hankel_length, _lambda_pair, _one_particle
 
-_ENTRY_TARGET = 1e-17   # bound on every Hankel entry left out of the section
 _MAX_SIZE = 1 << 17     # largest section L
 _STOP = 1e-15           # the factorization stops at this residual, relative to its start
 _COARSE = 1e-12         # the coarser stop that est_error compares against
@@ -57,19 +58,12 @@ class FredholmResult:
 
 def _section_size(a: float, N: int, count: int):
     """(L, length): the L x L sections of H_N at |k| = a and the series
-    length they read.
-
-    length is a power of two, so the series cache sees few keys, and L is
-    the largest section it fills, (length - N) // 2: at least count, with
-    every entry left out (degree >= N + L + 1) below _ENTRY_TARGET by
-    |c_m| <= |k|^m / (1 - |k|^2).  An L past _MAX_SIZE raises
-    ConvergenceError.
+    length they read, from _hankel_length: L = (length - N) // 2 is at
+    least count, and every entry left out is below params._ENTRY_TARGET.
+    An L past _MAX_SIZE raises ConvergenceError.
     """
-    length = _cache_length(N + 2 * max(count, 4))
+    length = _hankel_length(a, N, count)
     L = (length - N) // 2
-    while a > 0.0 and L <= _MAX_SIZE and a ** (N + L + 1) / (1.0 - a * a) > _ENTRY_TARGET:
-        length *= 2
-        L = (length - N) // 2
     if L > _MAX_SIZE:
         raise ConvergenceError(
             f"det(I - K_N) at |k| = {a!r} needs Hankel sections of size {L}, "
@@ -241,23 +235,28 @@ def fredholm_det(k: CouplingK, N: int, tol: float) -> FredholmResult:
 
 
 def _s_fredholm_terms(k: CouplingK, tol: float):
-    """Sum det(I - K_N) - 1 over N = 1 .. n, every term from one
-    factorization.
+    """S = S_1^H + sum_(N <= n) (det(I - K_N) - 1 + tr K_N), every
+    determinant from one factorization.
 
-    Returns (S, n, est_error).  n = _terms_needed(|k|, tol), so the proven
-    tail past n, _tail_bound, is at most tol/2.  est_error is the summed
-    move of the n terms, an estimate, plus that tail.  A summed move above
-    tol, a sum that is not finite or a section size past the cap raises
-    ConvergenceError, the first carrying S and est_error, so est_error
-    stays below 2*tol as promised by s_via_fredholm.
+    S_1^H, the traces and n come from the one-particle table
+    (params._one_particle): n is its stop, so the proven tail past n is at
+    most tol/2.  Returns (S, n, est_error).  est_error is the summed move
+    of the n determinants, an estimate, plus that tail.  A summed move
+    above tol, a sum that is not finite or a section size past the cap
+    raises ConvergenceError, the first carrying S and est_error, so
+    est_error stays below 2*tol as promised by s_via_fredholm.  The cap is
+    checked before the table is built.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
-    a = abs(k.k)
-    n = _terms_needed(a, tol)
-    seq = _det_at(complex(k.k), 1, n)
-    s = complex(np.sum(seq.values - 1.0))
+    kval = complex(k.k)
+    _section_size(abs(kval), 1, 1)
+    one = _one_particle(kval)
+    n = one.stop(tol)
+    seq = _det_at(kval, 1, n)
+    s = complex(one.s1 + np.sum(seq.values - 1.0 + one.trace[1 : n + 1]))
     moved = float(np.sum(seq.move))
+    est_error = moved + float(one.tails[n])
     if not np.isfinite(s):
         raise ConvergenceError(
             f"the sum of the {n} terms of the correlation sum at k={k.value} is {s}",
@@ -270,10 +269,10 @@ def _s_fredholm_terms(k: CouplingK, tol: float):
             f"the summed error estimate {moved:.3g} of the {n} terms of the "
             f"correlation sum at k={k.value} exceeds tol={tol:.3g}",
             best=s,
-            gap=moved + _tail_bound(a, n),
+            gap=est_error,
             terms=n,
         )
-    return s, n, moved + _tail_bound(a, n)
+    return s, n, est_error
 
 
 def s_via_fredholm(k: CouplingK, tol: float) -> complex:

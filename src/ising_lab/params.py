@@ -13,6 +13,11 @@ phi_0 .. phi_(length-1) and phi_0, phi_-1 .. phi_-(length-1): the first
 column and row of the Toeplitz matrix.  _lambda_pair(k, length) returns
 Lambda and Lambda^-1 at degrees 0 .. length-1 only, since
 Lambda(1/xi) = Lambda(xi) makes degree -m equal to degree m.
+
+_one_particle(k) is the one table both determinant routes read from the
+Lambda coefficients: the one-particle part S_1^H of the correlation sum
+in closed form, tr K_N for every stored N, and the proven tail of the
+orders >= 2 that stops both routes.  The integral route reads none of it.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from .errors import ConvergenceError, DomainError, PhaseError
 
 _ALIAS_TARGET = 1e-17
 _MAX_CIRCLE = 1 << 21
+_ENTRY_TARGET = 1e-17   # bound on every Hankel entry a section leaves out
 
 
 @dataclass(frozen=True)
@@ -142,48 +148,17 @@ def _circle_size(a: float, top: int) -> int:
     return M
 
 
-# With b_j = binom(2j, j)/4^j, the coefficients of (1 - x)^(-1/2), and
-# b_j/(2j - 1), the moduli of those of (1 - x)^(1/2), both decreasing in j,
-# |c_m(Lambda^-1)| <= |k|^m b_m (1 - |k|^2)^(-1/2) and
-# |c_m(Lambda)| <= 2 |k|^m b_m/(2m - 1).  So t_N = ||H_N(Lambda)||_HS
-# ||H_N(Lambda^-1)||_HS, where ||H_N(c)||_HS^2 = sum_(m > N) (m - N)|c_m|^2,
-# obeys t_N <= T_N = 2 b_(N+1)^2/(2N + 1) |k|^(2N + 2) (1 - |k|^2)^(-5/2),
-# and |det(I - K_N) - 1| <= B_N = T_N e^(1 + T_N) (Simon, Trace Ideals,
-# 2nd ed., Thm 3.4, with ||K_N||_1 <= t_N).  Every factor of T_N falls
-# with N, so B_(N+1) <= |k|^2 B_N and the tail past n is at most
-# B_(n+1)/(1 - |k|^2).  D(N) - M^2 = M^2 (det(I - K_N) - 1) carries the
-# same bound, times |M^2|, to the Toeplitz sum.
-
-
-def _tail_bound(a: float, n: int) -> float:
-    """Proven bound on sum_(N > n) |det(I - K_N) - 1| at |k| = a < 1;
-    inf where it overflows a float."""
-    if a == 0.0:
-        return 0.0
-    N = n + 1   # log T_N, with log b_(N+1) from lgamma
-    log_b = math.lgamma(2 * N + 3) - 2.0 * math.lgamma(N + 2) - (N + 1) * math.log(4.0)
-    q = math.log1p(-a * a)
-    log_t = math.log(2.0 / (2 * N + 1)) + 2.0 * log_b + (2 * N + 2) * math.log(a) - 2.5 * q
-    try:
-        return math.exp(log_t + 1.0 + math.exp(log_t) - q)
-    except OverflowError:
-        return math.inf
-
-
-def _terms_needed(a: float, tol: float) -> int:
-    """The smallest n >= 1 whose _tail_bound at |k| = a is <= tol/2, by
-    bisection between doublings of n."""
-    hi = 1
-    while _tail_bound(a, hi) > tol / 2.0:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _tail_bound(a, mid) <= tol / 2.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _hankel_length(a: float, N: int, count: int) -> int:
+    """The series length that the L x L sections of H_N at |k| = a read,
+    L = (length - N) // 2: the power of two at or above N + 2 max(count, 4)
+    at which every entry left out (degree >= N + L + 1) is below
+    _ENTRY_TARGET by |c_m| <= |k|^m / (1 - |k|^2).  The one-particle table
+    reads _lambda_pair at _hankel_length(a, 1, 1), the length that every
+    short _det_at call from N = 1 reads too, so both share one cache key."""
+    length = _cache_length(N + 2 * max(count, 4))
+    while a > 0.0 and a ** (N + (length - N) // 2 + 1) / (1.0 - a * a) > _ENTRY_TARGET:
+        length *= 2
+    return length
 
 
 def _circle_coeffs(kval: complex, degrees: np.ndarray, *maps) -> np.ndarray:
@@ -229,3 +204,83 @@ def _lambda_pair(kval: complex, length: int):
         lambda xi: np.sqrt(1.0 - kval * xi) * np.sqrt(1.0 - kval / xi),
         lambda lam: np.divide(1.0, lam, out=lam),
     ))
+
+
+# The one-particle part of the correlation sum.  With a_d and b_d the
+# coefficients of Lambda and Lambda^-1 and H_N(c) the Hankel matrix of the
+# degrees N + i + j + 1, K_N = H_N(Lambda) H_N(Lambda^-1) has
+# tr K_N = sum_(d > N) (d - N) a_d b_d and ||H_N(c)||_HS^2 =
+# sum_(d > N) (d - N) |c_d|^2.  Over every N >= 1 the traces sum to
+# sum_d d(d - 1)/2 a_d b_d, so S = sum_N (det(I - K_N) - 1) = S_1^H +
+# sum_N R_N with S_1^H = -sum_N tr K_N and R_N = det(I - K_N) - 1 + tr K_N,
+# the orders >= 2.  det(I - K) = sum_m (-1)^m tr Lambda^m(K) with
+# |tr Lambda^m(K)| <= ||K||_1^m / m! (Simon, Trace Ideals, 2nd ed.,
+# Thm 3.4) gives |R_N| <= t_N^2 e^(t_N) / 2 for any t_N >= ||K_N||_1, and
+# t_N = ||H_N(Lambda)||_HS ||H_N(Lambda^-1)||_HS is one.
+#
+# Past the D stored degrees, |c_d| <= C r^(d/2) with r = |k|^2 and
+# C = 1/(1 - r).  So the degrees d >= D add at most
+# e_N = C^2 r^D ((D - N)/(1 - r) + r/(1 - r)^2) to each squared norm and to
+# |tr K_N| for N < D, and for N >= D, t_N <= C^2 r^(N+1)/(1 - r)^2 =: T_N.
+# T_N falls by r per N, so the R_N and traces there sum to at most
+# T_D^2 e^(T_D) / (2 (1 - r^2)) + T_D / (1 - r).
+
+
+def _reversed_sums(x: np.ndarray) -> np.ndarray:
+    """out[m] = sum_(j >= m) x[j], each sum taken from the far end, which
+    holds the smallest terms of a decaying series."""
+    return np.cumsum(x[::-1])[::-1]
+
+
+def _past(c: np.ndarray) -> np.ndarray:
+    """sum_(d > N) (d - N) c_d for N = 0 .. len(c) - 1, as the two nested
+    reversed sums sum_(m > N) sum_(d >= m) c_d."""
+    out = np.zeros_like(c)
+    out[:-1] = _reversed_sums(_reversed_sums(c)[1:])
+    return out
+
+
+@dataclass(frozen=True)
+class _OneParticle:
+    """The one-particle table of one k, read by both determinant routes.
+
+    s1 is S_1^H = -sum_(N >= 1) tr K_N over the stored degrees, summed
+    smallest first.  trace[N] is tr K_N and tails[M] a proven bound on
+    sum_(N > M) (|R_N| + |tr K_N - trace[N]|), the error of S_1^H + sum_(N <= M)
+    (det(I - K_N) - 1 + trace[N]) as S; both arrays run over N = 0 .. D - 1
+    and are read only.  The bound takes the norms and traces from the
+    stored coefficients, whose FFT aliases are below 1e-17, and adds the
+    closed-form bound of the degrees past them.
+    """
+
+    s1: complex
+    trace: np.ndarray
+    tails: np.ndarray
+
+    def stop(self, tol: float) -> int:
+        """The smallest M >= 1 with tails[M] <= tol/2; the last stored N
+        where none is."""
+        ok = self.tails[1:] <= tol / 2.0
+        return int(np.argmax(ok)) + 1 if ok.any() else len(self.tails) - 1
+
+
+@lru_cache(maxsize=64)
+def _one_particle(kval: complex) -> _OneParticle:
+    """The one-particle table at k = kval from the Lambda and Lambda^-1
+    coefficients at _hankel_length(|k|, 1, 1).  A series past the circle
+    cap raises ConvergenceError, as _lambda_pair does."""
+    a = abs(kval)
+    D = _hankel_length(a, 1, 1)
+    lam, inv = _lambda_pair(kval, D)
+    trace = _past(lam * inv)
+    r = a * a
+    c2 = 1.0 / (1.0 - r) ** 2
+    e = c2 * r**D * ((D - np.arange(D)) / (1.0 - r) + r / (1.0 - r) ** 2)
+    T = c2 * r ** (D + 1) / (1.0 - r) ** 2
+    # N >= 1 only: t_0 overflows exp near k = 1, and no sum reads it
+    t = np.sqrt((_past(np.abs(lam) ** 2) + e)[1:] * (_past(np.abs(inv) ** 2) + e)[1:])
+    tails = np.full(D, T * T * math.exp(T) / (2.0 * (1.0 - r * r)) + T / (1.0 - r))
+    tails[:-1] += _reversed_sums(t * t * np.exp(t) / 2.0 + e[1:])
+    for arr in (trace, tails):
+        arr.setflags(write=False)
+    return _OneParticle(s1=-_reversed_sums(trace)[1], trace=trace, tails=tails)

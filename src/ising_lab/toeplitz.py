@@ -25,8 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .params import CouplingK, magnetization, _cache_length, _phi_series
-from .params import _tail_bound, _terms_needed
+from .params import CouplingK, magnetization, _cache_length, _one_particle, _phi_series
 
 _COND_FLAG = 1e12
 # absolute rounding allowance of one Levinson D(N), per N: the D(N) carry
@@ -158,23 +157,26 @@ def _correlations(k: CouplingK, N: int):
 
 
 def _s_toeplitz_terms(k: CouplingK, tol: float):
-    """(S, n, est_error) with S = sum_N (D(N) - M^2) / M^2 over the shared
-    run's D(1..n), n = _terms_needed(|k|, tol) as in the fredholm sum.
+    """(S, n, est_error) with S = S_1^H + sum_(N <= n) ((D(N) - M^2) / M^2
+    + tr K_N) over the shared run's D(1..n).  S_1^H, the traces and n come
+    from the one-particle table (params._one_particle), as in the fredholm
+    sum, so the proven tail past n is at most tol/2.
 
-    est_error is the proven tail _tail_bound(|k|, n) plus an estimated
-    rounding allowance: each D(N) is allowed _LEVINSON_ROUNDING N, so
-    2 sum_N (D(N) - M^2) is allowed 8 eps n(n+1), over 2 |M^2| here.
-    Against a deep fredholm sum (k 0.3 to 0.997, complex k of modulus 0.9
-    to 0.995, tol 1e-8 to 1e-12) the real error reached 4.1 eps n(n+1).
-    An n past _TOEPLITZ_N_CAP raises ConvergenceError with the first cap
-    terms' S and est_error.
+    est_error is that tail plus an estimated rounding allowance: each D(N)
+    is allowed _LEVINSON_ROUNDING N, so 2 sum_N (D(N) - M^2) is allowed
+    8 eps n(n+1), over 2 |M^2| here.  Against a deep fredholm sum (k 0.3
+    to 0.997, complex k of modulus 0.9 to 0.995, tol 1e-8 to 1e-12) the
+    real error reached 4.1 eps n(n+1).  Below the cap est_error is
+    returned as it is, even above tol.  An n past _TOEPLITZ_N_CAP raises
+    ConvergenceError with the first cap terms' S and est_error.
     """
-    a = abs(k.k)
-    n = _terms_needed(a, tol)
+    one = _one_particle(complex(k.k))
+    n = one.stop(tol)
     used = min(n, _TOEPLITZ_N_CAP)
     m2 = magnetization(k) ** 2
-    s = complex((_correlations(k, used)[0] - m2).sum() / m2)
-    est_error = _tail_bound(a, used) + _LEVINSON_ROUNDING * used * (used + 1) / (2 * abs(m2))
+    terms = (_correlations(k, used)[0] - m2) / m2 + one.trace[1 : used + 1]
+    s = complex(one.s1 + terms.sum())
+    est_error = float(one.tails[used]) + _LEVINSON_ROUNDING * used * (used + 1) / (2 * abs(m2))
     if n > used:
         raise ConvergenceError(f"toeplitz_direct needs {n} terms at k={k.value}, past the cap "
                                f"{_TOEPLITZ_N_CAP}", best=s, gap=est_error, terms=used)

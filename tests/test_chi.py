@@ -10,10 +10,11 @@ import pytest
 import ising_lab.chi as chi_module
 from ising_lab import (
     ConvergenceError, CouplingK, DomainError, chi_d, fredholm, integrals, magnetization,
-    params, sweep,
+    params, sweep, toeplitz,
 )
-from ising_lab.params import _tail_bound, _terms_needed
+from ising_lab.params import _one_particle
 from ising_lab.toeplitz import _LEVINSON_ROUNDING, _correlations
+from test_params import _terms_needed
 
 # frozen regression value for the Fredholm route at tol 1e-8
 _CHI_03 = 0.024149147835178963
@@ -131,7 +132,7 @@ class TestProvenTail:
         assert abs(res.beta_inv_chi_d - _reference(kv)) <= res.est_error
 
     def test_toeplitz_cap_flagged_with_proven_tail(self):
-        k = CouplingK.physical(0.999)
+        k = CouplingK.physical(0.9995)
         capped = chi_d(k, 1e-8, "toeplitz_direct")
         full = chi_d(k, 1e-8, "fredholm")
         assert capped.flagged and not full.flagged
@@ -155,7 +156,9 @@ class TestProvenTail:
 
 class TestToeplitzSum:
     """toeplitz_direct through the shared S-sum contract is the Toeplitz
-    sum 1 - M^2 + 2 sum_N (D(N) - M^2) it always was, to rounding."""
+    sum S = sum_N (D(N) - M^2) / M^2 over its n terms, to rounding, plus
+    the one-particle part of the terms past n, -sum_(N > n) tr K_N; chi_d
+    assembles its row from that S."""
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     @pytest.mark.parametrize("k", [
@@ -165,22 +168,25 @@ class TestToeplitzSum:
     ], ids=lambda k: str(k.value))
     def test_value_is_the_toeplitz_sum(self, k, tol):
         res = chi_d(k, tol, "toeplitz_direct")
-        n = _terms_needed(abs(k.k), tol)
+        s, n, _ = toeplitz._s_toeplitz_terms(k, tol)
+        one = _one_particle(complex(k.k))
         m2 = magnetization(k) ** 2
-        want = 1.0 - m2 + 2.0 * (_correlations(k, n)[0] - m2).sum()
-        assert not res.flagged and res.terms_used == n
-        # the shared assembly 1 + M^2 (2 S - 1) rounds on the scale of
-        # M^2 (2 S - 1), not chi: 5.4 eps at k = 0.5+0.3i, tol 1e-8
-        assert abs(res.beta_inv_chi_d - want) <= 2e-15 * abs(want)
+        want = ((_correlations(k, n)[0] - m2).sum() - m2 * one.trace[n + 1 :].sum()) / m2
+        assert not res.flagged and res.terms_used == n == one.stop(tol)
+        assert complex(res.beta_inv_chi_d) == complex(chi_module._assemble(m2, s))
+        # compared as S: the assembly 1 + M^2 (2 S - 1) rounds on the scale
+        # of M^2 (2 S - 1), 396 times chi at k = 0.1
+        assert abs(s - want) <= 2e-15 * abs(want)
 
     def test_capped_row_keeps_its_tail(self):
-        k = CouplingK.physical(0.999)
+        k = CouplingK.physical(0.9995)
         res = chi_d(k, 1e-8, "toeplitz_direct")
         m2 = magnetization(k) ** 2
-        want = 2.0 * m2 * _tail_bound(0.999, 4096) + _LEVINSON_ROUNDING * 4096 * 4097
+        one = _one_particle(0.9995 + 0j)
+        want = 2.0 * m2 * one.tails[4096] + _LEVINSON_ROUNDING * 4096 * 4097
         assert res.flagged and res.terms_used == 4096
-        assert res.reason == (f"toeplitz_direct needs {_terms_needed(0.999, 1e-8)} "
-                              "terms at k=0.999, past the cap 4096")
+        assert res.reason == (f"toeplitz_direct needs {one.stop(1e-8)} "
+                              "terms at k=0.9995, past the cap 4096")
         assert res.est_error == pytest.approx(want, rel=1e-15)
 
 
@@ -237,9 +243,10 @@ class TestIntegralRoute:
             (params, "_lambda_pair"),
         ):
             monkeypatch.setattr(module, name, forbidden)
-        # nor the determinant routes' stop: wherever a module looks it up
-        for module in (params, integrals, chi_module, fredholm):
-            for name in ("_terms_needed", "_tail_bound"):
+        # nor the determinant routes' one-particle table and its stop:
+        # wherever a module looks them up
+        for module in (params, integrals, chi_module, fredholm, toeplitz):
+            for name in ("_one_particle", "_hankel_length"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         res = chi_d(CouplingK.physical(0.5), 1e-8, "integral")
         assert not res.flagged
@@ -294,14 +301,33 @@ class TestIntegralRoute:
         assert abs(res.beta_inv_chi_d * 1e-4 ** 0.75 - 0.15116) < 1e-5
 
 
+class TestDeterminantRoutesIndependent:
+    """The two determinant routes share the one-particle table only: each
+    runs with the other's determinant kernel forbidden."""
+
+    @pytest.mark.parametrize("route, module, name", [
+        ("toeplitz_direct", fredholm, "_det_at"),
+        ("fredholm", toeplitz, "_levinson"),
+    ])
+    def test_runs_without_the_other_kernel(self, monkeypatch, route, module, name):
+        def forbidden(*args):
+            raise AssertionError("the other determinant route called")
+
+        monkeypatch.setattr(module, name, forbidden)
+        for kv in (0.5, 0.95, 0.6 + 0.4j):
+            k = CouplingK.physical(kv) if isinstance(kv, float) else CouplingK.analytic(kv)
+            res = chi_d(k, 1e-8, route)
+            assert not res.flagged and res.terms_used == _one_particle(complex(kv)).stop(1e-8)
+
+
 class TestResultContract:
     def test_every_flagged_row_says_why(self, monkeypatch):
         assert chi_d(CouplingK.physical(0.4), 1e-8, "fredholm").reason == ""
         # past the Toeplitz cap: flagged without an exception
-        res = chi_d(CouplingK.physical(0.999), 1e-8, "toeplitz_direct")
+        res = chi_d(CouplingK.physical(0.9995), 1e-8, "toeplitz_direct")
         assert res.flagged
-        assert res.reason == (f"toeplitz_direct needs {_terms_needed(0.999, 1e-8)} "
-                              "terms at k=0.999, past the cap 4096")
+        assert res.reason == (f"toeplitz_direct needs {_one_particle(0.9995 + 0j).stop(1e-8)} "
+                              "terms at k=0.9995, past the cap 4096")
 
         def failing(k, tol):
             raise ConvergenceError("no sum")

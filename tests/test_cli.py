@@ -91,11 +91,12 @@ class TestChi:
         fields = out.strip().splitlines()[1].split(",")
         assert code == 2
         assert fields[5] == "true"
-        n = params._terms_needed(0.99, 1e-12)
+        one = params._one_particle(0.99 + 0j)
+        n = one.stop(1e-12)
         assert int(fields[3]) == n
         m2 = ising_lab.magnetization(ising_lab.CouplingK.physical(0.99)) ** 2
         moved = float(np.sum(fredholm._det_at(0.99 + 0j, 1, n).move))
-        want = 2.0 * m2 * (moved + params._tail_bound(0.99, n))
+        want = 2.0 * m2 * (moved + one.tails[n])
         assert abs(float(fields[4]) - want) <= 1e-12 * want
         # the value is the full sum: within its est_error of a 1e-10 run
         ref = ising_lab.chi_d(ising_lab.CouplingK.physical(0.99), 1e-10, "fredholm")
@@ -337,7 +338,9 @@ class TestInProcessCalls:
         # one parser serves every call in a process; each call prints what
         # it prints with a freshly built parser
         conf = tmp_path / "run.conf"
-        conf.write_text("k = 0.3\nroute = fredholm\ntol = 1e-3\n")
+        # at k = 0.3 one term meets both 1e-3 and the default 1e-8; 1e-12
+        # needs two, so the file's tol shows in the row
+        conf.write_text("k = 0.3\nroute = fredholm\ntol = 1e-12\n")
         calls = [
             ["chi", "--config", str(conf)],
             ["chi", "--k", "0.3"],

@@ -16,7 +16,7 @@ from ising_lab import (
 )
 from ising_lab import fredholm
 from ising_lab.fredholm import _det_at
-from ising_lab.params import _cache_length, _lambda_pair
+from ising_lab.params import _ENTRY_TARGET, _cache_length, _lambda_pair
 
 # frozen from an early tight-tolerance run; guards the whole summation chain
 _S_AT_03 = 0.00043373685662451145
@@ -67,7 +67,7 @@ class TestHankelStructure:
             a = abs(kv)
             for N in (1, 6):
                 L, length = fredholm._section_size(a, N, 1)
-                assert a ** (N + L + 1) / (1.0 - a * a) <= fredholm._ENTRY_TARGET
+                assert a ** (N + L + 1) / (1.0 - a * a) <= _ENTRY_TARGET
                 m = np.arange(N + 1, length)
                 for series in _lambda_pair(complex(kv), length):
                     noise = 4.0 * np.finfo(float).eps * np.abs(series).max()

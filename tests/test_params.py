@@ -8,10 +8,8 @@ import pytest
 from ising_lab import (
     ConvergenceError, CouplingK, DomainError, PhaseError, k_from_temperature, magnetization,
 )
-from ising_lab.fredholm import _det_at
-from ising_lab.params import (
-    _circle_size, _lambda_pair, _phi_series, _tail_bound, _terms_needed,
-)
+from ising_lab import fredholm, integrals
+from ising_lab.params import _circle_size, _lambda_pair, _one_particle, _phi_series
 
 
 class TestCouplingK:
@@ -238,31 +236,139 @@ class TestFFTSeries:
             _circle_size(0.5, 2**21)
 
 
+# The closed-form count that the determinant routes summed before the
+# one-particle table, kept as an oracle for the table's stop.  With
+# b_j = binom(2j, j)/4^j, |c_m(Lambda^-1)| <= |k|^m b_m (1 - |k|^2)^(-1/2)
+# and |c_m(Lambda)| <= 2 |k|^m b_m/(2m - 1), so t_N <= T_N =
+# 2 b_(N+1)^2/(2N + 1) |k|^(2N + 2) (1 - |k|^2)^(-5/2) and
+# |det(I - K_N) - 1| <= T_N e^(1 + T_N), which falls by |k|^2 per N.
+
+
+def _tail_bound(a: float, n: int) -> float:
+    """Proven bound on sum_(N > n) |det(I - K_N) - 1| at |k| = a < 1;
+    inf where it overflows a float."""
+    if a == 0.0:
+        return 0.0
+    N = n + 1   # log T_N, with log b_(N+1) from lgamma
+    log_b = math.lgamma(2 * N + 3) - 2.0 * math.lgamma(N + 2) - (N + 1) * math.log(4.0)
+    q = math.log1p(-a * a)
+    log_t = math.log(2.0 / (2 * N + 1)) + 2.0 * log_b + (2 * N + 2) * math.log(a) - 2.5 * q
+    try:
+        return math.exp(log_t + 1.0 + math.exp(log_t) - q)
+    except OverflowError:
+        return math.inf
+
+
+def _terms_needed(a: float, tol: float) -> int:
+    """The smallest n >= 1 whose _tail_bound at |k| = a is <= tol/2."""
+    n = 1
+    while _tail_bound(a, n) > tol / 2.0:
+        n = 2 * n if _tail_bound(a, 2 * n) > tol / 2.0 else n + 1
+    return n
+
+
+def _orders_two(kval: complex, count: int) -> np.ndarray:
+    """det(I - K_N) - 1 + tr K_N for N = 1 .. count as sum_(m >= 2)
+    (-1)^m e_m of the eigenvalues of K_N, so without the cancellation
+    against 1 - tr K_N that leaves each computed det - 1 + tr about eps.
+    The eigenvalues are those of the r x r form g W_(N-1) of
+    fredholm's factorization, W_j = sum_(i >= j) v_i u_i^T."""
+    L, length = fredholm._section_size(abs(kval), 1, count)
+    a, b = (c[2 : 1 + 2 * L] for c in _lambda_pair(kval, length))
+    sa, U, _, _ = fredholm._cross(a, L)
+    sb, V, _, _ = fredholm._cross(b, L)
+    g = sa * sb * (U.T @ V)
+    W = V[count:].T @ U[count:]
+    out = np.empty(count, dtype=complex)
+    for hi in range(count, 0, -256):
+        lo = max(0, hi - 256)
+        Ws = np.cumsum((V[lo:hi, :, None] * U[lo:hi, None, :])[::-1], axis=0)[::-1] + W
+        lam = np.linalg.eigvals(g @ Ws)
+        E = np.zeros((hi - lo, lam.shape[1] + 1), dtype=complex)
+        E[:, 0] = 1.0
+        for i in range(lam.shape[1]):
+            E[:, 1 : i + 2] -= lam[:, i : i + 1] * E[:, : i + 1]
+        out[lo:hi] = E[:, 2:].sum(axis=1)
+        W = Ws[0]
+    return out
+
+
+def _node_s1(kappa: complex, G: int) -> complex:
+    """The integral route's S_1 on the G-node rule, as _s_rule forms it."""
+    kappa = integrals._real(kappa)
+    x, wx, wy = integrals._axis_nodes(G, kappa)
+    C = integrals._node_tables(G, kappa)[0]
+    return kappa**2 / math.pi**2 * ((wx * x) @ (C * C * C) @ (wy * x))
+
+
+class TestOneParticle:
+    """S_1^H, the traces and the stop of the one-particle table."""
+
+    @pytest.mark.parametrize("kv", [0.3, 0.7, 0.9, 0.99, 0.5 + 0.3j, 0.9 * cmath.exp(0.5j)])
+    def test_s1_is_the_node_rule_s1(self, kv):
+        got = _one_particle(complex(kv)).s1
+        want = _node_s1(complex(kv) ** 2, 128)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_s1_near_critical(self):
+        got = _one_particle(0.9999 + 0j).s1
+        want = _node_s1(0.9999**2, 512)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("kv", [0.5, 0.95, 0.6 - 0.5j])
+    def test_traces_are_the_hankel_traces(self, kv):
+        lam, inv = _lambda_pair(complex(kv), 4096)
+        one = _one_particle(complex(kv))
+        for N in (1, 2, 7, 30):
+            d = np.arange(N + 1, 4096)
+            want = np.sum((d - N) * lam[d] * inv[d])
+            assert abs(one.trace[N] - want) <= 1e-15 * max(1.0, abs(want))
+        assert abs(one.s1 + np.sum(one.trace[1:])) <= 1e-15 * abs(one.s1)
+
+    @pytest.mark.parametrize("kv", [0.95, 0.99, 0.999, 0.999 * cmath.exp(0.25j * math.pi)])
+    def test_stop_is_a_third_of_the_closed_form_count(self, kv):
+        assert 3 * _one_particle(complex(kv)).stop(1e-8) <= _terms_needed(abs(kv), 1e-8)
+
+    def test_arrays_read_only(self):
+        one = _one_particle(0.7 + 0j)
+        assert not (one.trace.flags.writeable or one.tails.flags.writeable)
+        assert one.trace.dtype == one.tails.dtype == np.float64
+
+
 class TestTailBound:
-    """The proven tail of the correlation sum against computed terms."""
+    """The one-particle table's proven tail of the orders >= 2 against the
+    computed terms."""
 
     @pytest.mark.parametrize("kv", [
         0.1, 0.5, 0.9, 0.95, 0.99, 0.995, 0.5 + 0.3j, 0.7j, -0.6,
         0.9 * cmath.exp(0.3j), 0.99j,
     ])
     def test_bounds_the_real_tail(self, kv):
-        a = abs(kv)
-        count = max(1001, _terms_needed(a, 1e-18))   # the rest is below 1e-18
-        terms = np.abs(_det_at(complex(kv), 1, count).values - 1.0)
+        one = _one_particle(complex(kv))
+        count = max(1001, one.stop(1e-18))   # the rest is below 1e-18
+        terms = np.abs(_orders_two(complex(kv), count))
         tails = np.cumsum(terms[::-1])[::-1]         # tails[n] = sum over N > n
         # for complex k the computed terms end at a rounding floor near 1e-30
         # each, which no bound on the exact terms has to cover
+        # past the stored N, tails[-1] bounds the whole rest
         for n in range(1, 1001):
-            assert tails[n] <= _tail_bound(a, n) + 1e-25
+            assert tails[n] <= one.tails[min(n, len(one.tails) - 1)] + 1e-25
 
     def test_no_overflow_near_one(self):
-        assert _tail_bound(0.995, 1) == math.inf
+        # t_1 e^(t_1) is largest at the largest k whose series fits the
+        # circle; it stays a finite float there
+        tails = _one_particle(0.9999 + 0j).tails
+        assert np.all(np.isfinite(tails))
+        assert tails[-1] < 1e-30
 
     def test_one_term_at_zero(self):
-        assert _terms_needed(0.0, 1e-8) == 1
-        assert _tail_bound(0.0, 1) == 0.0
+        one = _one_particle(0j)
+        assert one.stop(1e-8) == 1
+        assert one.s1 == 0.0 and not np.any(one.tails)
 
     @pytest.mark.parametrize("kv", [0.3, 0.9, 0.99])
     def test_terms_needed_is_the_smallest(self, kv):
-        n = _terms_needed(kv, 1e-8)
-        assert _tail_bound(kv, n) <= 5e-9 < _tail_bound(kv, n - 1)
+        one = _one_particle(complex(kv))
+        n = one.stop(1e-8)
+        assert one.tails[n] <= 5e-9 < one.tails[n - 1] or n == 1
+        assert _terms_needed(kv, 1e-8) > n
