@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .integrals import QuadratureSpec, lint_integral
+from .integrals import QuadratureSpec, _lint_orders, lint_integral
 from .parallel import parallel_map
 
 _SLOPE_SIGMA = 5.0
@@ -96,7 +96,14 @@ def _check_radii(radii) -> tuple:
 
 
 def _ols_log(radii, values):
-    """OLS of Re(values) on L = log 1/(1-r); returns full fit statistics."""
+    """OLS of Re(values) on L = log 1/(1-r); returns full fit statistics.
+
+    values is one scan (1-D, one value per radius), fitted into one dict,
+    or a stack of scans (2-D, one row per scan), all fitted by one lstsq
+    call into a list of dicts, one per row.  A 1-D scan takes the
+    single-right-hand-side path, so its fit does not depend on any other
+    scan; a row of a stack agrees with it to rounding.
+    """
     L = np.log(1.0 / (1.0 - np.asarray(radii, dtype=float)))
     v = np.real(np.asarray(values, dtype=complex))
     if len(L) < 4:
@@ -104,24 +111,29 @@ def _ols_log(radii, values):
     if np.ptp(L) == 0.0:
         raise DomainError("degenerate abscissas: all radii map to one L")
     A = np.vstack([L, np.ones_like(L)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, v, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    pred = A @ coef
-    ss_res = float(np.sum((v - pred) ** 2))
-    ss_tot = float(np.sum((v - np.mean(v)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    # a stack of scans is the columns of v.T
+    coef, _, _, _ = np.linalg.lstsq(A, v.T, rcond=None)
+    pred = (A @ coef).T
+    ss_res = np.sum((v - pred) ** 2, axis=-1)
+    ss_tot = np.sum((v - np.mean(v, axis=-1, keepdims=True)) ** 2, axis=-1)
+    swing = np.max(v, axis=-1) - np.min(v, axis=-1)
     dof = len(L) - 2
-    resid_rms = math.sqrt(ss_res / dof) if dof > 0 else 0.0
     sxx = float(np.sum((L - np.mean(L)) ** 2))
-    slope_se = resid_rms / math.sqrt(sxx) if sxx > 0 else math.inf
-    return {
-        "slope": slope,
-        "intercept": intercept,
-        "r2": r2,
-        "slope_se": slope_se,
-        "resid_rms": resid_rms,
-        "swing": float(np.max(v) - np.min(v)),
-    }
+    fits = []
+    for (slope, intercept), res, tot, sw in zip(
+        np.reshape(coef.T, (-1, 2)), np.ravel(ss_res), np.ravel(ss_tot), np.ravel(swing)
+    ):
+        res, tot = float(res), float(tot)
+        resid_rms = math.sqrt(res / dof) if dof > 0 else 0.0
+        fits.append({
+            "slope": float(slope),
+            "intercept": float(intercept),
+            "r2": 1.0 if tot == 0.0 else 1.0 - res / tot,
+            "slope_se": resid_rms / math.sqrt(sxx) if sxx > 0 else math.inf,
+            "resid_rms": resid_rms,
+            "swing": float(sw),
+        })
+    return fits if v.ndim == 2 else fits[0]
 
 
 def _label(st: dict) -> str:
@@ -165,7 +177,9 @@ def radial_scan(
     if ell < 0:
         raise DomainError("ell must be >= 0")
     radii = _check_radii(radii)
-    values = tuple(_scan_values(epsilon.value, n, ell, radii, spec))
+    values = tuple(
+        parallel_map(lambda r: lint_integral(r * epsilon.value, n, ell, spec), radii)
+    )
     st = _ols_log(radii, values)
     return RadialScan(
         epsilon=epsilon,
@@ -180,13 +194,6 @@ def radial_scan(
         slope_se=st["slope_se"],
         resid_rms=st["resid_rms"],
         swing=st["swing"],
-    )
-
-
-def _scan_values(eps_value: complex, n: int, ell: int, radii, spec: QuadratureSpec):
-    """Probe values along the ray, one lint evaluation per radius."""
-    return parallel_map(
-        lambda r: lint_integral(r * eps_value, n, ell, spec), radii
     )
 
 
@@ -224,18 +231,23 @@ def smoothness_probe(
     derivative order counts as diverging when any component diverges.
     Numerical differentiation is deliberately avoided here: the probe
     integral is the divergent contribution, everything else stays bounded.
-    The n = 2 moments B_m are cached per radius, so only the first order
-    pays for them.
+    Each n takes one pass per radius over every order (_lint_orders: for
+    n = 2 one walk over the cached moments B_m sums the whole ladder) and
+    one fit of the orders x radii values.
     """
     if ell_max < 0:
         raise DomainError("ell_max must be >= 0")
     radii = _check_radii(radii if radii is not None else radii_grid())
+    orders = range(ell_max + 1)
+    labels = {}
+    for n in (1, 2):
+        values = parallel_map(
+            lambda r: _lint_orders(r * epsilon.value, n, orders, spec), radii
+        )
+        labels[n] = [_label(st) for st in _ols_log(radii, np.transpose(values))]
     entries = []
-    for e in range(ell_max + 1):
-        per_n = {}
-        for n in (1, 2):
-            values = _scan_values(epsilon.value, n, e, radii, spec)
-            per_n[n] = _classify(radii, values)
+    for e in orders:
+        per_n = {n: labels[n][e] for n in (1, 2)}
         overall = (
             "diverging" if any(c == "diverging" for c in per_n.values()) else "bounded"
         )

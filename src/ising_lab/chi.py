@@ -1,6 +1,6 @@
 """Diagonal susceptibility assembly and parameter sweeps.
 
-beta^-1 chi_d = 1 - M^2 + 2 sum_{N>=1} (D(N) - M^2) = 1 + M^2 (2 S - 1).
+beta^-1 chi_d = 1 - M^2 + 2 sum_{N>=1} (D(N) - M^2) = (1 - M^2) + 2 M^2 S.
 The N and -N terms of the underlying lattice sum coincide and N = 0
 contributes 1 - M^2, which is where the closed assembly comes from.
 Three routes are exposed and kept strictly independent so they can
@@ -11,6 +11,7 @@ est_error) or raises ConvergenceError, and chi_d builds every row.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -38,8 +39,28 @@ class ChiResult:
     reason: str = ""          # why a flagged row is flagged; "" otherwise
 
 
-def _assemble(m2, s):
-    return 1.0 + m2 * (2.0 * s - 1.0)
+def _one_minus_m2(kappa: complex) -> complex:
+    """1 - M^2 = 1 - (1 - kappa)^(1/4), principal branch, to a few eps at
+    any |kappa| < 1, small |kappa| included.
+
+    With w = log1p(-kappa)/4, 1 - e^w = -2 sinh(w/2) e^(w/2) has no
+    cancellation.  log1p(z) = log(u) z/(u - 1), u = 1 + z rounded, is exact
+    to a few eps for complex z too (and z itself where u rounds to 1).
+    """
+    z = -complex(kappa)
+    u = 1.0 + z
+    w = 0.25 * (z if u == 1.0 else cmath.log(u) * z / (u - 1.0))
+    return -2.0 * cmath.sinh(0.5 * w) * cmath.exp(0.5 * w)
+
+
+def _assemble(kappa, m2, s):
+    """beta^-1 chi_d = (1 - M^2) + 2 M^2 S, kappa = k^2 and m2 = M^2.
+
+    The form 1 + M^2 (2 S - 1) rounds on the scale of M^2 (2 S - 1), about
+    4 / k^2 times chi_d as k -> 0 (396 times at k = 0.1); forming 1 - M^2
+    from kappa keeps the relative error of chi_d to a few eps.
+    """
+    return _one_minus_m2(kappa) + 2.0 * m2 * s
 
 
 def chi_d(k: CouplingK, tol: float, route: str) -> ChiResult:
@@ -72,7 +93,7 @@ def chi_d(k: CouplingK, tol: float, route: str) -> ChiResult:
         s, n, s_err = globals()[_ROUTES[route]](k, tol)
     except ConvergenceError as exc:
         return _flagged(k, route, exc, m2)
-    return _finish(k.value, _assemble(m2, s), route, n, 2.0 * abs(m2) * s_err)
+    return _finish(k.value, _assemble(k.kappa, m2, s), route, n, 2.0 * abs(m2) * s_err)
 
 
 def _flagged(k: CouplingK, route: str, exc: ConvergenceError, m2) -> ChiResult:
@@ -81,7 +102,7 @@ def _flagged(k: CouplingK, route: str, exc: ConvergenceError, m2) -> ChiResult:
     unflagged row; a raise before any term gives 0 and inf.
     """
     best = exc.best if exc.best is not None else math.nan
-    value = _assemble(m2, best) if best == best else complex(math.nan)
+    value = _assemble(k.kappa, m2, best) if best == best else complex(math.nan)
     n = exc.terms or 0
     est_error = 2.0 * abs(m2) * exc.gap if n else math.inf
     return _finish(k.value, value, route, n, est_error, str(exc))

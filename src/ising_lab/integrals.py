@@ -12,8 +12,9 @@ Every kernel of the rule reads the Cauchy kernel C = 1/(1 - kappa x x^T)
 from one node table per (kappa, nodes) (_node_tables): the n = 1 pair
 sum, the moment engine and the Nystrom pass.
 
-lint_integral owns the G-node rule of the Vandermonde form, and s_n
-evaluates Sn2 through lint_integral.  For n = 2 the rule is
+_lint_orders owns the G-node rule of the Vandermonde form at a ladder of
+orders ell, lint_integral is its one-order case, and s_n evaluates Sn2
+through lint_integral.  For n = 2 the rule is
 summed by the moment engine at every kappa: 1/(1 - kappa^2 u)^(l+1) is
 expanded as a geometric series in u = x1 x2 y1 y2, and each power reduces
 to one-dimensional node sums, the moments B_m (_bm_chunk), in O(G^3 M)
@@ -21,7 +22,8 @@ instead of the O(G^4) tensor sum.  The moments come in the six doubling
 windows [0, 16), [16, 32), ..., [256, 512) below m* = 512 (_TAIL_M), one
 kernel call a window (_bm_prefix), cached per (kappa, G) and window and
 shared by every order l, so S_2 and the probe integral at every ell
-reuse one set.  Each B_m is accurate to rounding, and each window of
+reuse one set, and one walk over them sums a whole ladder of orders
+(_lint_series).  Each B_m is accurate to rounding, and each window of
 them runs on the nodes left after dropping the smallest ones whose share
 is proven below rounding (_bm_drop).  No series reads a moment past m*:
 on the nodes kept there the rest of the series has a closed form in
@@ -172,7 +174,8 @@ def _axis_nodes(G: int, kappa: complex):
 @lru_cache(maxsize=16)
 def _node_tables(G: int, kappa: complex):
     """The kernel table of the G-node rule, read-only: C = 1/(1 - kappa x
-    x^T), log x, (x_a - x_b)^2 and min |C|, max |C|.
+    x^T), log x, (x_a - x_b)^2 for a < b (0 elsewhere, as no reader looks
+    there) and min |C|, max |C|.
 
     The n = 1 pair sum, the moment engine (sliced to its kept nodes) and
     the Nystrom pass all read C here.  Cached per (G, kappa), kappa as
@@ -185,7 +188,7 @@ def _node_tables(G: int, kappa: complex):
     C = 1.0 / (1.0 - kappa * np.outer(x, x))
     absC = np.abs(C)
     logx = np.log(x)
-    d2 = (x[:, None] - x[None, :]) ** 2
+    d2 = np.triu((x[:, None] - x[None, :]) ** 2, 1)
     for arr in (C, logx, d2):
         arr.setflags(write=False)
     return C, logx, d2, float(absC.min()), float(absC.max())
@@ -462,7 +465,8 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
 
     def best_pair(w):
         p = w * last
-        return np.unravel_index(np.argmax(np.triu(np.outer(p, p) * d2, 1)), (G, G))
+        # d2 is 0 on and below the diagonal, so the best entry has a < b
+        return np.unravel_index(np.argmax(np.outer(p, p) * d2), (G, G))
 
     (a, b), (i, j) = best_pair(awx), best_pair(awy)
     t = min(a, i)
@@ -664,44 +668,81 @@ def _bm_tail(kappa: complex, G: int, orders: int):
     return phi, drop
 
 
-def _lint_series(kappa: complex, ell: int, G: int) -> complex:
-    """Probe value at order ell via the m expansion (n = 2).
+@lru_cache(maxsize=64)
+def _binom_rows(m0: int, m1: int, top: int) -> np.ndarray:
+    """binom(m+e, e) for e = 0..top (rows) and m in [m0, m1) (columns),
+    read-only: row e is the running product of (m + l)/l over l = 1..e.
+
+    The rows depend on the window alone, so every kappa and every order of
+    _lint_series reads one copy; row e is the same at any top >= e.
+    """
+    mm = np.arange(m0, m1)
+    binom = np.ones((top + 1, m1 - m0))
+    for e in range(1, top + 1):
+        binom[e] = binom[e - 1] * (mm + e) / e
+    binom.setflags(write=False)
+    return binom
+
+
+def _lint_series(kappa: complex, ells, G: int) -> list:
+    """Probe values at the orders ells via the m expansion (n = 2), one
+    complex per order, in the order given.
 
     1/(1 - kappa^2 u)^(ell+1) = sum_m binom(m+ell, ell) (kappa^2 u)^m turns
     the integral into sum_m binom(m+ell, ell) kappa^(2 m) B_m, the
     Vandermonde-form G-node rule summed in another order.  The summed length
     starts at 16 moments (S_2 at |kappa| = 0.5 needs about 23) and doubles
-    until the tail estimate drops below _GAUSS_RTOL of the sum.  If that
-    has not happened by m* = _TAIL_M, the series past m* is added in closed
-    form on the nodes kept there (_bm_tail), so no series reads a moment
-    past m*.  For real kappa the sum runs in float64, since kappa^2 > 0.
+    until an order's tail estimate drops below _GAUSS_RTOL of its sum; that
+    order's sum then stops, and the walk over the windows stops once every
+    order has.  An order that has not stopped by m* = _TAIL_M adds the
+    series past m* in closed form on the nodes kept there (_bm_tail), so no
+    series reads a moment past m*.  For real kappa the sum runs in float64,
+    since kappa^2 > 0.
+
+    Every order reads each window and its powers kappa^(2 m) once, and its
+    row of binomials binom(m+ell, ell) from the window's cached table
+    (_binom_rows), so each order does the arithmetic of a one-order call
+    bit for bit.  The orders still open at m* read one tail table of
+    max(_TAIL_ORDERS, ell_max + 1) orders, ell_max the largest of them; for
+    ell_max < _TAIL_ORDERS that is the table a one-order call reads, and
+    past it a lower order's tail may differ from its one-order call's in
+    rounding.
     """
+    ells = list(ells)
     k2 = _real(kappa) ** 2
     q = abs(k2)
     if q >= 1.0:
         raise DomainError("|kappa^2| must be < 1")
-    total = 0.0
+    totals = np.zeros(len(ells), dtype=np.result_type(k2))
+    # indices of the orders still summing
+    open_ = list(range(len(ells)))
     m0, m1 = 0, 16
-    while m0 < _TAIL_M:
+    while open_ and m0 < _TAIL_M:
         bm = _bm_prefix(kappa, G, m0, m1)
         mm = np.arange(m0, m1)
         # at kappa = 0 only the m = 0 term survives (and log 0 is undefined)
         powers = np.exp(mm * np.log(k2)) if q > 0.0 else (mm == 0) * 1.0
-        # binom(m+ell, ell) as a running product over l = 1..ell
-        binom = np.ones(m1 - m0)
-        for e in range(1, ell + 1):
-            binom = binom * (mm + e) / e
-        t = powers * bm * binom
-        total += t.sum()
-        ratio = q * (1.0 + ell / max(1.0, float(mm[-1])))
-        if ratio < 1.0:
-            tail = abs(t[-1]) * ratio / (1.0 - ratio)
-            if tail <= _GAUSS_RTOL * max(abs(total), _TINY):
-                return complex(total)
+        binom = _binom_rows(m0, m1, max(ells[i] for i in open_))
+        # one row of terms per open order; a row's sum is the 1-D sum's
+        t = powers * bm * binom[[ells[i] for i in open_]]
+        totals[open_] += t.sum(axis=1)
+        still = []
+        for row, i in enumerate(open_):
+            ratio = q * (1.0 + ells[i] / max(1.0, float(mm[-1])))
+            if ratio < 1.0:
+                tail = abs(t[row, -1]) * ratio / (1.0 - ratio)
+                if tail <= _GAUSS_RTOL * max(abs(totals[i]), _TINY):
+                    continue
+            still.append(i)
+        open_ = still
         m0, m1 = m1, 2 * m1
-    phi = _bm_tail(kappa, G, max(_TAIL_ORDERS, ell + 1))[0]
-    coef = [math.comb(_TAIL_M - 1 + ell - k, ell - k) for k in range(ell + 1)]
-    return complex(total + np.dot(coef, phi[: ell + 1]))
+    if open_:
+        phi = _bm_tail(kappa, G, max(_TAIL_ORDERS, max(ells[i] for i in open_) + 1))[0]
+        for i in open_:
+            ell = ells[i]
+            coef = [math.comb(_TAIL_M - 1 + ell - k, ell - k) for k in range(ell + 1)]
+            totals[i] += np.dot(coef, phi[: ell + 1])
+    return [complex(t) for t in totals]
 
 
 # ---------------------------------------------------------------------------
@@ -1006,9 +1047,9 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
 
     At ell = 0 this is exactly the Vandermonde-form S_n integral without
     its constant prefactor, and for n = 2 it shares cached moments with
-    s_n at equal (kappa, G).  This is the only place that picks how the
-    Vandermonde-form rule is evaluated, and resonant points are not a
-    special case:
+    s_n at equal (kappa, G).  It is the one-order case of _lint_orders,
+    the only place that picks how the Vandermonde-form rule is evaluated;
+    resonant points are not a special case:
 
     * spec.method == "monte_carlo": Monte Carlo.
     * Otherwise the nodes_per_dim-node Gauss rule at every kappa: for
@@ -1024,23 +1065,34 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
     and 128 up to r = 1 - 2^-10, then 1.5e-10 at 2^-11, 2.4e-9 at 2^-12,
     ~2e-8 at 2^-13 and ~1.3e-7 at 2^-14, so use 96 nodes past 2^-10.
     """
+    return _lint_orders(kappa, n, (ell,), spec)[0]
+
+
+def _lint_orders(kappa: complex, n: int, ells, spec: QuadratureSpec) -> list:
+    """The probe integral of lint_integral at every order of ells, one
+    complex per order, in the order given.
+
+    For n = 2 on the Gauss rule one _lint_series walk serves every order,
+    each order's value equal to its one-order call's; n = 1 and Monte
+    Carlo evaluate each order by itself, Monte Carlo drawing one stream
+    per order.
+    """
     kappa = _check_kappa(kappa)
+    ells = tuple(ells)
     if n < 1:
         raise DomainError("n must be >= 1")
-    if ell < 0:
+    if any(ell < 0 for ell in ells):
         raise DomainError("ell must be >= 0")
     if 1.0 - abs(kappa) ** n < 1e-6:
         warnings.warn(
             f"evaluating within 1e-6 of the resonant boundary at "
             f"kappa={kappa}, n={n}: double precision digits are limited",
             PrecisionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     spec.check_method(n)
     if spec.method == "monte_carlo":
-        raw, _ = _mc_core(kappa, n, ell + 1, spec)
-        return raw
+        return [_mc_core(kappa, n, ell + 1, spec)[0] for ell in ells]
     if n == 2:
-        return _lint_series(kappa, ell, spec.nodes_per_dim)
-    return _tensor_core(kappa, n, ell + 1, spec.nodes_per_dim)
-
+        return _lint_series(kappa, ells, spec.nodes_per_dim)
+    return [_tensor_core(kappa, n, ell + 1, spec.nodes_per_dim) for ell in ells]

@@ -13,7 +13,7 @@ from ising_lab import (
     radii_grid,
     smoothness_probe,
 )
-from ising_lab import boundary
+from ising_lab import boundary, integrals
 from ising_lab.boundary import _classify
 
 
@@ -157,6 +157,7 @@ class TestRadialScan:
             raise AssertionError("probe integral evaluated")
 
         monkeypatch.setattr(boundary, "lint_integral", no_work)
+        monkeypatch.setattr(boundary, "_lint_orders", no_work)
         radii = radii_grid(4, 6)
         with pytest.raises(DomainError, match="at least 4 radii"):
             radial_scan(RootOfUnity(1, 2), 2, 7, radii, QuadratureSpec())
@@ -164,7 +165,99 @@ class TestRadialScan:
             smoothness_probe(7, RootOfUnity(1, 2), QuadratureSpec(), radii=radii)
 
 
+def _ols_log_one(radii, values):
+    """The one-scan fit as one lstsq call of its own."""
+    L = np.log(1.0 / (1.0 - np.asarray(radii, dtype=float)))
+    v = np.real(np.asarray(values, dtype=complex))
+    A = np.vstack([L, np.ones_like(L)]).T
+    coef, _, _, _ = np.linalg.lstsq(A, v, rcond=None)
+    pred = A @ coef
+    ss_res = float(np.sum((v - pred) ** 2))
+    ss_tot = float(np.sum((v - np.mean(v)) ** 2))
+    resid_rms = math.sqrt(ss_res / (len(L) - 2))
+    return {
+        "slope": float(coef[0]),
+        "intercept": float(coef[1]),
+        "r2": 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot,
+        "slope_se": resid_rms / math.sqrt(float(np.sum((L - np.mean(L)) ** 2))),
+        "resid_rms": resid_rms,
+        "swing": float(np.max(v) - np.min(v)),
+    }
+
+
+class TestStackedFit:
+    """_ols_log fits a stack of scans with one lstsq call."""
+
+    @staticmethod
+    def _scans(radii, rows, seed):
+        rng = np.random.default_rng(seed)
+        L = np.log(1.0 / (1.0 - np.asarray(radii)))
+        trend = np.outer(rng.standard_normal(rows), L)
+        return trend + rng.standard_normal((rows, len(radii))) + 1j * rng.standard_normal(
+            (rows, len(radii)))
+
+    def test_one_scan_is_its_own_fit(self):
+        for seed, radii in enumerate((radii_grid(4, 8), radii_grid(4, 10), radii_grid(4, 14))):
+            for values in self._scans(radii, 5, seed):
+                assert boundary._ols_log(radii, values) == _ols_log_one(radii, values)
+
+    def test_stack_matches_row_fits(self):
+        radii = radii_grid(4, 10)
+        values = self._scans(radii, 8, 11)
+        values[3] = 2.5  # a constant row: r2 = 1 by convention
+        fits = boundary._ols_log(radii, values)
+        assert len(fits) == 8
+        for row, fit in zip(values, fits):
+            one = boundary._ols_log(radii, row)
+            assert fit.keys() == one.keys()
+            for key, want in one.items():
+                assert abs(fit[key] - want) <= 1e-13 * max(1.0, abs(want)), key
+
+
 class TestSmoothnessProbe:
+    def test_one_series_pass_per_radius_and_one_fit_per_n(self, monkeypatch):
+        series, lstsq = integrals._lint_series, np.linalg.lstsq
+        calls, fits = [], []
+
+        def spy_series(kappa, ells, G):
+            calls.append((complex(kappa), tuple(ells)))
+            return series(kappa, ells, G)
+
+        def spy_lstsq(A, b, rcond=None):
+            fits.append(np.shape(b))
+            return lstsq(A, b, rcond=rcond)
+
+        monkeypatch.setattr(integrals, "_lint_series", spy_series)
+        monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+        radii = radii_grid(4, 8)
+        report = smoothness_probe(7, RootOfUnity(1, 2), QuadratureSpec(), radii=radii)
+        assert sorted(k.real for k, _ in calls) == sorted(-r for r in radii)
+        assert all(k.imag == 0.0 and ells == tuple(range(8)) for k, ells in calls)
+        # one fit per n, of the radii x orders values
+        assert fits == [(len(radii), 8)] * 2
+        assert [report.classification(e) for e in range(8)] == ["bounded"] * 7 + ["diverging"]
+
+    def test_threads_change_nothing(self, monkeypatch):
+        series = integrals._lint_series
+        out = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("ISING_LAB_THREADS", threads)
+            seen = {}
+
+            def spy_series(kappa, ells, G):
+                values = series(kappa, ells, G)
+                seen[complex(kappa)] = values
+                return values
+
+            monkeypatch.setattr(integrals, "_lint_series", spy_series)
+            # cold caches: each thread count computes its own moments
+            for cached in (integrals._bm_prefix, integrals._bm_tail, integrals._node_tables):
+                cached.cache_clear()
+            report = smoothness_probe(7, RootOfUnity(1, 2), QuadratureSpec())
+            out[threads] = [(e.per_n, e.overall) for e in report.entries], seen
+        assert out["1"] == out["4"]
+        assert len(out["1"][1]) == len(radii_grid())
+
     def test_low_orders_bounded(self):
         spec = QuadratureSpec(nodes_per_dim=32)
         report = smoothness_probe(1, RootOfUnity(1, 2), spec, radii=radii_grid(4, 7))

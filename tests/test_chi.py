@@ -154,6 +154,27 @@ class TestProvenTail:
         assert math.isnan(res.beta_inv_chi_d.real)
 
 
+class TestAssemblyAccuracy:
+    """beta^-1 chi_d = (1 - M^2) + 2 M^2 S keeps its relative accuracy as
+    k -> 0, where 1 + M^2 (2 S - 1) rounds on the scale of M^2 ~ 1."""
+
+    @pytest.mark.parametrize("k", [
+        *(CouplingK.physical(kv) for kv in (1e-3, 1e-2, 0.1)),
+        *(CouplingK.analytic(z) for z in (1e-3 * cmath.exp(1j), 0.01 * cmath.exp(2.5j))),
+    ], ids=lambda k: str(k.value))
+    def test_within_four_eps_of_the_exact_assembly(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        s, _, _ = fredholm._s_fredholm_terms(k, 1e-8)
+        res = chi_d(k, 1e-8, "fredholm")
+        with mpmath.workdps(40):
+            kappa, S = (mpmath.mpc(complex(v).real, complex(v).imag) for v in (k.kappa, s))
+            m2 = mpmath.exp(mpmath.log(1 - kappa) / 4)
+            want = 1 + m2 * (2 * S - 1)
+            got = complex(res.beta_inv_chi_d)
+            rel = float(abs(mpmath.mpc(got.real, got.imag) - want) / abs(want))
+        assert rel <= 4 * 2.0**-52
+
+
 class TestToeplitzSum:
     """toeplitz_direct through the shared S-sum contract is the Toeplitz
     sum S = sum_N (D(N) - M^2) / M^2 over its n terms, to rounding, plus
@@ -173,9 +194,7 @@ class TestToeplitzSum:
         m2 = magnetization(k) ** 2
         want = ((_correlations(k, n)[0] - m2).sum() - m2 * one.trace[n + 1 :].sum()) / m2
         assert not res.flagged and res.terms_used == n == one.stop(tol)
-        assert complex(res.beta_inv_chi_d) == complex(chi_module._assemble(m2, s))
-        # compared as S: the assembly 1 + M^2 (2 S - 1) rounds on the scale
-        # of M^2 (2 S - 1), 396 times chi at k = 0.1
+        assert complex(res.beta_inv_chi_d) == complex(chi_module._assemble(k.kappa, m2, s))
         assert abs(s - want) <= 2e-15 * abs(want)
 
     def test_capped_row_keeps_its_tail(self):

@@ -243,7 +243,7 @@ class TestSweep:
         # est_error holds the rounding estimate of the Nystrom terms too
         assert captured.out.splitlines()[1:] == [
             "0.99990000000000001,151.15588059268629,integral,38720,8.705187556715253e-05,true",
-            "0.29999999999999999,0.0241491482281605,integral,2,9.8802984467176003e-10,false",
+            "0.29999999999999999,0.024149148228160507,integral,2,9.8802984467176003e-10,false",
             "1.5,nan,integral,0,inf,true",
         ]
         err = captured.err.splitlines()

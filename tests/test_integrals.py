@@ -805,13 +805,13 @@ class TestMomentEngine:
     @pytest.mark.parametrize("G", [32, 48])
     @pytest.mark.parametrize("kappa", [1e-4, 1e-2, 0.5j, -0.7, 0.7 + 0.3j])
     def test_series_matches_tensor_sum(self, kappa, G):
-        series = _lint_series(kappa, 0, G)
+        series = _lint_series(kappa, [0], G)[0]
         tensor = _vandermonde_tensor(kappa, 1, G)
         assert abs(series - tensor) <= 1e-12 * abs(tensor)
 
     def test_resonant_order_seven_matches_tensor_sum(self):
         r = 1.0 - 2.0 ** -8
-        series = _lint_series(-r, 7, 48)
+        series = _lint_series(-r, [7], 48)[0]
         tensor = _vandermonde_tensor(-r, 8, 48)
         assert abs(series - tensor) <= 1e-12 * abs(tensor)
 
@@ -1062,7 +1062,7 @@ class TestPrunedMoments:
 
         monkeypatch.setattr(integrals, "_bm_chunk", spy)
         integrals._bm_prefix.cache_clear()
-        _lint_series(kappa, 7, G)
+        _lint_series(kappa, [7], G)
         integrals._bm_prefix.cache_clear()
         assert [w[:2] for w in windows] == [(0, 16), (16, 32), (32, 64), (64, 128),
                                             (128, 256), (256, 512)]
@@ -1116,6 +1116,40 @@ class TestPrunedMoments:
                 assert bound <= 2.0**-52 * _kept_pair_bound(kappa, G, m, c)
 
 
+class TestProbeLadder:
+    """One _lint_series walk sums a ladder of orders, each order as its
+    one-order call does."""
+
+    @pytest.mark.parametrize("G", [48, 64])
+    @pytest.mark.parametrize("j", range(4, 11))
+    def test_ladder_toward_minus_one_is_bit_identical(self, j, G):
+        # from j = 6 the low orders stop before m* and the high ones add the
+        # tail there
+        kappa = -(1.0 - 2.0**-j)
+        ladder = _lint_series(kappa, range(8), G)
+        assert ladder == [_lint_series(kappa, [e], G)[0] for e in range(8)]
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.5j, 0.7 + 0.3j])
+    def test_ladder_off_the_ray(self, kappa):
+        # the low orders stop windows before the high ones, and a stopped
+        # order adds no later window
+        ladder = _lint_series(kappa, range(8), 64)
+        assert ladder == [_lint_series(kappa, [e], 64)[0] for e in range(8)]
+
+    def test_orders_in_any_order(self):
+        kappa = -(1.0 - 2.0**-7)
+        assert _lint_series(kappa, [7, 0, 3, 7], 48) == [
+            _lint_series(kappa, [e], 48)[0] for e in (7, 0, 3, 7)]
+
+    @pytest.mark.parametrize("spec, n", [
+        (QuadratureSpec(nodes_per_dim=32), 1), (QuadratureSpec(nodes_per_dim=32), 2),
+        (QuadratureSpec(method="monte_carlo", mc_samples=500, seed=3), 3)])
+    def test_lint_integral_is_the_one_order_case(self, spec, n):
+        kappa = 0.6 * cmath.exp(0.3j)
+        ladder = integrals._lint_orders(kappa, n, range(4), spec)
+        assert ladder == [lint_integral(kappa, n, e, spec) for e in range(4)]
+
+
 class TestSeriesTail:
     """Past m* = _TAIL_M the series is summed in closed form on the nodes
     kept there (_bm_tail)."""
@@ -1125,13 +1159,13 @@ class TestSeriesTail:
         # about 8e5 moments at r = 1 - 2^-16, past the old 2^18-moment cap
         r = 1.0 - 2.0**-16
         want = _mp_vandermonde_rule(-r, ell + 1, 12)
-        got = _lint_series(complex(-r), ell, 12)
+        got = _lint_series(complex(-r), [ell], 12)[0]
         assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("kappa", [0.99 * np.exp(0.3j), -0.995 + 0.01j])
     def test_complex_kappa_matches_tensor_sum(self, kappa):
         want = _vandermonde_tensor(kappa, 4, 64)
-        got = _lint_series(complex(kappa), 3, 64)
+        got = _lint_series(complex(kappa), [3], 64)[0]
         assert abs(got - want) <= 5e-15 * abs(want)
 
     @pytest.mark.parametrize("kappa", [-(1.0 - 2.0**-10), 0.99 * np.exp(0.4j), 0.95j, 0.9])
@@ -1182,7 +1216,7 @@ class TestSeriesTail:
         monkeypatch.setattr(integrals, "_tail_table", spy)
         integrals._bm_tail.cache_clear()
         try:
-            value = _lint_series(complex(-r), 7, G)
+            value = _lint_series(complex(-r), [7], G)[0]
         finally:
             integrals._bm_tail.cache_clear()
         assert counts == [G - 2, 0]
