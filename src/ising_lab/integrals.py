@@ -244,29 +244,47 @@ def _draw_points(rng, m: int, n: int):
     """m points of n coordinates each, X = V^2 and Y = 1 - W^2.
 
     Returned as (n, m) arrays, one row per coordinate, from one (2, n, m)
-    block of uniforms: V in the first plane, W in the second.  X has
-    density 1/(2 sqrt(x)) and Y has 1/(2 sqrt(1 - y)), so two uniforms and
-    two squarings per coordinate pair, no transcendental call and no
-    rejection loop.  Points with a coordinate outside (0, 1) (V = 0 gives
-    x = 0, W = 0 gives y = 1) or two coincident coordinates are redrawn;
-    redraws continue the same deterministic stream.
+    block of uniforms squared in place: V in the first plane, W in the
+    second.  X has density 1/(2 sqrt(x)) and Y has 1/(2 sqrt(1 - y)), so
+    two uniforms and two squarings per coordinate pair, no transcendental
+    call and no rejection loop.  Points with a coordinate outside (0, 1)
+    or two coincident coordinates are redrawn (_redraw_mask); redraws
+    continue the same deterministic stream.
     """
 
     def draw(k):
-        V, W = rng.random((2, n, k))
-        return V * V, 1.0 - W * W
+        U = rng.random((2, n, k))
+        np.square(U, out=U)
+        np.subtract(1.0, U[1], out=U[1])
+        return U[0], U[1]
 
     X, Y = draw(m)
     for _ in range(100):
-        bad = np.any((X <= 0.0) | (X >= 1.0) | (Y <= 0.0) | (Y >= 1.0), axis=0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                bad |= (X[i] == X[j]) | (Y[i] == Y[j])
+        bad = _redraw_mask(X, Y)
         cnt = int(np.count_nonzero(bad))
         if cnt == 0:
             break
         X[:, bad], Y[:, bad] = draw(cnt)
     return X, Y
+
+
+def _redraw_mask(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The points of _draw_points to redraw: a coordinate outside (0, 1) or
+    two coincident coordinates.
+
+    Of the four ways out of (0, 1) only two can occur.  The uniforms are
+    multiples of 2^-53 in [0, 1 - 2^-53], so V^2 <= (1 - 2^-53)^2 rounds to
+    at most 1 - 2^-52 < 1, and Y = 1 - W^2 >= 2^-52 > 0.  X = V^2 >= 0
+    reaches 0 exactly when V = 0 (V >= 2^-53 squares to >= 2^-106, no
+    underflow), and Y <= 1 reaches 1 exactly when W^2 <= 2^-54, half an
+    ulp below 1, that is W <= 2^-27.  So X <= 0 and Y >= 1 are tested,
+    each as one reduction over the coordinates.
+    """
+    bad = (X.min(axis=0) <= 0.0) | (Y.max(axis=0) >= 1.0)
+    for i in range(len(X)):
+        for j in range(i + 1, len(X)):
+            bad |= (X[i] == X[j]) | (Y[i] == Y[j])
+    return bad
 
 
 def _mc_group(kappa: complex, n: int) -> int:
@@ -287,28 +305,146 @@ def _mc_group(kappa: complex, n: int) -> int:
     return min(n, math.floor(math.pi / math.asin(abs(kappa))))
 
 
-def _mc_smooth(kappa: complex, X: np.ndarray, Y: np.ndarray, g: int) -> np.ndarray:
-    """prod_i sqrt((1 - kappa x_i)(1 - x_i) y_i / (1 - kappa y_i)) per sample,
-    each root on the principal branch, for (n, c) arrays X, Y.
+class _McWork:
+    """The scratch arrays of one Monte Carlo run, sized for its largest
+    chunk and reused by every chunk (fit(c) points the rows at the first c
+    samples), so that a chunk allocates little besides its uniforms: the
+    page faults of fresh chunk-sized temporaries, returned to the system
+    as each chunk frees them, cost more than the arithmetic on them.  One
+    per run, never shared, so concurrent runs on pool threads do not
+    meet.  Complex rows have kappa's dtype (float64 for real kappa, as
+    _real gives it).
+    """
 
-    The positive part is one real root of prod_i (1 - x_i) y_i; the
-    complex part one principal root of prod (1 - kappa x_i) / prod
-    (1 - kappa y_i) per group of g coordinates (_mc_group says why that
-    is exact), so one root and one division per sample at n <= g.
+    def __init__(self, kappa, n: int, c: int):
+        dt = np.result_type(kappa)
+        self._blocks = np.empty((2, n, c), dtype=dt)
+        self._rows = np.empty((5, c), dtype=dt)
+        self._real = np.empty((5, c))
+        self.fit(c)
+
+    def fit(self, c: int):
+        self.oX, self.oY = self._blocks[:, :, :c]
+        self.pair, self.num, self.den, self.smooth, self.vals = self._rows[:, :c]
+        self.u, self.vdm, self.p, self.r1, self.r2 = self._real[:, :c]
+
+
+def _principal_root(w: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """The principal square root of complex w != 0, in real arithmetic, as
+    its real and imaginary parts written to the float64 arrays re and im.
+
+    With t = sqrt((|w| + |Re w|) / 2), the root is (t, Im w / (2 t)) where
+    Re w >= +0 and (|Im w| / (2 t), t with the sign of Im w) where Re w <=
+    -0: the branch np.sqrt takes, signed zeros of Im w included (at Re w =
+    -0 the two forms are the same root to rounding).  |w| comes from np.abs,
+    with no hypot call, so the root costs a few real passes where
+    np.sqrt's complex root costs several times more; the two agree to
+    about one ulp.
+    """
+    a, b = w.real, w.imag
+    np.abs(w, out=re)
+    np.abs(a, out=im)
+    re += im
+    re *= 0.5
+    np.sqrt(re, out=re)
+    np.add(re, re, out=im)
+    np.divide(b, im, out=im)
+    neg = np.signbit(a)
+    if neg.any():
+        t = re[neg]
+        re[neg] = np.abs(im[neg])
+        im[neg] = np.copysign(t, b[neg])
+    return re, im
+
+
+def _mc_smooth(scale: np.ndarray, X: np.ndarray, Y: np.ndarray, g: int,
+               work: _McWork) -> np.ndarray:
+    """scale prod_i sqrt((1 - kappa x_i)(1 - x_i) y_i / (1 - kappa y_i)) per
+    sample, each root on the principal branch, for (n, c) arrays X, Y with
+    work.oX = 1 - kappa X and work.oY = 1 - kappa Y filled in.
+
+    The positive part is one real root of prod_i (1 - x_i) y_i, multiplied
+    into the real scale in float64 before it meets a complex factor; the
+    complex part one principal root (_principal_root) of prod (1 - kappa
+    x_i) / prod (1 - kappa y_i) per group of g coordinates (_mc_group says
+    why that is exact), so one root and one division per sample at n <= g.
+    The result is a row of work: work.p for real kappa, where every root
+    is real, else work.smooth.
     """
     n = len(X)
-    p = (1.0 - X[0]) * Y[0]
+    p, r1 = work.p, work.r1
+    np.subtract(1.0, X[0], out=p)
+    p *= Y[0]
     for i in range(1, n):
-        p *= (1.0 - X[i]) * Y[i]
-    out = np.sqrt(p)
+        np.subtract(1.0, X[i], out=r1)
+        r1 *= Y[i]
+        p *= r1
+    np.sqrt(p, out=p)
+    p *= scale
     for s in range(0, n, g):
-        num = 1.0 - kappa * X[s]
-        den = 1.0 - kappa * Y[s]
-        for i in range(s + 1, min(s + g, n)):
-            num *= 1.0 - kappa * X[i]
-            den *= 1.0 - kappa * Y[i]
-        out = out * np.sqrt(num / den)
-    return out
+        num = np.prod(work.oX[s : s + g], axis=0, out=work.num)
+        num /= np.prod(work.oY[s : s + g], axis=0, out=work.den)
+        if num.dtype.kind == "f":
+            p *= np.sqrt(num, out=num)
+            continue
+        re, im = _principal_root(num, r1, work.r2)
+        if s == 0:
+            re *= p
+            im *= p
+            work.smooth.real, work.smooth.imag = re, im
+        else:
+            work.den.real, work.den.imag = re, im
+            work.smooth *= work.den
+    return work.smooth if num.dtype.kind == "c" else p
+
+
+def _mc_base(kappa, n: int, g: int, X: np.ndarray, Y: np.ndarray, work: _McWork):
+    """The power-independent part of every sample of a chunk, 4^n u
+    vdm^2 / pair^2 times the smooth factor, and d = 1 - kappa^n u, u =
+    prod_i x_i y_i, as rows of work: the sample at resonant exponent p is
+    base / d^p.
+
+    The Vandermonde factor vdm = prod_{i<j} (x_j - x_i)(y_j - y_i) is
+    formed in real arithmetic, divided by the pair product pair =
+    prod_{i,j} (1 - kappa x_i y_j) and only then squared: squared apart,
+    they leave the float range first (0/0 at n = 60, kappa = 0.5, where
+    the ratio is a finite 0).  The factor 4^n is a power of two, put on u
+    by ldexp before any other factor, so it costs no bits and meets the
+    product before it can underflow; it and the real root of the smooth
+    factor are multiplied together in float64 before they meet a complex
+    factor.  kappa X is formed once, in work.oX: the pair product reads
+    it a row against all of Y at a time (in work.oY), and then it becomes
+    1 - kappa X in place for the smooth factor.
+    """
+    u, vdm, r1, r2, pair = work.u, work.vdm, work.r1, work.r2, work.pair
+    kX, T = work.oX, work.oY
+    # a sample the caller finds not finite raises, so the warnings of its
+    # 0/0 or overflow would only repeat that
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.prod(X, axis=0, out=u)
+        u *= np.prod(Y, axis=0, out=r1)
+        np.multiply(kappa, X, out=kX)
+        vdm.fill(1.0)
+        pair.fill(1.0)
+        for i in range(n):
+            # T[j] = 1 - kappa x_i y_j for every j at once; pair takes
+            # the factors one by one in (i, j) order
+            np.multiply(kX[i], Y, out=T)
+            np.subtract(1.0, T, out=T)
+            for j in range(n):
+                pair *= T[j]
+                if i < j:
+                    np.subtract(X[j], X[i], out=r1)
+                    r1 *= np.subtract(Y[j], Y[i], out=r2)
+                    vdm *= r1
+        base = np.divide(vdm, pair, out=pair)
+        base *= base
+        np.subtract(1.0, kX, out=work.oX)
+        np.subtract(1.0, np.multiply(kappa, Y, out=work.oY), out=work.oY)
+        base *= _mc_smooth(np.ldexp(u, 2 * n, out=r2), X, Y, g, work)
+        d = np.multiply(kappa**n, u, out=work.den)
+        np.subtract(1.0, d, out=d)
+    return base, d
 
 
 def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
@@ -323,43 +459,30 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
     y_i / (1 - kappa y_i)), principal roots, both 1 - kappa x_i and
     1 - kappa y_i having positive real part.  Every factor is bounded, so
     the estimate is unbiased with finite variance.  The samples are drawn
-    and evaluated in chunks of _MC_CHUNK, one stream for the whole run, and
-    each chunk's mean and centred sum of squares are merged by Chan's
-    pairwise formula, so memory is O(chunk) at any mc_samples.  The
-    Vandermonde factor prod_{i<j} (x_j - x_i)(y_j - y_i) is formed in real
-    arithmetic, divided by the pair product prod_{i,j} (1 - kappa x_i y_j)
-    and only then squared: squared apart, they leave the float range first
-    (0/0 at n = 60, kappa = 0.5, where the ratio is a finite 0).  The
-    factor 4^n is a power of two, put on u by ldexp before any other
-    factor, so it costs no bits and meets the product before it can
-    underflow.  From about n = 120 the two products themselves leave the
-    float range and a complex-kappa sample comes out 0/0: a chunk with a
-    sample that is not finite raises ConvergenceError.
+    and evaluated in chunks of _MC_CHUNK, one stream for the whole run;
+    each chunk's samples are _mc_base's base / d^power (base / d itself at
+    power 1), and each chunk's mean and centred sum of squares are merged
+    by Chan's pairwise formula, so memory is O(chunk) at any mc_samples.
+    From about n = 120 the Vandermonde and pair products leave the float
+    range and a complex-kappa sample comes out 0/0: a chunk whose mean is
+    not finite, which it is exactly when one of its samples is not (the
+    samples are bounded far below overflow of their sum), raises
+    ConvergenceError.
     """
     kappa = _real(kappa)
     rng = np.random.Generator(np.random.PCG64DXSM(spec.seed))
     m = spec.mc_samples
-    kn = kappa**n
     g = _mc_group(kappa, n)
+    work = _McWork(kappa, n, min(_MC_CHUNK, m))
     done, mean, m2 = 0, 0j, 0.0
     while done < m:
         c = min(_MC_CHUNK, m - done)
-        X, Y = _draw_points(rng, c, n)
-        # a sample the checks below find not finite raises, so the
-        # warnings of its 0/0 or overflow would only repeat that
+        work.fit(c)
+        base, d = _mc_base(kappa, n, g, *_draw_points(rng, c, n), work)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = np.prod(X, axis=0) * np.prod(Y, axis=0)
-            vals = np.ldexp(u, 2 * n) / (1.0 - kn * u) ** power
-            vdm = np.ones(c)
-            pair = np.ones(c, dtype=np.result_type(kappa))
-            for i in range(n):
-                for j in range(n):
-                    pair *= 1.0 - kappa * (X[i] * Y[j])
-                    if i < j:
-                        vdm *= (X[j] - X[i]) * (Y[j] - Y[i])
-            core = vdm / pair
-            vals = vals * (core * core) * _mc_smooth(kappa, X, Y, g)
-        if not np.all(np.isfinite(vals)):
+            vals = np.divide(base, d if power == 1 else d**power, out=work.vals)
+            cmean = vals.mean()
+        if not np.isfinite(cmean):
             raise ConvergenceError(
                 f"Monte Carlo samples at n={n}, kappa={kappa} are not finite: "
                 "the Vandermonde and pair products underflow or overflow "
@@ -367,12 +490,11 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
                 terms=done,
             )
         # Chan et al.: merge this chunk's mean and centred sum of squares
-        cmean = vals.mean()
-        d = vals - cmean
+        vals -= cmean
         total = done + c
         delta = complex(cmean) - mean
         mean += delta * (c / total)
-        m2 += float(np.vdot(d, d).real) + abs(delta) ** 2 * (done * c / total)
+        m2 += float(np.vdot(vals, vals).real) + abs(delta) ** 2 * (done * c / total)
         done = total
     return mean, math.sqrt(m2 / m) / math.sqrt(m)
 

@@ -1,6 +1,5 @@
 """Thread-pool helpers honoring the ISING_LAB_THREADS cap."""
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 _ENV = "ISING_LAB_THREADS"
 
@@ -28,5 +27,8 @@ def parallel_map(fn, items):
     workers = min(thread_count(), len(items)) if items else 0
     if workers <= 1:
         return [fn(it) for it in items]
+    # imported here: a single-worker run never loads the pool machinery
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

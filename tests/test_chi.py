@@ -16,10 +16,13 @@ from ising_lab.params import _one_particle
 from ising_lab.toeplitz import _LEVINSON_ROUNDING, _correlations
 from test_params import _terms_needed
 
-# frozen regression value for the Fredholm route at tol 1e-8
-_CHI_03 = 0.024149147835178963
-# the fredholm route at k = 0.99, tol 1e-10 (974 terms, est_error 3.9e-11)
-_CHI_099 = 4.673981727614708
+# frozen regression value for the Fredholm route at tol 1e-8; the integral
+# route gives 0.024149148228160507 and toeplitz_direct 0.024149148228162692,
+# within 3e-15 of it
+_CHI_03 = 0.02414914822816308
+# the fredholm route at k = 0.99, tol 1e-10 (974 terms, est_error 3.9e-11);
+# the integral route gives 4.6739817276268125
+_CHI_099 = 4.673981727626878
 
 
 class TestFreeLimit:
@@ -46,7 +49,7 @@ class TestRouteAgreement:
 
     def test_frozen_regression(self):
         got = chi_d(CouplingK.physical(0.3), 1e-8, "fredholm").beta_inv_chi_d
-        assert abs(got - _CHI_03) < 1e-9
+        assert abs(got - _CHI_03) <= 1e-13 * _CHI_03
 
     def test_unknown_route_rejected(self):
         with pytest.raises(DomainError):
@@ -106,7 +109,7 @@ class TestNearCriticalFredholm:
     def test_frozen_value_at_099(self):
         res = chi_d(CouplingK.physical(0.99), 1e-10, "fredholm")
         assert not res.flagged
-        assert abs(res.beta_inv_chi_d - _CHI_099) <= 1e-9
+        assert abs(res.beta_inv_chi_d - _CHI_099) <= 1e-11 * _CHI_099
 
 
 @functools.lru_cache(maxsize=None)

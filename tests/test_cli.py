@@ -501,3 +501,15 @@ class TestRuntimeDependencies:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures is imported by parallel_map only when it runs
+        # two or more workers; the thread-count tests cover that path
+        src = str(Path(ising_lab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import ising_lab, ising_lab.cli, sys; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"

@@ -434,6 +434,15 @@ def _smooth_kappas(r):
     return [integrals._real(complex(k)) for k in kappas]
 
 
+def _grouped_smooth(kappa, X, Y, g):
+    """_mc_smooth with scale 1 on a fresh work block, 1 - kappa X and
+    1 - kappa Y filled in as _mc_base fills them."""
+    work = integrals._McWork(kappa, *X.shape)
+    np.subtract(1.0, kappa * X, out=work.oX)
+    np.subtract(1.0, kappa * Y, out=work.oY)
+    return integrals._mc_smooth(np.ones(X.shape[1]), X, Y, g, work)
+
+
 class TestGroupedSmoothFactor:
     """_mc_smooth's one root per group of coordinates against one per coordinate."""
 
@@ -444,7 +453,7 @@ class TestGroupedSmoothFactor:
         for r in _SMOOTH_RADII:
             for kappa in _smooth_kappas(r):
                 g = integrals._mc_group(kappa, n)
-                got = integrals._mc_smooth(kappa, X, Y, g)
+                got = _grouped_smooth(kappa, X, Y, g)
                 want = _per_coordinate_smooth(kappa, X, Y)
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (kappa, g)
 
@@ -465,8 +474,8 @@ class TestGroupedSmoothFactor:
         kappa, n = 0.999j, 8
         X, Y = integrals._draw_points(np.random.Generator(np.random.Philox(key=n)), 4096, n)
         want = _per_coordinate_smooth(kappa, X, Y)
-        grouped = integrals._mc_smooth(kappa, X, Y, integrals._mc_group(kappa, n))
-        single = integrals._mc_smooth(kappa, X, Y, n)
+        grouped = _grouped_smooth(kappa, X, Y, integrals._mc_group(kappa, n))
+        single = _grouped_smooth(kappa, X, Y, n)
         assert np.all(np.abs(grouped - want) <= 1e-14 * np.abs(want))
         assert np.max(np.abs(single - want) / np.abs(want)) > 1.0
 
@@ -490,6 +499,52 @@ class TestMonteCarloRange:
         mean, se = integrals._mc_core(complex(kappa), n, 1, spec)
         assert np.isfinite(mean) and np.isfinite(se)
         assert abs(mean - old.mean()) <= 1e-12 * abs(old.mean())
+
+
+def _four_condition_mask(X, Y):
+    """Every way a point leaves (0, 1)^2n or repeats a coordinate: the
+    oracle for _redraw_mask's two conditions."""
+    bad = np.any((X <= 0.0) | (X >= 1.0) | (Y <= 0.0) | (Y >= 1.0), axis=0)
+    for i in range(len(X)):
+        for j in range(i + 1, len(X)):
+            bad |= (X[i] == X[j]) | (Y[i] == Y[j])
+    return bad
+
+
+class TestMonteCarloKernel:
+    """The real-arithmetic root and the two-condition redraw mask."""
+
+    def test_principal_root_matches_numpy(self):
+        # moduli over 26 decades at every phase, the negative real axis
+        # approached from both sides, and +-0 imaginary parts on both
+        # half-axes
+        rng = np.random.default_rng(33)
+        k = 200_000
+        w = 10.0 ** rng.uniform(-13, 13, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+        edges = np.array([complex(-4, 0), complex(-4, -0.0), complex(4, 0), complex(4, -0.0),
+                          complex(-1, 1e-300), complex(-1, -1e-300), complex(0, 2),
+                          complex(0, -2), complex(-0.0, 3), complex(-1e-300, -1)])
+        w = np.concatenate([w, edges])
+        re, im = integrals._principal_root(w, np.empty(len(w)), np.empty(len(w)))
+        want = np.sqrt(w)
+        assert np.all(np.abs(re + 1j * im - want) <= 4e-16 * np.abs(want))
+        assert np.array_equal(np.signbit(im), np.signbit(want.imag))
+        assert np.all(re >= 0.0)
+
+    def test_two_condition_mask_is_the_four_condition_one(self):
+        top = 1.0 - 2.0**-53
+        rng = np.random.default_rng(5)
+        U = rng.random((2, 3, 12))
+        U[0, 0, 0] = 0.0                   # V = 0: x = 0
+        U[1, 1, 1] = 0.0                   # W = 0: y = 1
+        U[1, 2, 2] = 2.0**-27              # W^2 = 2^-54: y rounds to 1
+        U[1, 0, 3] = 2.0**-27 + 2.0**-53   # the next uniform: y < 1
+        U[:, 1, 4] = top                   # V = W = 1 - 2^-53
+        U[:, :, 5] = top                   # every coordinate at the top, tied
+        X, Y = U[0] ** 2, 1.0 - U[1] ** 2
+        got = integrals._redraw_mask(X, Y)
+        assert np.array_equal(got, _four_condition_mask(X, Y))
+        assert list(np.flatnonzero(got)) == [0, 1, 2, 5]
 
 
 def _check_three_particle_term(seed):
