@@ -25,6 +25,8 @@ from .toeplitz import diagonal_correlation
 _EXIT_OK = 0
 _EXIT_DOMAIN = 1
 _EXIT_FLAGGED = 2
+# the most points a start:stop:step grid may expand to
+_GRID_MAX = 10**6
 
 
 def _fmt(v) -> str:
@@ -39,7 +41,9 @@ def _fmt(v) -> str:
 
 def _emit(columns, rows, fmt: str):
     if fmt == "json":
-        recs = [dict(zip(columns, row)) for row in rows]
+        # NaN and Infinity are not JSON (RFC 8259): a non-finite float is null
+        recs = [{c: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for c, v in zip(columns, row)} for row in rows]
         print(json.dumps(recs, indent=2))
         return
     out = [",".join(columns)]
@@ -73,9 +77,15 @@ def _parse_grid(text: str):
         if len(pieces) != 3:
             raise DomainError("grid range must be start:stop:step")
         a, b, step = (_float(p) for p in pieces)
+        if not all(map(math.isfinite, (a, b, step))):
+            raise DomainError(f"grid range must be finite, got {text!r}")
         if step <= 0:
             raise DomainError("grid step must be positive")
-        count = int(math.floor((b - a) / step + 1e-9)) + 1
+        # checked before floor(): (b - a) / step may overflow to inf
+        span = (b - a) / step + 1e-9
+        if span >= _GRID_MAX:
+            raise DomainError(f"grid range {text!r} has more than {_GRID_MAX} points")
+        count = math.floor(span) + 1
         if count < 1:
             return []
         return [a + i * step for i in range(count)]
@@ -109,7 +119,8 @@ def _spec_from(args) -> QuadratureSpec:
         )
     if args.seed is not None:
         raise DomainError("--seed needs --mc-samples: it seeds Monte Carlo only")
-    return QuadratureSpec(nodes_per_dim=args.nodes or QuadratureSpec.nodes_per_dim)
+    nodes = QuadratureSpec.nodes_per_dim if args.nodes is None else args.nodes
+    return QuadratureSpec(nodes_per_dim=nodes)
 
 
 def _add_common(sp):

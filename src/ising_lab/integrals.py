@@ -247,44 +247,25 @@ def _draw_points(rng, m: int, n: int):
     block of uniforms squared in place: V in the first plane, W in the
     second.  X has density 1/(2 sqrt(x)) and Y has 1/(2 sqrt(1 - y)), so
     two uniforms and two squarings per coordinate pair, no transcendental
-    call and no rejection loop.  Points with a coordinate outside (0, 1)
-    or two coincident coordinates are redrawn (_redraw_mask); redraws
-    continue the same deterministic stream.
+    call and no rejection loop.
+
+    Every point is evaluated; none needs a redraw.  The uniforms are
+    multiples of 2^-53 in [0, 1 - 2^-53], so X <= (1 - 2^-53)^2 < 1 and
+    Y >= 2^-52 > 0 always, and only three edge points occur.  V = 0 gives
+    x = 0, so u = 0 and the sample is exactly 0, the limit of integrand
+    over density (their ratio carries a factor x).  W <= 2^-27 rounds y
+    to 1: every factor of _mc_base and _mc_smooth stays bounded there (no
+    1 - y is left in the smooth factor, and 1 - kappa y != 0), and the
+    ratio is continuous at y = 1, so y = 1 for 1 - W^2 costs below 2^-54
+    relative.  Two equal coordinates make the Vandermonde factor, and so
+    the sample, 0: the integrand's value there.  Every denominator, the
+    pair products 1 - kappa x y and d = 1 - kappa^n u, has modulus >= 1 -
+    |kappa| > 0.
     """
-
-    def draw(k):
-        U = rng.random((2, n, k))
-        np.square(U, out=U)
-        np.subtract(1.0, U[1], out=U[1])
-        return U[0], U[1]
-
-    X, Y = draw(m)
-    for _ in range(100):
-        bad = _redraw_mask(X, Y)
-        cnt = int(np.count_nonzero(bad))
-        if cnt == 0:
-            break
-        X[:, bad], Y[:, bad] = draw(cnt)
-    return X, Y
-
-
-def _redraw_mask(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The points of _draw_points to redraw: a coordinate outside (0, 1) or
-    two coincident coordinates.
-
-    Of the four ways out of (0, 1) only two can occur.  The uniforms are
-    multiples of 2^-53 in [0, 1 - 2^-53], so V^2 <= (1 - 2^-53)^2 rounds to
-    at most 1 - 2^-52 < 1, and Y = 1 - W^2 >= 2^-52 > 0.  X = V^2 >= 0
-    reaches 0 exactly when V = 0 (V >= 2^-53 squares to >= 2^-106, no
-    underflow), and Y <= 1 reaches 1 exactly when W^2 <= 2^-54, half an
-    ulp below 1, that is W <= 2^-27.  So X <= 0 and Y >= 1 are tested,
-    each as one reduction over the coordinates.
-    """
-    bad = (X.min(axis=0) <= 0.0) | (Y.max(axis=0) >= 1.0)
-    for i in range(len(X)):
-        for j in range(i + 1, len(X)):
-            bad |= (X[i] == X[j]) | (Y[i] == Y[j])
-    return bad
+    U = rng.random((2, n, m))
+    np.square(U, out=U)
+    np.subtract(1.0, U[1], out=U[1])
+    return U[0], U[1]
 
 
 def _mc_group(kappa: complex, n: int) -> int:
@@ -459,7 +440,8 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
     y_i / (1 - kappa y_i)), principal roots, both 1 - kappa x_i and
     1 - kappa y_i having positive real part.  Every factor is bounded, so
     the estimate is unbiased with finite variance.  The samples are drawn
-    and evaluated in chunks of _MC_CHUNK, one stream for the whole run;
+    and evaluated in chunks of _MC_CHUNK, one stream for the whole run,
+    every point drawn evaluated (_draw_points says why none is redrawn);
     each chunk's samples are _mc_base's base / d^power (base / d itself at
     power 1), and each chunk's mean and centred sum of squares are merged
     by Chan's pairwise formula, so memory is O(chunk) at any mc_samples.
@@ -833,8 +815,6 @@ def _lint_series(kappa: complex, ells, G: int) -> list:
     ells = list(ells)
     k2 = _real(kappa) ** 2
     q = abs(k2)
-    if q >= 1.0:
-        raise DomainError("|kappa^2| must be < 1")
     totals = np.zeros(len(ells), dtype=np.result_type(k2))
     # indices of the orders still summing
     open_ = list(range(len(ells)))

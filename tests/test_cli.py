@@ -251,6 +251,18 @@ class TestSweep:
         assert err[0].startswith("warning: k=0.99990000000000001: the integral route ")
         assert err[1] == "warning: k=1.5: |k| must be < 1, got |k| = 1.5"
 
+    def test_json_is_strict(self, capsys):
+        # a flagged row's NaN value and infinite est_error print as null
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out = _run(capsys, ["sweep", "--grid", "0.3,1.5", "--format", "json"])
+        assert code == 2
+        rows = json.loads(out, parse_constant=refuse)
+        assert rows[0]["flagged"] is False and rows[0]["est_error"] > 0.0
+        assert rows[1]["beta_inv_chi_d"] is None and rows[1]["est_error"] is None
+        assert rows[1]["flagged"] is True
+
     def test_byte_identical_runs(self, capsys):
         argv = ["sweep", "--grid", "0.1,0.3", "--route", "fredholm"]
         _, first = _run(capsys, argv)
@@ -415,10 +427,35 @@ class TestArgumentErrors:
             ["sn", "--kappa", "0.5j,1", "--n", "2"],
             ["sweep", "--grid", "abc"],
             ["sweep", "--grid", "0:1:x"],
+            ["sweep", "--grid", "0:inf:0.1"],
+            ["sweep", "--grid", "0:nan:0.1"],
+            ["sweep", "--grid", "nan:1:0.1"],
+            # ~5e299 points: rejected before any list is built
+            ["sweep", "--grid", "0:0.5:1e-300"],
         ],
     )
     def test_bad_flag_value(self, capsys, argv):
         self._error(capsys, argv)
+
+    def test_grid_range_cap(self):
+        # 10^6 points is the most a range may expand to
+        assert len(cli._parse_grid("0:0.999999:1e-6")) == cli._GRID_MAX
+        with pytest.raises(cli.DomainError, match="more than 1000000 points"):
+            cli._parse_grid("0:1:1e-6")
+
+    def test_too_few_nodes(self, capsys, tmp_path):
+        # --nodes 0 is rejected like --nodes 1, as a flag and as a config key
+        want = "error: nodes_per_dim must be >= 2"
+        for nodes in ("0", "1"):
+            for argv in (["sn", "--kappa", "0.5", "--n", "2", "--nodes", nodes],
+                         ["boundary-scan", "--eps", "1/2", "--n", "2", "--ell", "7",
+                          "--radii", "4..6", "--nodes", nodes]):
+                assert self._error(capsys, argv) == want
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"eps = 1/2\nn = 2\nell = 7\nnodes = {nodes}\n")
+            assert self._error(capsys, ["boundary-scan", "--config", str(conf)]) == want
+            conf.write_text(f"kappa = 0.5\nn = 2\nnodes = {nodes}\n")
+            assert self._error(capsys, ["sn", "--config", str(conf)]) == want
 
     def test_negative_seed(self, capsys):
         line = self._error(capsys, ["sn", "--kappa", "0.2,0.3", "--n", "3",

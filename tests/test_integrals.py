@@ -298,28 +298,49 @@ class TestMonteCarlo:
         assert _ks_distance(X[0], np.sqrt) < limit
         assert _ks_distance(Y[0], lambda y: 1.0 - np.sqrt(1.0 - y)) < limit
 
-    def test_sampler_redraws_degenerate_points(self):
-        class Stub:
-            """(2, n, k) uniforms whose first draw holds V = 0, W = 0 and a tie."""
+    @pytest.mark.parametrize("kappa", [0.4 + 0.2j, 0.97 * cmath.exp(2j * math.pi / 3)],
+                             ids=["g3", "g2"])
+    def test_edge_points_are_evaluated(self, kappa):
+        # one (2, 3, 10) draw holding V = 0, W = 0, W = 2^-27 and a tie comes
+        # back unchanged; every sample is finite, x = 0 and the tie give 0,
+        # and where y rounds to 1 the sample is integrand over density at the
+        # nearby y = 1 - 1e-12
+        n, c = 3, 10
 
+        class Stub:
             def __init__(self):
-                self.rng, self.calls = np.random.default_rng(1), 0
+                self.rng, self.calls, self.drawn = np.random.default_rng(1), 0, None
 
             def random(self, shape):
                 self.calls += 1
                 u = self.rng.random(shape)
-                if self.calls == 1:
-                    assert u.shape == (2, 2, 10)
-                    u[0, 0, 3] = 0.0       # x = 0
-                    u[1, 1, 5] = 0.0       # y = 1
-                    u[:, 1, 7] = u[:, 0, 7]  # x_1 = x_2 and y_1 = y_2
+                u[0, 0, 0] = 0.0           # V = 0: x = 0
+                u[1, 1, 1] = 0.0           # W = 0: y = 1
+                u[1, 2, 2] = 2.0**-27      # W^2 = 2^-54: y rounds to 1
+                u[:, 1, 3] = u[:, 0, 3]    # x_1 = x_2 and y_1 = y_2
+                self.drawn = u.copy()
                 return u
 
         stub = Stub()
-        X, Y = integrals._draw_points(stub, 10, 2)
-        assert stub.calls == 2
-        assert np.all((X > 0) & (X < 1) & (Y > 0) & (Y < 1))
-        assert np.all(X[0] != X[1]) and np.all(Y[0] != Y[1])
+        X, Y = integrals._draw_points(stub, c, n)
+        assert stub.calls == 1 and stub.drawn.shape == (2, n, c)
+        assert np.array_equal(X, stub.drawn[0] ** 2)
+        assert np.array_equal(Y, 1.0 - stub.drawn[1] ** 2)
+        assert Y[1, 1] == Y[2, 2] == 1.0
+        kappa = integrals._real(complex(kappa))
+        g = integrals._mc_group(kappa, n)
+        assert g == (3 if abs(kappa) < 0.5 else 2)
+        base, d = integrals._mc_base(kappa, n, g, X.copy(), Y.copy(),
+                                     integrals._McWork(kappa, n, c))
+        vals = base / d
+        assert np.all(np.isfinite(vals))
+        assert vals[0] == 0.0 and vals[3] == 0.0
+        for k in (1, 2, 4):
+            x, y = X[:, k], Y[:, k].copy()
+            y[y == 1.0] = 1.0 - 1e-12
+            density = np.prod(1.0 / (2.0 * np.sqrt(x)) / (2.0 * np.sqrt(1.0 - y)))
+            want = _vandermonde_integrand(x, y, kappa, n) / density
+            assert abs(vals[k] - want) <= 1e-9 * abs(want), k
 
     def test_chunked_statistics_match_one_pass(self):
         # the same draws evaluated point by point through the pointwise
@@ -501,18 +522,8 @@ class TestMonteCarloRange:
         assert abs(mean - old.mean()) <= 1e-12 * abs(old.mean())
 
 
-def _four_condition_mask(X, Y):
-    """Every way a point leaves (0, 1)^2n or repeats a coordinate: the
-    oracle for _redraw_mask's two conditions."""
-    bad = np.any((X <= 0.0) | (X >= 1.0) | (Y <= 0.0) | (Y >= 1.0), axis=0)
-    for i in range(len(X)):
-        for j in range(i + 1, len(X)):
-            bad |= (X[i] == X[j]) | (Y[i] == Y[j])
-    return bad
-
-
 class TestMonteCarloKernel:
-    """The real-arithmetic root and the two-condition redraw mask."""
+    """The real-arithmetic root of the Monte Carlo smooth factor."""
 
     def test_principal_root_matches_numpy(self):
         # moduli over 26 decades at every phase, the negative real axis
@@ -530,21 +541,6 @@ class TestMonteCarloKernel:
         assert np.all(np.abs(re + 1j * im - want) <= 4e-16 * np.abs(want))
         assert np.array_equal(np.signbit(im), np.signbit(want.imag))
         assert np.all(re >= 0.0)
-
-    def test_two_condition_mask_is_the_four_condition_one(self):
-        top = 1.0 - 2.0**-53
-        rng = np.random.default_rng(5)
-        U = rng.random((2, 3, 12))
-        U[0, 0, 0] = 0.0                   # V = 0: x = 0
-        U[1, 1, 1] = 0.0                   # W = 0: y = 1
-        U[1, 2, 2] = 2.0**-27              # W^2 = 2^-54: y rounds to 1
-        U[1, 0, 3] = 2.0**-27 + 2.0**-53   # the next uniform: y < 1
-        U[:, 1, 4] = top                   # V = W = 1 - 2^-53
-        U[:, :, 5] = top                   # every coordinate at the top, tied
-        X, Y = U[0] ** 2, 1.0 - U[1] ** 2
-        got = integrals._redraw_mask(X, Y)
-        assert np.array_equal(got, _four_condition_mask(X, Y))
-        assert list(np.flatnonzero(got)) == [0, 1, 2, 5]
 
 
 def _check_three_particle_term(seed):
