@@ -8,9 +8,10 @@ node set handles for every axis.  Each S_n has two algebraic forms, the
 Vandermonde form (Sn2) and the squared Cauchy determinant (Sn1), and each
 form has one evaluator on the G-node rule, so comparing them stays an
 independent cross-check.  At n = 1 both are the same O(G^2) pair sum.
-Every kernel of the rule reads the Cauchy kernel C = 1/(1 - kappa x x^T)
-from one node table per (kappa, nodes) (_node_tables): the n = 1 pair
-sum, the moment engine and the Nystrom pass.
+Every kernel of the rule reads its nodes, weights and Cauchy kernel C =
+1/(1 - kappa x x^T) from one read-only rule per (nodes, kappa)
+(_node_rule), which also fixes real kappa to float64: the n = 1 pair sum,
+the moment engine and the Nystrom pass.
 
 _lint_orders owns the G-node rule of the Vandermonde form at a ladder of
 orders ell, lint_integral is its one-order case, and s_n evaluates Sn2
@@ -52,7 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,6 +67,9 @@ _TINY = 1e-300
 _SERIES_M_CAP = 1 << 18
 # series tolerance: the series stands in for the plain G-node sum
 _GAUSS_RTOL = 1e-14
+# largest nodes_per_dim of a spec: the first moment window of n = 2 holds a
+# G(G-1)/2 x G pair matrix, 0.5 GB peak for s_n at G = 256 (384 refined)
+_MAX_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -73,11 +77,12 @@ class QuadratureSpec:
     """How to evaluate one of the multiple integrals.
 
     tensor_gauss means the nodes_per_dim-node Gauss-Legendre rule on every
-    axis, at every kappa.  The Vandermonde form (Sn2) takes it for n <= 2
-    (dimension 2n <= 4): the pair sum at n = 1, the moment engine at
-    n = 2.  The Cauchy-determinant form (Sn1) takes it for every n: the
-    pair sum at n = 1, the spectral sum over the Nystrom matrices from
-    n = 2 on.
+    axis, at every kappa; nodes_per_dim runs from 2 to _MAX_NODES = 256
+    (s_n also evaluates the rule at 1.5 times that).  The Vandermonde
+    form (Sn2) takes it for n <= 2 (dimension 2n <= 4): the pair sum at
+    n = 1, the moment engine at n = 2.  The Cauchy-determinant form (Sn1)
+    takes it for every n: the pair sum at n = 1, the spectral sum over the
+    Nystrom matrices from n = 2 on.
     monte_carlo evaluates the Vandermonde form only, for any n; beyond
     n = 2 it is that form's only route.  It draws x = V^2 and y = 1 - W^2
     from uniforms V, W.  The seed, an integer >= 0, feeds numpy's
@@ -98,6 +103,8 @@ class QuadratureSpec:
             raise DomainError(f"unknown quadrature method {self.method!r}")
         if self.nodes_per_dim < 2:
             raise DomainError("nodes_per_dim must be >= 2")
+        if self.nodes_per_dim > _MAX_NODES:
+            raise DomainError(f"nodes_per_dim must be <= {_MAX_NODES}")
         if self.mc_samples < 2:
             raise DomainError("mc_samples must be >= 2")
         if self.seed < 0:
@@ -150,48 +157,51 @@ def _real(kappa: complex):
     return kappa.real if kappa.imag == 0.0 else kappa
 
 
-@lru_cache(maxsize=64)
-def _axis_nodes(G: int, kappa: complex):
-    """Nodes on (0,1) plus weights with the axis densities folded in.
+@dataclass(frozen=True, eq=False)
+class _NodeRule:
+    """The G-node rule at kappa (as _real gives it), every array read-only:
+    the nodes x on (0,1), the weights wx = dx Lambda_1(x) and wy = dy /
+    Lambda_1(y), the kernel table C = 1/(1 - kappa x x^T), logx = log x,
+    d2 = (x_a - x_b)^2 for a < b (0 elsewhere, as no reader looks there),
+    and cmin, cmax = min |C|, max |C|.  wx, wy and C are float64 for real
+    kappa and complex otherwise."""
 
-    wx carries dx * Lambda_1(x); wy carries dy / Lambda_1(y).  Both are
-    smooth after x = sin^2(pi t / 2): the half-power endpoint factors
-    cancel against the substitution Jacobian, and sqrt(1 - kappa x) is
-    analytic on the node range because Re(1 - kappa x) > 1 - |kappa| > 0.
-    The weights are float64 for real kappa and complex otherwise.
-    """
-    t, w = _gauss01(G)
-    s2 = np.sin(np.pi * t / 2.0) ** 2
-    c2 = 1.0 - s2
-    root = np.sqrt(1.0 - _real(kappa) * s2)
-    wx = w * np.pi * c2 * root
-    wy = w * np.pi * s2 / root
-    for arr in (s2, wx, wy):
-        arr.setflags(write=False)
-    return s2, wx, wy
+    kappa: float | complex
+    x: np.ndarray
+    wx: np.ndarray
+    wy: np.ndarray
+    C: np.ndarray
+    logx: np.ndarray
+    d2: np.ndarray
+    cmin: float
+    cmax: float
 
 
 @lru_cache(maxsize=16)
-def _node_tables(G: int, kappa: complex):
-    """The kernel table of the G-node rule, read-only: C = 1/(1 - kappa x
-    x^T), log x, (x_a - x_b)^2 for a < b (0 elsewhere, as no reader looks
-    there) and min |C|, max |C|.
+def _node_rule(G: int, kappa: complex) -> _NodeRule:
+    """The one G-node rule at kappa that every Gauss kernel reads.
 
-    The n = 1 pair sum, the moment engine (sliced to its kept nodes) and
-    the Nystrom pass all read C here.  Cached per (G, kappa), kappa as
-    _real gives it, so a float kappa and a complex one with imaginary part
-    0 share one entry and one dtype: about 2 G^2 numbers, 64 KB at G = 64
-    for real kappa and 384 KB at G = 128 for complex kappa.
+    Both weights are smooth after x = sin^2(pi t / 2): the half-power
+    endpoint factors cancel against the substitution Jacobian, and
+    sqrt(1 - kappa x) is analytic on the node range because Re(1 - kappa
+    x) > 1 - |kappa| > 0.  Cached per (G, kappa), so a float kappa and a
+    complex one with imaginary part 0 share one entry: about 2 G^2
+    numbers, 64 KB at G = 64 for real kappa and 384 KB at G = 128 for
+    complex kappa.
     """
     kappa = _real(kappa)
-    x = _axis_nodes(G, kappa)[0]
+    t, w = _gauss01(G)
+    x = np.sin(np.pi * t / 2.0) ** 2
+    root = np.sqrt(1.0 - kappa * x)
+    wx = w * np.pi * (1.0 - x) * root
+    wy = w * np.pi * x / root
     C = 1.0 / (1.0 - kappa * np.outer(x, x))
-    absC = np.abs(C)
     logx = np.log(x)
     d2 = np.triu((x[:, None] - x[None, :]) ** 2, 1)
-    for arr in (C, logx, d2):
+    for arr in (x, wx, wy, C, logx, d2):
         arr.setflags(write=False)
-    return C, logx, d2, float(absC.min()), float(absC.max())
+    absC = np.abs(C)
+    return _NodeRule(kappa, x, wx, wy, C, logx, d2, float(absC.min()), float(absC.max()))
 
 
 def _prefactor(kappa: complex, n: int) -> complex:
@@ -213,16 +223,16 @@ def _tensor_core(kappa: complex, n: int, power: int, G: int):
 
     The axis weights already carry the Lambda_1 densities, so this is the
     plain weighted sum of the pair factor U C^(power+2), U = x x^T, read
-    from the node table's C = 1/(1 - kappa U), in float64 for real kappa.
+    from the rule's C = 1/(1 - kappa U), in float64 for real kappa.
     Complex C is raised as exp((power+2) log C): numpy's complex ** loses
     about power ulps (1.6e-14 relative at kappa = 0.99 e^(0.4i), G = 64,
     power 20, against 3.6e-15 this way).
     At n = 1 both forms reduce to this pair sum; every caller passes n = 1.
     """
-    x, wx, wy = _axis_nodes(G, kappa)
-    C = _node_tables(G, kappa)[0]
+    rule = _node_rule(G, kappa)
+    C = rule.C
     Cp = C ** (power + 2) if C.dtype.kind == "f" else np.exp((power + 2) * np.log(C))
-    return complex((wx * x) @ Cp @ (wy * x))
+    return complex((rule.wx * rule.x) @ Cp @ (rule.wy * rule.x))
 
 
 def _refined_nodes(G: int) -> int:
@@ -523,13 +533,11 @@ def _drop_sums(kappa: complex, G: int, m: int):
     """(D_x, D_y, E_m) of _bm_drop for dropping the c smallest nodes at
     moment m, at index c - 1: the cumulative sums of |wx| x^(m+1) and |wy|
     x^(m+1), whose last entries are S_x and S_y, and the bound E_m."""
-    kappa = _real(kappa)
-    _, wx, wy = _axis_nodes(G, kappa)
-    _, logx, _, _, cmax = _node_tables(G, kappa)
-    p = np.exp(logx * (m + 1))
-    Dx, Dy = np.cumsum(np.abs(wx) * p), np.cumsum(np.abs(wy) * p)
+    rule = _node_rule(G, kappa)
+    p = np.exp(rule.logx * (m + 1))
+    Dx, Dy = np.cumsum(np.abs(rule.wx) * p), np.cumsum(np.abs(rule.wy) * p)
     Sx, Sy = Dx[-1], Dy[-1]
-    return Dx, Dy, 2.0 * cmax**8 * (Dx * Sx * Sy**2 + Dy * Sy * Sx**2)
+    return Dx, Dy, 2.0 * rule.cmax**8 * (Dx * Sx * Sy**2 + Dy * Sy * Sx**2)
 
 
 def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
@@ -560,12 +568,11 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     test is exact at m0 and overstates E_m after it; against the exact
     test at every column it keeps at most one node more on the test grid.
     """
-    kappa = _real(kappa)
-    _, wx, wy = _axis_nodes(G, kappa)
-    _, logx, d2, cmin, cmax = _node_tables(G, kappa)
-    scale = 2.0**-51 * (cmin / cmax) ** 8
+    rule = _node_rule(G, kappa)
+    logx, d2 = rule.logx, rule.d2
+    scale = 2.0**-51 * (rule.cmin / rule.cmax) ** 8
     last = np.exp(logx * (m1 + 2))
-    awx, awy = np.abs(wx), np.abs(wy)
+    awx, awy = np.abs(rule.wx), np.abs(rule.wy)
 
     def best_pair(w):
         p = w * last
@@ -613,7 +620,7 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
     forms its powers x^(m+1), the three products, the y side and their
     sum, and writes its B_m into the one output array, so the arrays live
     at once are CC2 and a few blocks, whatever the length of [m0, m1).  C,
-    log x and (x_a - x_b)^2 come from _node_tables, sliced to the kept
+    log x and (x_a - x_b)^2 come from _node_rule, sliced to the kept
     nodes; the kept block of C is squared once per call.
 
     The shift is the top node, s = x[-1].  As m grows x^(m+1) lets a few
@@ -633,10 +640,9 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
     nodes and [256, 512) keeps 25, toward kappa = -1 and at 0.5 alike.
     """
     c = _bm_drop(kappa, G, m0, m1)
-    kappa = _real(kappa)
-    x, wx, wy = (v[c:] for v in _axis_nodes(G, kappa))
-    C, logx, d2, _, _ = _node_tables(G, kappa)
-    C2, logx, d2 = C[c:, c:] ** 2, logx[c:], d2[c:, c:]
+    rule = _node_rule(G, kappa)
+    x, wx, wy, logx = rule.x[c:], rule.wx[c:], rule.wy[c:], rule.logx[c:]
+    C2, d2 = rule.C[c:, c:] ** 2, rule.d2[c:, c:]
     d = x - x[-1]
     dd = d * d
     n = len(x)
@@ -715,9 +721,8 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
     1 - kappa^2 [0, rho]: drop[k] = |kappa|^(2 m*) E_m* / d^(k+1).  For real
     kappa d = 1 - kappa^2 rho, and Phi_k and drop are float64.
     """
-    kappa = _real(kappa)
-    _, wx, wy = _axis_nodes(G, kappa)
-    C, logx, d2, _, _ = _node_tables(G, kappa)
+    rule = _node_rule(G, kappa)
+    kappa, logx = rule.kappa, rule.logx
     k2 = kappa * kappa
     drop = np.zeros(orders)
     if c:
@@ -727,8 +732,8 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
         near = min(max(k2.real / abs(k2) ** 2, 0.0), rho) if k2 else 0.0
         d = abs(1.0 - k2 * near)
         drop = E * abs(kappa) ** (2 * _TAIL_M) / d ** np.arange(1, orders + 1)
-    wx, wy = wx[c:], wy[c:]
-    C2, logx, d2 = C[c:, c:] ** 2, logx[c:], d2[c:, c:]
+    wx, wy, logx = rule.wx[c:], rule.wy[c:], logx[c:]
+    C2, d2 = rule.C[c:, c:] ** 2, rule.d2[c:, c:]
     i, j = np.triu_indices(len(logx), 1)
     # the weights of the x side, wx x^(m*+1), ride on the columns of CC2
     CC2 = _pair_products(C2, 0)
@@ -911,9 +916,8 @@ def _nystrom_pass(kappa: complex, G: int, n: int, target, reduce):
     - q), and the sum stops once that is within the rest of target(s).
     Past _SERIES_M_CAP terms it raises ConvergenceError with the sum so far.
     """
-    kappa = _real(kappa)
-    _, wx, wy = _axis_nodes(G, kappa)
-    C, logx, _, _, cmax = _node_tables(G, kappa)
+    rule = _node_rule(G, kappa)
+    kappa, wx, wy, C, logx = rule.kappa, rule.wx, rule.wy, rule.C, rule.logx
     rows = np.sum(np.abs(C) ** 2, axis=1)
     awx, awy = np.abs(wx), np.abs(wy)
     # x^N is taken over x_top^N on both axes, and z_N carries x_top^(2N)
@@ -923,7 +927,7 @@ def _nystrom_pass(kappa: complex, G: int, n: int, target, reduce):
     lq = n * lr
     q = math.exp(lq)
     ltail = lq - math.log1p(-q)
-    l2c = 2.0 * math.log(cmax)
+    l2c = 2.0 * math.log(rule.cmax)
     total, drop, N0, size, t = 0.0, 0.0, 1, 4, 0
     while True:
         # T_N at N0 - 1, the last N summed, on every node
@@ -1011,10 +1015,9 @@ def _s_rule(kappa: complex, G: int, tol: float):
     the terms against the orders n >= 2 summed from A_N's eigenvalues, and
     at least the error of each single term.
     """
-    kappa = _real(kappa)
-    x, wx, wy = _axis_nodes(G, kappa)
-    C = _node_tables(G, kappa)[0]
-    s1 = kappa**2 / math.pi**2 * ((wx * x) @ (C * C * C) @ (wy * x))
+    rule = _node_rule(G, kappa)
+    x, C = rule.x, rule.C
+    s1 = rule.kappa**2 / math.pi**2 * ((rule.wx * x) @ (C * C * C) @ (rule.wy * x))
     rounding = 0.0
 
     def terms(B, z):
@@ -1112,10 +1115,9 @@ def s_n(kappa: complex, n: int, spec: QuadratureSpec, form: str = "Sn2") -> SnRe
             pref = 1.0
             coarse, fine = (_cauchy_sn(kappa, n, G)[0] for G in nodes)
         else:
-            coarse, fine = (
-                lint_integral(kappa, n, 0, replace(spec, nodes_per_dim=G))
-                for G in nodes
-            )
+            # the refined rule may pass _MAX_NODES, so it takes no spec
+            coarse = lint_integral(kappa, n, 0, spec)
+            fine = _gauss_orders(kappa, n, (0,), nodes[1])[0]
         value = pref * fine
         rel = abs(fine - coarse) / max(abs(fine), _TINY)
         # a term needs n distinct nodes: past the fine rule's node count
@@ -1195,6 +1197,12 @@ def _lint_orders(kappa: complex, n: int, ells, spec: QuadratureSpec) -> list:
     spec.check_method(n)
     if spec.method == "monte_carlo":
         return [_mc_core(kappa, n, ell + 1, spec)[0] for ell in ells]
+    return _gauss_orders(kappa, n, ells, spec.nodes_per_dim)
+
+
+def _gauss_orders(kappa: complex, n: int, ells, G: int) -> list:
+    """The Vandermonde form's G-node rule at the orders ells, n <= 2: one
+    moment series walk at n = 2, the tensor sum per order at n = 1."""
     if n == 2:
-        return _lint_series(kappa, ells, spec.nodes_per_dim)
-    return [_tensor_core(kappa, n, ell + 1, spec.nodes_per_dim) for ell in ells]
+        return _lint_series(kappa, ells, G)
+    return [_tensor_core(kappa, n, ell + 1, G) for ell in ells]

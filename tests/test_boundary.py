@@ -251,7 +251,7 @@ class TestSmoothnessProbe:
 
             monkeypatch.setattr(integrals, "_lint_series", spy_series)
             # cold caches: each thread count computes its own moments
-            for cached in (integrals._bm_prefix, integrals._bm_tail, integrals._node_tables):
+            for cached in (integrals._bm_prefix, integrals._bm_tail, integrals._node_rule):
                 cached.cache_clear()
             report = smoothness_probe(7, RootOfUnity(1, 2), QuadratureSpec())
             out[threads] = [(e.per_n, e.overall) for e in report.entries], seen

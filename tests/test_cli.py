@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ising_lab
-from ising_lab import cli, fredholm, params
+from ising_lab import cli, fredholm, integrals, params
 from ising_lab.cli import main
 
 
@@ -456,6 +456,30 @@ class TestArgumentErrors:
             assert self._error(capsys, ["boundary-scan", "--config", str(conf)]) == want
             conf.write_text(f"kappa = 0.5\nn = 2\nnodes = {nodes}\n")
             assert self._error(capsys, ["sn", "--config", str(conf)]) == want
+
+    def test_too_many_nodes(self, capsys, tmp_path, monkeypatch):
+        # --nodes 257 is rejected before any node rule is built, as a flag
+        # and as a config key; 256, the largest, still makes a spec
+        built = []
+        gauss01 = integrals._gauss01
+        monkeypatch.setattr(integrals, "_gauss01", lambda G: built.append(G) or gauss01(G))
+        want = "error: nodes_per_dim must be <= 256"
+        for nodes in ("257", "256"):
+            calls = [["sn", "--kappa", "0.5", "--n", "2", "--nodes", nodes],
+                     ["boundary-scan", "--eps", "1/2", "--n", "2", "--ell", "7",
+                      "--radii", "4..6", "--nodes", nodes]]
+            for i, text in enumerate((f"kappa = 0.5\nn = 2\nnodes = {nodes}\n",
+                                      f"eps = 1/2\nn = 2\nell = 7\nnodes = {nodes}\n")):
+                path = tmp_path / f"run{i}.conf"
+                path.write_text(text)
+                calls.append([calls[i][0], "--config", str(path)])
+            for argv in calls:
+                if nodes == "257":
+                    assert self._error(capsys, argv) == want
+                else:
+                    args = cli._build_parser().parse_args(cli._merge_config(argv))
+                    assert cli._spec_from(args).nodes_per_dim == 256
+        assert built == []
 
     def test_negative_seed(self, capsys):
         line = self._error(capsys, ["sn", "--kappa", "0.2,0.3", "--n", "3",

@@ -46,8 +46,8 @@ def _vandermonde_tensor(kappa, power, G):
     """The n = 2 Vandermonde-form (Sn2) G-node tensor sum with resonant
     exponent `power`, pointwise in O(G^4): the oracle for the moment series,
     which sums the same rule in another order."""
-    kappa = integrals._real(kappa)
-    x, wx, wy = integrals._axis_nodes(G, kappa)
+    rule = integrals._node_rule(G, kappa)
+    kappa, x, wx, wy = rule.kappa, rule.x, rule.wx, rule.wy
     kn = kappa * kappa
     X2 = x[:, None, None]
     Y1 = x[None, :, None]
@@ -71,8 +71,8 @@ def _cauchy_tensor(kappa, G):
     """The n = 2 Cauchy-determinant form (Sn1) S_2 as the pointwise G-node
     tensor sum in O(G^4), prefactor included: the oracle for _cauchy_sn,
     which sums the same rule in another order."""
-    kappa = integrals._real(kappa)
-    x, wx, wy = integrals._axis_nodes(G, kappa)
+    rule = integrals._node_rule(G, kappa)
+    kappa, x, wx, wy = rule.kappa, rule.x, rule.wx, rule.wy
     kn = kappa * kappa
     X2 = x[:, None, None]
     Y1 = x[None, :, None]
@@ -95,7 +95,8 @@ def _cauchy_tensor(kappa, G):
 def _cauchy_tuples(kappa, n, G):
     """Sn1's S_n as the brute-force sum over every (x, y) node tuple of the
     G-node rule, G^(2n) points, prefactor included."""
-    x, wx, wy = integrals._axis_nodes(G, kappa)
+    rule = integrals._node_rule(G, kappa)
+    x, wx, wy = rule.x, rule.wx, rule.wy
     idx = np.indices((G,) * (2 * n)).reshape(2 * n, -1)
     X, Y = x[idx[:n]], x[idx[n:]]
     u = np.prod(X, axis=0) * np.prod(Y, axis=0)
@@ -109,7 +110,8 @@ def _mp_nodes(kappa, G):
     """The G-node rule's nodes and weights as mpmath numbers, exactly the
     float64 (or complex128) values the package uses."""
     mpmath = pytest.importorskip("mpmath")
-    x, wx, wy = integrals._axis_nodes(G, integrals._real(kappa))
+    rule = integrals._node_rule(G, kappa)
+    x, wx, wy = rule.x, rule.wx, rule.wy
 
     def mp(v):
         v = complex(v)
@@ -161,13 +163,15 @@ class TestLambda1:
         # the axis weights carry dx Lambda_1(x) and dy / Lambda_1(y), so
         # their ratio is Lambda_1^2 at every node
         for kappa in (0.3, 0.3 + 0.4j):
-            x, wx, wy = integrals._axis_nodes(24, kappa)
+            rule = integrals._node_rule(24, kappa)
+            x, wx, wy = rule.x, rule.wx, rule.wy
             assert np.allclose(wx / wy, _lambda1(x, kappa) ** 2, rtol=1e-13, atol=0.0)
 
     def test_endpoints_rejected(self):
         # Lambda_1 is singular at both ends; the node rule never samples them
         for G in (2, 64, 192):
-            x, wx, wy = integrals._axis_nodes(G, 0.2 + 0j)
+            rule = integrals._node_rule(G, 0.2 + 0j)
+            x, wx, wy = rule.x, rule.wx, rule.wy
             assert np.all((x > 0.0) & (x < 1.0))
             assert np.all(np.isfinite(wx) & np.isfinite(wy) & (wx > 0.0) & (wy > 0.0))
 
@@ -949,8 +953,8 @@ class TestMomentEngine:
 
 def _full_bm_chunk(kappa, G, m0, m1):
     """The unpruned n = 2 moment kernel on all G nodes: oracle for _bm_chunk."""
-    kappa = integrals._real(kappa)
-    x, wx, wy = integrals._axis_nodes(G, kappa)
+    rule = integrals._node_rule(G, kappa)
+    kappa, x, wx, wy = rule.kappa, rule.x, rule.wx, rule.wy
     C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
     d = x - x[-1]
     Xp = np.exp(np.log(x)[:, None] * np.arange(m0 + 1, m1 + 1))
@@ -968,8 +972,8 @@ def _gathered_bm_chunk(kappa, G, m0, m1):
     every pair at once, over the same blocks of moments: the oracle for its
     block-built CC2.  Returns the moments and the number of moment blocks."""
     c = integrals._bm_drop(kappa, G, m0, m1)
-    kappa = integrals._real(kappa)
-    x, wx, wy = (v[c:] for v in integrals._axis_nodes(G, kappa))
+    rule = integrals._node_rule(G, kappa)
+    kappa, x, wx, wy = rule.kappa, rule.x[c:], rule.wx[c:], rule.wy[c:]
     C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
     d = x - x[-1]
     i, j = np.triu_indices(len(x), 1)
@@ -1025,7 +1029,8 @@ def test_pair_products_both_ways_are_bit_identical(shape, axis, monkeypatch):
 
 def _tuple_terms(kappa, G, m):
     """Every ordered tuple term (a, b, i, j) of B_m, x pair (a, b), y pair (i, j)."""
-    x, wx, wy = integrals._axis_nodes(G, kappa)
+    rule = integrals._node_rule(G, kappa)
+    x, wx, wy = rule.x, rule.wx, rule.wy
     C2 = (1.0 / (1.0 - kappa * np.outer(x, x))) ** 2
     f = wx * x ** (m + 1)
     g = wy * x ** (m + 1)
@@ -1038,7 +1043,8 @@ def _tuple_terms(kappa, G, m):
 
 def _drop_bound(kappa, G, m, c):
     """E_m for dropping the c smallest nodes."""
-    x, wx, wy = integrals._axis_nodes(G, kappa)
+    rule = integrals._node_rule(G, kappa)
+    x, wx, wy = rule.x, rule.wx, rule.wy
     cmax = np.abs(1.0 / (1.0 - kappa * np.outer(x, x))).max()
     px = np.abs(wx) * x ** (m + 1)
     py = np.abs(wy) * x ** (m + 1)
@@ -1048,7 +1054,8 @@ def _drop_bound(kappa, G, m, c):
 
 def _kept_pair_bound(kappa, G, m, c):
     """R_m of the best x pair and the best y pair among the kept nodes."""
-    x, wx, wy = integrals._axis_nodes(G, kappa)
+    rule = integrals._node_rule(G, kappa)
+    x, wx, wy = rule.x, rule.wx, rule.wy
     cmin = np.abs(1.0 / (1.0 - kappa * np.outer(x, x))).min()
     dx2 = np.triu((x[c:, None] - x[None, c:]) ** 2, 1)
     best = [(np.outer(p, p) * dx2).max()
@@ -1294,7 +1301,7 @@ class TestMomentMemory:
         # the node tables every case reads are cached; build them first, so
         # the peak is the call's own whether or not an earlier test did
         kappa, G = args[:2]
-        integrals._node_tables(G, kappa)
+        integrals._node_rule(G, kappa)
         tracemalloc.start()
         try:
             call(*args)
@@ -1340,9 +1347,19 @@ class TestRealPath:
                                              (0.3 + 0.2j, "c")])
     def test_dtypes(self, kappa, kind):
         kappa, G = complex(kappa), 16
-        assert all(v.dtype.kind == kind for v in integrals._axis_nodes(G, kappa)[1:])
-        integrals._node_tables.cache_clear()
-        assert integrals._node_tables(G, kappa)[0].dtype.kind == kind
+        integrals._node_rule.cache_clear()
+        rule = integrals._node_rule(G, kappa)
+        assert all(v.dtype.kind == kind for v in (rule.wx, rule.wy, rule.C))
+        arrays = (rule.x, rule.wx, rule.wy, rule.C, rule.logx, rule.d2)
+        assert not any(v.flags.writeable for v in arrays)
+        if kind == "f":
+            # a float kappa and a complex one with imaginary part 0 share
+            # one rule, with a float kappa and float64 arrays
+            assert integrals._node_rule(G, kappa.real) is rule
+            assert type(rule.kappa) is float and rule.kappa == kappa.real
+            assert all(v.dtype == np.float64 for v in arrays)
+        else:
+            assert rule.kappa == kappa and isinstance(rule.kappa, complex)
         integrals._bm_prefix.cache_clear()
         lint_integral(kappa, 2, 3, QuadratureSpec(nodes_per_dim=G))
         hits = integrals._bm_prefix.cache_info().hits

@@ -295,9 +295,8 @@ def _orders_two(kval: complex, count: int) -> np.ndarray:
 
 def _node_s1(kappa: complex, G: int) -> complex:
     """The integral route's S_1 on the G-node rule, as _s_rule forms it."""
-    kappa = integrals._real(kappa)
-    x, wx, wy = integrals._axis_nodes(G, kappa)
-    C = integrals._node_tables(G, kappa)[0]
+    rule = integrals._node_rule(G, kappa)
+    kappa, x, wx, wy, C = rule.kappa, rule.x, rule.wx, rule.wy, rule.C
     return kappa**2 / math.pi**2 * ((wx * x) @ (C * C * C) @ (wy * x))
 
 
