@@ -67,8 +67,9 @@ _TINY = 1e-300
 _SERIES_M_CAP = 1 << 18
 # series tolerance: the series stands in for the plain G-node sum
 _GAUSS_RTOL = 1e-14
-# largest nodes_per_dim of a spec: the first moment window of n = 2 holds a
-# G(G-1)/2 x G pair matrix, 0.5 GB peak for s_n at G = 256 (384 refined)
+# largest nodes_per_dim of a spec, a stated limit: s_n also runs the rule at
+# 1.5 times it, and sn --kappa 0.5,0.1 --n 2 --nodes 256 (384 refined) peaks
+# at 95-103 MB RSS, the moment engine's pair matrix built in row blocks
 _MAX_NODES = 256
 
 
@@ -78,11 +79,13 @@ class QuadratureSpec:
 
     tensor_gauss means the nodes_per_dim-node Gauss-Legendre rule on every
     axis, at every kappa; nodes_per_dim runs from 2 to _MAX_NODES = 256
-    (s_n also evaluates the rule at 1.5 times that).  The Vandermonde
-    form (Sn2) takes it for n <= 2 (dimension 2n <= 4): the pair sum at
-    n = 1, the moment engine at n = 2.  The Cauchy-determinant form (Sn1)
-    takes it for every n: the pair sum at n = 1, the spectral sum over the
-    Nystrom matrices from n = 2 on.
+    (s_n also evaluates the rule at 1.5 times that).  At 256 the n = 2
+    s_n at kappa = 0.5 + 0.1i takes 0.42-0.57 s at 95-103 MB peak RSS on
+    one core, most of it the 384-node rule's first moment window.  The
+    Vandermonde form (Sn2) takes it for n <= 2 (dimension 2n <= 4): the
+    pair sum at n = 1, the moment engine at n = 2.  The Cauchy-determinant
+    form (Sn1) takes it for every n: the pair sum at n = 1, the spectral
+    sum over the Nystrom matrices from n = 2 on.
     monte_carlo evaluates the Vandermonde form only, for any n; beyond
     n = 2 it is that form's only route.  It draws x = V^2 and y = 1 - W^2
     from uniforms V, W.  The seed, an integer >= 0, feeds numpy's
@@ -497,6 +500,11 @@ def _mc_core(kappa: complex, n: int, power: int, spec: QuadratureSpec):
 # average entries per broadcast product past which _pair_products builds
 # its pairs by one product per first node rather than by two gathers
 _CC2_BLOCK = 2048
+# entries of _bm_chunk's pair matrix CC2 past which each moment block builds
+# it anew in blocks of pair rows of at most this many entries (4 MB in
+# float64): every window at 96 nodes or fewer stays whole, the largest
+# being [0, 16) at 96 nodes, 437,760 entries
+_CC2_MAX = 1 << 19
 # kept pairs x moments per block of _bm_chunk's moments, and y pairs x x
 # pairs per block of _tail_table's pairs of pairs: 256 KB in float64
 _BM_BLOCK = 1 << 15
@@ -509,35 +517,61 @@ _TAIL_M = 512
 _TAIL_ORDERS = 8
 
 
-def _pair_products(M: np.ndarray, axis: int) -> np.ndarray:
-    """M[a] M[b] along `axis` for every pair a < b, in np.triu_indices
-    order, by two gathers or by one broadcast product per first node a,
-    M.size / 2 entries on average: past _CC2_BLOCK entries a product the
-    gathered copies cost more than the n - 1 products, below it less."""
-    n = M.shape[axis]
-    i, j = np.triu_indices(n, 1)
+@lru_cache(maxsize=4)
+def _pair_layout(G: int):
+    """np.triu_indices(G, 1), the pairs a < b of G nodes, read-only and
+    cached per node count: 1.2 MB at G = 384 (s_n's refined rule at 256)."""
+    i, j = np.triu_indices(G, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _kept_pairs(G: int, c: int):
+    """The pairs a < b of the kept nodes [c:] in np.triu_indices order, as
+    indices into the kept nodes.  In that order they are the suffix of
+    _pair_layout(G) from c(2G - c - 1)/2, the count of pairs whose first
+    node is dropped, shifted by c."""
+    i, j = _pair_layout(G)
+    start = c * (2 * G - c - 1) // 2
+    return i[start:] - c, j[start:] - c
+
+
+def _pair_products(M: np.ndarray, axis: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """M[a] M[b] along `axis` for the pairs (a, b) = (i[p], j[p]), a run of
+    the np.triu_indices order of M.shape[axis] nodes, by two gathers or by
+    one broadcast product per first node a, M.size / 2 entries on average
+    over all pairs: past _CC2_BLOCK entries a product the gathered copies
+    cost more than the products, below it less."""
     if M.size < 2 * _CC2_BLOCK:
         out = np.take(M, i, axis)
         out *= np.take(M, j, axis)
         return out
-    out = np.empty(M.shape[:axis] + (len(i),) + M.shape[axis + 1 :], dtype=M.dtype)
+    n, P = M.shape[axis], len(i)
+    out = np.empty(M.shape[:axis] + (P,) + M.shape[axis + 1 :], dtype=M.dtype)
     rows, view = np.moveaxis(M, axis, 0), np.moveaxis(out, axis, 0)
-    k = 0
-    for a in range(n - 1):
-        np.multiply(rows[a], rows[a + 1 :], out=view[k : k + n - 1 - a])
-        k += n - 1 - a
+    # the pairs (a, b), (a, b + 1), ... of each first node a in the run
+    a, b, k = int(i[0]), int(j[0]), 0
+    while k < P:
+        m = min(P - k, n - b)
+        np.multiply(rows[a], rows[b : b + m], out=view[k : k + m])
+        a, b, k = a + 1, a + 2, k + m
     return out
 
 
-def _drop_sums(kappa: complex, G: int, m: int):
-    """(D_x, D_y, E_m) of _bm_drop for dropping the c smallest nodes at
-    moment m, at index c - 1: the cumulative sums of |wx| x^(m+1) and |wy|
-    x^(m+1), whose last entries are S_x and S_y, and the bound E_m."""
+def _drop_sums(kappa: complex, G: int, m: int) -> np.ndarray:
+    """The cumulative sums of |wx| x^(m+1) (row 0) and |wy| x^(m+1) (row 1)
+    over the ascending nodes: D_x and D_y of _bm_drop for dropping the c
+    smallest nodes at column c - 1, S_x and S_y at the last column."""
     rule = _node_rule(G, kappa)
-    p = np.exp(rule.logx * (m + 1))
-    Dx, Dy = np.cumsum(np.abs(rule.wx) * p), np.cumsum(np.abs(rule.wy) * p)
-    Sx, Sy = Dx[-1], Dy[-1]
-    return Dx, Dy, 2.0 * rule.cmax**8 * (Dx * Sx * Sy**2 + Dy * Sy * Sx**2)
+    return np.cumsum(np.abs((rule.wx, rule.wy)) * np.exp(rule.logx * (m + 1)), axis=1)
+
+
+def _drop_bounds(kappa: complex, G: int, m: int) -> np.ndarray:
+    """E_m of _bm_drop for dropping the c smallest nodes, at index c - 1."""
+    Dx, Dy = D = _drop_sums(kappa, G, m)
+    Sx, Sy = D[:, -1]
+    return 2.0 * _node_rule(G, kappa).cmax ** 8 * (Dx * Sx * Sy**2 + Dy * Sy * Sx**2)
 
 
 def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
@@ -567,32 +601,29 @@ def _bm_drop(kappa: complex, G: int, m0: int, m1: int) -> int:
     summed at every column, at most 258 columns of a window at once.  The
     test is exact at m0 and overstates E_m after it; against the exact
     test at every column it keeps at most one node more on the test grid.
+    Both axes run in one pass: row 0 of each table is x, row 1 is y.
     """
     rule = _node_rule(G, kappa)
-    logx, d2 = rule.logx, rule.d2
+    logx = rule.logx
     scale = 2.0**-51 * (rule.cmin / rule.cmax) ** 8
-    last = np.exp(logx * (m1 + 2))
-    awx, awy = np.abs(rule.wx), np.abs(rule.wy)
-
-    def best_pair(w):
-        p = w * last
-        # d2 is 0 on and below the diagonal, so the best entry has a < b
-        return np.unravel_index(np.argmax(np.outer(p, p) * d2), (G, G))
-
-    (a, b), (i, j) = best_pair(awx), best_pair(awy)
-    t = min(a, i)
-    Dx, Dy, _ = _drop_sums(kappa, G, m0)
+    aw = np.abs((rule.wx, rule.wy))
+    p = aw * np.exp(logx * (m1 + 2))
+    # d2 is 0 on and below the diagonal, so each axis's best entry has a < b
+    best = np.argmax((p[:, :, None] * p[:, None, :] * rule.d2).reshape(2, -1), axis=1)
+    a, b = np.divmod(best, G)
+    t = int(a.min())
+    D = _drop_sums(kappa, G, m0)
+    axes = (0, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # one row of powers per column m, the nodes from t up: the smallest
         # product over the columns of the axes' R / (bound on S)^2
         Xp = np.exp(np.arange(m0 + 1, m1 + 3)[:, None] * logx[t:])
-        rx, ry = (w[p] * w[q] * d2[p, q] * Xp[:, p - t] * Xp[:, q - t]
-                  / (K * (D[-1] / K[0])) ** 2
-                  for w, p, q, D, K in ((awx, a, b, Dx, Xp @ awx[t:]),
-                                        (awy, i, j, Dy, Xp @ awy[t:])))
+        K = Xp @ aw[:, t:].T
+        r = (aw[axes, a] * aw[axes, b] * rule.d2[a, b] * Xp[:, a - t] * Xp[:, b - t]
+             / (K * (D[:, -1] / K[0])) ** 2)
         # E_m / (2 cmax^8) <= S_x^2 S_y^2 (D_x/S_x + D_y/S_y); NaN (all
         # x^(m+1) underflowing) fails the test and keeps every node
-        fits = Dx[:t] / Dx[-1] + Dy[:t] / Dy[-1] <= scale * np.min(rx * ry)
+        fits = D[0, :t] / D[0, -1] + D[1, :t] / D[1, -1] <= scale * np.min(r[:, 0] * r[:, 1])
     return int(t if fits.all() else np.argmin(fits))
 
 
@@ -613,15 +644,22 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
     Everything is BLAS-shaped in the m direction, and in float64 for real
     kappa.
 
-    CC2 is built once per call; the moments then run in blocks of at most
-    _BM_BLOCK = 2^15 kept pairs x moments (256 KB in float64), but never
-    fewer than n moments (n the kept nodes), so no block array is smaller
-    than CC2 and a 16-moment window of S_2 stays one block.  Each block
+    The moments run in blocks of at most _BM_BLOCK = 2^15 kept pairs x
+    moments (256 KB in float64), but never fewer than n moments (n the
+    kept nodes), so a 16-moment window of S_2 stays one block.  Each block
     forms its powers x^(m+1), the three products, the y side and their
-    sum, and writes its B_m into the one output array, so the arrays live
-    at once are CC2 and a few blocks, whatever the length of [m0, m1).  C,
-    log x and (x_a - x_b)^2 come from _node_rule, sliced to the kept
-    nodes; the kept block of C is squared once per call.
+    sum, and writes its B_m into the one output array.  CC2 has P = n(n -
+    1)/2 rows.  Up to _CC2_MAX = 2^19 entries (4 MB in float64), which
+    holds every window at G <= 96, it is built once per call and no block
+    array is smaller; past it each moment block builds it anew in blocks
+    of _CC2_MAX / n rows, whose three products fill those rows of the
+    block's x side.  A[rows] @ B equals (A @ B)[rows] bit for bit, so
+    every B_m is the same either way, and the arrays live at once are the
+    x and y sides of one moment block, P x (its moments) each, and one
+    block of CC2, whatever the length of [m0, m1): 33 MB at G = 384 for
+    real kappa, against 226 MB for its whole CC2.  C, log x and (x_a -
+    x_b)^2 come from _node_rule, sliced to the kept nodes, and the pairs
+    from _kept_pairs; the kept block of C is squared once per call.
 
     The shift is the top node, s = x[-1].  As m grows x^(m+1) lets a few
     top nodes dominate; with s = 0 the difference R_0 R_2 - R_1^2 then
@@ -646,28 +684,39 @@ def _bm_chunk(kappa: complex, G: int, m0: int, m1: int) -> np.ndarray:
     d = x - x[-1]
     dd = d * d
     n = len(x)
-    i, j = np.triu_indices(n, 1)
-    # C2 is symmetric, so row (a, b) of CC2 is C2[a] C2[b]
-    CC2 = _pair_products(C2, 0)
+    i, j = _kept_pairs(G, c)
+    P = len(i)
+    # C2 is symmetric, so row (a, b) of CC2 is C2[a] C2[b]: built once up to
+    # _CC2_MAX entries, else per moment block in blocks of _CC2_MAX / n rows
+    rows = P if P * n <= _CC2_MAX else _CC2_MAX // n
+    CC2 = _pair_products(C2, 0, i, j) if rows == P else None
     ywt = wy[i] * wy[j] * d2[i, j]
-    out = np.empty(m1 - m0, dtype=np.result_type(CC2, wy))
+    out = np.empty(m1 - m0, dtype=np.result_type(C2, wy))
     # moments a block: _BM_BLOCK entries of pairs x moments, but never
-    # fewer than n, so a block's arrays are no smaller than CC2 itself
-    step = max(n, _BM_BLOCK // len(i))
+    # fewer than n, so a block's arrays are no smaller than a whole CC2
+    step = max(n, _BM_BLOCK // P)
     for b0 in range(m0, m1, step):
         b1 = min(m1, b0 + step)
         Xp = np.exp(logx[:, None] * np.arange(b0 + 1, b1 + 1))
         f = wx[:, None] * Xp
-        # one product per R_k: one product of the stacked columns
-        # [f | d f | d^2 f] measured slower
-        xside = CC2 @ f
-        xside *= CC2 @ (dd[:, None] * f)
-        R1 = CC2 @ (d[:, None] * f)
-        R1 *= R1
-        xside -= R1
-        del R1
-        yside = ywt[:, None] * Xp[i]
-        yside *= Xp[j]
+        df, ddf = d[:, None] * f, dd[:, None] * f
+        xside = np.empty((P, b1 - b0), dtype=out.dtype)
+        for r0 in range(0, P, rows):
+            A = CC2
+            if A is None:
+                A = _pair_products(C2, 0, i[r0 : r0 + rows], j[r0 : r0 + rows])
+            # one product per R_k: one product of the stacked columns
+            # [f | d f | d^2 f] measured slower
+            xs = np.matmul(A, f, out=xside[r0 : r0 + rows])
+            xs *= A @ ddf
+            R1 = A @ df
+            R1 *= R1
+            xs -= R1
+        del A, R1
+        # (ywt Xp[i]) Xp[j], with no temporary beyond the two gathers
+        yside = np.take(Xp, i, 0).astype(out.dtype, copy=False)
+        yside *= ywt[:, None]
+        yside *= np.take(Xp, j, 0)
         out[b0 - m0 : b1 - m0] = np.einsum("pm,pm->m", yside, xside)
     out *= 4.0
     return out
@@ -716,7 +765,7 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
     drop[k] bounds the change the c dropped nodes make to Phi_k.  That
     change is the sum of W_pq t_pq^m* (1 - t_pq)^-(k+1) over the pairs with
     a dropped node.  Their |W_pq t_pq^m*| sum to at most |kappa|^(2 m*)
-    E_m*, E_m the bound of _drop_sums, and their u_pq are at most rho =
+    E_m*, E_m the bound of _drop_bounds, and their u_pq are at most rho =
     x_(c-1) x_top^3, so |1 - t_pq| >= d, the distance from 0 to the segment
     1 - kappa^2 [0, rho]: drop[k] = |kappa|^(2 m*) E_m* / d^(k+1).  For real
     kappa d = 1 - kappa^2 rho, and Phi_k and drop are float64.
@@ -726,7 +775,7 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
     k2 = kappa * kappa
     drop = np.zeros(orders)
     if c:
-        E = _drop_sums(kappa, G, _TAIL_M)[2][c - 1]
+        E = _drop_bounds(kappa, G, _TAIL_M)[c - 1]
         rho = math.exp(logx[c - 1] + 3.0 * logx[-1])
         # the point of the segment nearest 0: u = Re(k2)/|k2|^2, clipped
         near = min(max(k2.real / abs(k2) ** 2, 0.0), rho) if k2 else 0.0
@@ -734,9 +783,9 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
         drop = E * abs(kappa) ** (2 * _TAIL_M) / d ** np.arange(1, orders + 1)
     wx, wy, logx = rule.wx[c:], rule.wy[c:], logx[c:]
     C2, d2 = rule.C[c:, c:] ** 2, rule.d2[c:, c:]
-    i, j = np.triu_indices(len(logx), 1)
+    i, j = _kept_pairs(G, c)
     # the weights of the x side, wx x^(m*+1), ride on the columns of CC2
-    CC2 = _pair_products(C2, 0)
+    CC2 = _pair_products(C2, 0, i, j)
     CC2 *= wx * np.exp((_TAIL_M + 1) * logx)
     lu = logx[i] + logx[j]
     e = np.expm1(lu)
@@ -749,7 +798,7 @@ def _tail_table(kappa: complex, G: int, c: int, orders: int):
     rows = max(1, _BM_BLOCK // len(i))
     for r0 in range(0, len(i), rows):
         r1 = min(len(i), r0 + rows)
-        H = _pair_products(CC2[r0:r1], 1)
+        H = _pair_products(CC2[r0:r1], 1, i, j)
         inv = s[r0:r1, None] + s
         inv -= ke[r0:r1, None] * e
         np.reciprocal(inv, out=inv)

@@ -10,6 +10,7 @@ import pytest
 from ising_lab import (ConvergenceError, CouplingK, DomainError, PrecisionWarning,
                        QuadratureSpec, lint_integral, s_n)
 from ising_lab import fredholm, integrals
+from ising_lab.boundary import RootOfUnity, radial_scan, radii_grid
 from ising_lab.integrals import _cauchy_sn, _lint_series, _tensor_core
 
 _SPEC = QuadratureSpec(nodes_per_dim=64)
@@ -995,14 +996,18 @@ def _gathered_bm_chunk(kappa, G, m0, m1):
     return 4.0 * np.concatenate(parts), len(parts)
 
 
-@pytest.mark.parametrize("G", [12, 64, 96])
+@pytest.mark.parametrize("G", [12, 64, 96, 128, 192])
 @pytest.mark.parametrize("kappa", [0.5, 0.5j, -0.99609375])
 @pytest.mark.parametrize("m0, m1", [(0, 16), (256, 512)])
 def test_block_pair_products_are_bit_identical(G, kappa, m0, m1):
-    # the same products in the same order: every B_m equal to the bit
+    # the same products in the same order: every B_m equal to the bit, with
+    # the pair matrix whole or, past _CC2_MAX entries, built in row blocks
     got = integrals._bm_chunk(complex(kappa), G, m0, m1)
     want, _ = _gathered_bm_chunk(complex(kappa), G, m0, m1)
     assert np.array_equal(got, want)
+    if m0 == 0:
+        n = G - integrals._bm_drop(complex(kappa), G, m0, m1)
+        assert (n * (n - 1) // 2 * n > integrals._CC2_MAX) == (G > 96)
 
 
 def test_block_pair_products_are_bit_identical_over_blocks():
@@ -1017,14 +1022,56 @@ def test_block_pair_products_are_bit_identical_over_blocks():
 @pytest.mark.parametrize("shape, axis", [((12, 12), 0), ((96, 96), 0), ((7, 12), 1),
                                           ((300, 40), 1)])
 def test_pair_products_both_ways_are_bit_identical(shape, axis, monkeypatch):
-    # gathered and broadcast pairs: the same products, in triu order
+    # gathered and broadcast pairs: the same products, in triu order, for
+    # every pair or any run of them that starts or ends inside a first node's
     rng = np.random.default_rng(3)
     M = rng.random(shape) + 1j * rng.random(shape)
-    i, j = np.triu_indices(shape[axis], 1)
-    want = np.take(M, i, axis) * np.take(M, j, axis)
-    for block in (0, 1 << 30):
-        monkeypatch.setattr(integrals, "_CC2_BLOCK", block)
-        assert np.array_equal(integrals._pair_products(M, axis), want)
+    for run in (slice(None), slice(5, 40), slice(1, 2), slice(30, None)):
+        i, j = (k[run] for k in np.triu_indices(shape[axis], 1))
+        want = np.take(M, i, axis) * np.take(M, j, axis)
+        for block in (0, 1 << 30):
+            monkeypatch.setattr(integrals, "_CC2_BLOCK", block)
+            assert np.array_equal(integrals._pair_products(M, axis, i, j), want)
+
+
+@pytest.mark.parametrize("G", [2, 5, 64])
+def test_kept_pairs_are_a_suffix_of_the_layout(G):
+    i, j = integrals._pair_layout(G)
+    assert not i.flags.writeable and not j.flags.writeable
+    assert integrals._pair_layout(G) is integrals._pair_layout(G)
+    for c in range(G - 1):
+        want = np.triu_indices(G - c, 1)
+        got = integrals._kept_pairs(G, c)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_scan_builds_each_pair_layout_once(monkeypatch):
+    # the README scan (every window and tail table at 64 nodes) builds one
+    # read-only layout and takes every kept-node subset from it
+    monkeypatch.setenv("ISING_LAB_THREADS", "1")
+    built = []
+    triu = np.triu_indices
+
+    def spy(n, k=0, m=None):
+        built.append(n)
+        return triu(n, k, m)
+
+    monkeypatch.setattr(np, "triu_indices", spy)
+    for cached in (integrals._bm_prefix, integrals._bm_tail, integrals._pair_layout):
+        cached.cache_clear()
+    chunk, calls = integrals._bm_chunk, []
+
+    def counting(kappa, G, m0, m1):
+        calls.append((m0, m1))
+        return chunk(kappa, G, m0, m1)
+
+    monkeypatch.setattr(integrals, "_bm_chunk", counting)
+    radial_scan(RootOfUnity(1, 2), 2, 7, radii_grid(4, 10), QuadratureSpec())
+    assert set(calls) == {(0, 16), (16, 32), (32, 64), (64, 128), (128, 256), (256, 512)}
+    assert built == [64]
+    info = integrals._pair_layout.cache_info()
+    assert info.misses == info.currsize == 1
+    assert not any(a.flags.writeable for a in integrals._pair_layout(64))
 
 
 def _tuple_terms(kappa, G, m):
@@ -1061,6 +1108,49 @@ def _kept_pair_bound(kappa, G, m, c):
     best = [(np.outer(p, p) * dx2).max()
             for p in (np.abs(w[c:]) * x[c:] ** (m + 1) for w in (wx, wy))]
     return 4.0 * cmin**8 * best[0] * best[1]
+
+
+def _oracle_bm_drop(kappa, G, m0, m1):
+    """_bm_drop as it was, one best-pair table, one cumulative sum and one
+    product per axis: the oracle for the counts of the one-pass test."""
+    rule = integrals._node_rule(G, kappa)
+    logx, d2 = rule.logx, rule.d2
+    scale = 2.0**-51 * (rule.cmin / rule.cmax) ** 8
+    last = np.exp(logx * (m1 + 2))
+    awx, awy = np.abs(rule.wx), np.abs(rule.wy)
+
+    def best_pair(w):
+        p = w * last
+        return np.unravel_index(np.argmax(np.outer(p, p) * d2), (G, G))
+
+    (a, b), (i, j) = best_pair(awx), best_pair(awy)
+    t = min(a, i)
+    p = np.exp(logx * (m0 + 1))
+    Dx, Dy = np.cumsum(awx * p), np.cumsum(awy * p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Xp = np.exp(np.arange(m0 + 1, m1 + 3)[:, None] * logx[t:])
+        rx, ry = (w[p] * w[q] * d2[p, q] * Xp[:, p - t] * Xp[:, q - t]
+                  / (K * (D[-1] / K[0])) ** 2
+                  for w, p, q, D, K in ((awx, a, b, Dx, Xp @ awx[t:]),
+                                        (awy, i, j, Dy, Xp @ awy[t:])))
+        fits = Dx[:t] / Dx[-1] + Dy[:t] / Dy[-1] <= scale * np.min(rx * ry)
+    return int(t if fits.all() else np.argmin(fits))
+
+
+_DROP_KAPPAS = ([0.5, 0.5j, 0.01, 1e-4, 0.3 + 0.6j] + [-(1.0 - 2.0**-j) for j in range(2, 19)]
+                + [0.9 * cmath.exp(2j * math.pi * q / 7) for q in range(7)])
+
+
+@pytest.mark.parametrize("kappa", _DROP_KAPPAS)
+def test_drop_counts_match_oracle(kappa):
+    # both axes in one pass keep the counts of one pass per axis: the six
+    # windows of the walk, the tail table's m*, and windows far past it
+    windows = [(0, 16), (16, 32), (32, 64), (64, 128), (128, 256), (256, 512),
+               (512, 512), (1024, 1280), (2048, 4096)]
+    for G in (3, 6, 12, 48, 64, 96, 128, 256):
+        for m0, m1 in windows:
+            got = integrals._bm_drop(complex(kappa), G, m0, m1)
+            assert got == _oracle_bm_drop(complex(kappa), G, m0, m1), (G, m0, m1)
 
 
 _PRUNE_KAPPAS = [1e-4, 1e-2, 0.5j, -0.7, 0.7 + 0.3j, 0.97, 0.95j, -(1.0 - 2.0**-10),
@@ -1157,7 +1247,7 @@ class TestPrunedMoments:
         # count; x^(m+1) as exp((m+1) log x) moves it by about m ulps
         kappa, G = complex(kappa), 12
         for m in (0, 40, 512):
-            E = integrals._drop_sums(kappa, G, m)[2]
+            E = integrals._drop_bounds(kappa, G, m)
             for c in range(1, G):
                 want = _drop_bound(kappa, G, m, c)
                 assert abs(E[c - 1] - want) <= 1e-12 * want
@@ -1284,19 +1374,23 @@ class TestSeriesTail:
 
 class TestMomentMemory:
     """_bm_chunk walks its moments in bounded blocks, so a longer run of
-    moments does not hold more memory; _bm_drop holds its powers whole,
-    bounded by the widest window at the largest node count; and
-    _tail_table walks its pair table in blocks of y pairs."""
+    moments does not hold more memory, and past _CC2_MAX entries builds its
+    pair matrix in row blocks; _bm_drop holds its powers whole, bounded by
+    the widest window at the largest node count; and _tail_table walks its
+    pair table in blocks of y pairs."""
 
     @pytest.mark.parametrize("call, args, limit", [
         (integrals._bm_chunk, (-(1.0 - 2.0**-8), 64, 2048, 4096), 2e6),
+        # s_n's refined rule at 256 nodes: 32.6 MB measured (the window's
+        # x and y sides, 9.4 MB each), against 226 MB for its whole CC2
+        (integrals._bm_chunk, (0.5, 384, 0, 16), 40e6),
         # past the window cache, so the kernel runs every time
         (integrals._bm_prefix.__wrapped__, (-0.7, 48, 0, 8192), 3e6),
         # the widest window a series reads at 128 nodes: 0.28 MB
         (integrals._bm_drop, (-(1.0 - 2.0**-14), 128, 256, 512), 0.6e6),
         # every node kept: 2016 x 2016 pairs, 33 MB if built whole
         (integrals._tail_table, (-(1.0 - 2.0**-14), 64, 0, 8), 3e6),
-    ], ids=["chunk", "window", "drop", "tail"])
+    ], ids=["chunk", "chunk-384", "window", "drop", "tail"])
     def test_memory_flat_in_moments(self, call, args, limit):
         # the node tables every case reads are cached; build them first, so
         # the peak is the call's own whether or not an earlier test did
