@@ -4,8 +4,15 @@ Everything downstream consumes the low-temperature modulus k (|k| < 1) and
 the Fourier/Laurent coefficients computed here: the symbol
 phi(xi) = sqrt((1 - k/xi)/(1 - k xi)) (_phi_series) and
 Lambda = sqrt((1 - k xi)(1 - k/xi)) together with its reciprocal
-(_lambda_pair), each from one FFT on the unit circle.  Both square roots
-take the principal branch, which is 1 at k = 0.
+(_lambda_pair), each from one M-point FFT of its values on the unit
+circle.  Both square roots take the principal branch, which is 1 at k = 0.
+The transforms read half the circle where a symmetry allows it: Lambda and
+Lambda^-1 are even in theta at every k, so their coefficients are a cosine
+transform of the M/2 + 1 values at theta in [0, pi]; at real k phi is
+Hermitian, phi(e^(-i theta)) = conj phi(e^(i theta)), so one real-output
+FFT of the same M/2 + 1 points gives both its column and its row.  Only
+phi at complex k, which has neither symmetry, is transformed on the whole
+circle.
 
 The series are plain read-only arrays indexed by |degree|, float64 for
 real k and complex otherwise.  _phi_series(k, length) returns
@@ -127,7 +134,9 @@ def _cache_length(n: int) -> int:
 # coefficients of phi, Lambda and Lambda^-1 obey |c_m| <= |k|^|m| / (1 - |k|^2).
 # Sampled at the M-th roots of unity, one FFT returns c_m plus the aliases
 # sum_(j != 0) c_(m + jM), which that bound caps at
-# 2 |k|^(M - |m|) / ((1 - |k|^2)(1 - |k|^M)).
+# 2 |k|^(M - |m|) / ((1 - |k|^2)(1 - |k|^M)).  The half-circle transforms
+# below return that same M-point FFT, aliases and all.  The bound covers
+# the aliases only, not the rounding of the samples or of the transform.
 
 
 def _circle_size(a: float, top: int) -> int:
@@ -161,49 +170,73 @@ def _hankel_length(a: float, N: int, count: int) -> int:
     return length
 
 
-def _circle_coeffs(kval: complex, degrees: np.ndarray, *maps) -> np.ndarray:
-    """Coefficients of one symbol per map at the given degrees, from its
-    values at the M-th roots of unity, one FFT each: one read-only array,
-    its leading axis over the symbols.  The first map takes xi to the first
-    symbol's values; each later map takes the values before it to the next
-    symbol's, and may overwrite them.  Entry M - m of the FFT is degree -m,
-    so a negative degree indexes from the end.  For real k the coefficients
-    are real and only their real parts are kept."""
-    M = _circle_size(abs(kval), int(np.abs(degrees).max()))
-    real = kval.imag == 0
-    # allocated before the transforms, so the cached result does not sit
-    # above their freed working memory
-    out = np.empty((len(maps), *degrees.shape), dtype=float if real else complex)
-    values = np.exp(2j * np.pi * np.arange(M) / M)
-    for row, f in zip(out, maps):
-        values = f(values)
-        c = np.fft.fft(values) / M
-        np.take(c.real if real else c, degrees, out=row, mode="wrap")
-    out.setflags(write=False)
-    return out
+def _half_angles(M: int, count: int):
+    """theta_j/2 = pi j/M and sin^2(theta_j/2) for j = 0 .. count - 1."""
+    half = np.arange(count) * (np.pi / M)
+    s2 = np.sin(half)
+    s2 *= s2
+    return half, s2
+
+
+def _lambda_values(k, s2: np.ndarray) -> np.ndarray:
+    """Lambda at the points of the circle with sin^2(theta/2) = s2.  On
+    |xi| = 1, (1 - k xi)(1 - k/xi) = (1 - k)^2 + 4k sin^2(theta/2) at any
+    k, which does not cancel near theta = 0 as 1 + k^2 - 2k cos(theta) does
+    at real k -> 1; both factors have positive real part, so the principal
+    root of the product is the product of the principal roots."""
+    return np.sqrt((1.0 - k) ** 2 + 4.0 * k * s2)
+
+
+def _cosine_coeffs(values: np.ndarray, M: int, out: np.ndarray) -> None:
+    """Degrees 0 .. len(out) - 1 of a symbol even in theta into out, from
+    its values at theta_j = 2 pi j/M, j = 0 .. M/2.  The M-point FFT of an
+    even signal is its cosine transform, the real-output FFT of a Hermitian
+    signal (np.fft.hfft), taken in one call over the rows of the float view:
+    the values themselves if real, their real and imaginary parts if not."""
+    def parts(a):
+        return a.view(float).reshape(len(a), -1).T
+    parts(out)[...] = np.fft.hfft(parts(values), M, norm="forward")[:, : len(out)]
 
 
 @lru_cache(maxsize=64)
 def _phi_series(kval: complex, length: int):
-    # both 1 - k/xi and 1 - k xi have positive real part on |xi| = 1, so
-    # the principal square roots are the branches that are 1 at k = 0
-    m = np.arange(length)
-    ((col, row),) = _circle_coeffs(
-        kval, np.stack([m, -m]),
-        lambda xi: np.sqrt(1.0 - kval / xi) / np.sqrt(1.0 - kval * xi),
-    )
-    return col, row
+    # phi = sqrt(1 - k/xi)/sqrt(1 - k xi) = (1 - k/xi)/Lambda, both roots
+    # principal (1 - k/xi and 1 - k xi have positive real part on |xi| = 1),
+    # with 1 - k/xi = (1 - k) + 2k sin^2(theta/2) + i k sin(theta).  At real
+    # k, phi(e^(-i theta)) = conj phi(e^(i theta)): the half circle carries
+    # the samples, and one Hermitian FFT returns phi_m at index m and phi_-m
+    # at index M - m.  Complex k has no such symmetry: one complex FFT of
+    # the whole circle.
+    real = kval.imag == 0
+    k = kval.real if real else kval
+    M = _circle_size(abs(kval), length - 1)
+    # allocated before the transform, so the cached result does not sit
+    # above its freed working memory
+    out = np.empty((2, length), dtype=float if real else complex)
+    half, s2 = _half_angles(M, M // 2 + 1 if real else M)
+    values = (1.0 - k) + 2.0 * k * s2 + 1j * k * np.sin(2.0 * half)
+    values /= _lambda_values(k, s2)
+    c = np.fft.hfft(values, M, norm="forward") if real else np.fft.fft(values, norm="forward")
+    out[0] = c[:length]
+    out[1, 0] = c[0]
+    out[1, 1:] = c[:-length:-1]   # index M - m is degree -m
+    out.setflags(write=False)
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)
 def _lambda_pair(kval: complex, length: int):
-    # Lambda(1/xi) = Lambda(xi), so degrees >= 0 are the whole series;
-    # 1/Lambda reuses Lambda's values on the circle, divided in place
-    return tuple(_circle_coeffs(
-        kval, np.arange(length),
-        lambda xi: np.sqrt(1.0 - kval * xi) * np.sqrt(1.0 - kval / xi),
-        lambda lam: np.divide(1.0, lam, out=lam),
-    ))
+    # Lambda(1/xi) = Lambda(xi) at every k: the samples are even in theta,
+    # the half circle carries them, and degrees >= 0 are the whole series.
+    # 1/Lambda reuses Lambda's values, divided in place.
+    M = _circle_size(abs(kval), length - 1)
+    out = np.empty((2, length), dtype=float if kval.imag == 0 else complex)
+    lam = _lambda_values(kval.real if kval.imag == 0 else kval,
+                         _half_angles(M, M // 2 + 1)[1])
+    _cosine_coeffs(lam, M, out[0])
+    _cosine_coeffs(np.divide(1.0, lam, out=lam), M, out[1])
+    out.setflags(write=False)
+    return tuple(out)
 
 
 # The one-particle part of the correlation sum.  With a_d and b_d the
@@ -249,8 +282,9 @@ class _OneParticle:
     sum_(N > M) (|R_N| + |tr K_N - trace[N]|), the error of S_1^H + sum_(N <= M)
     (det(I - K_N) - 1 + trace[N]) as S; both arrays run over N = 0 .. D - 1
     and are read only.  The bound takes the norms and traces from the
-    stored coefficients, whose FFT aliases are below 1e-17, and adds the
-    closed-form bound of the degrees past them.
+    stored coefficients, whose aliases are proven below 1e-17, and adds the
+    closed-form bound of the degrees past them.  The rounding of the
+    coefficients is not in it.
     """
 
     s1: complex
@@ -267,8 +301,9 @@ class _OneParticle:
 @lru_cache(maxsize=64)
 def _one_particle(kval: complex) -> _OneParticle:
     """The one-particle table at k = kval from the Lambda and Lambda^-1
-    coefficients at _hankel_length(|k|, 1, 1).  A series past the circle
-    cap raises ConvergenceError, as _lambda_pair does."""
+    coefficients at _hankel_length(|k|, 1, 1), the cosine transforms that
+    _lambda_pair takes on the half circle.  A series past the circle cap
+    raises ConvergenceError, as _lambda_pair does."""
     a = abs(kval)
     D = _hankel_length(a, 1, 1)
     lam, inv = _lambda_pair(kval, D)

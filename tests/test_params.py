@@ -1,5 +1,6 @@
 """Modulus handling, series generators, and their independent oracles."""
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from ising_lab import (
     ConvergenceError, CouplingK, DomainError, PhaseError, k_from_temperature, magnetization,
 )
-from ising_lab import fredholm, integrals
+from ising_lab import fredholm, integrals, params
 from ising_lab.params import _circle_size, _lambda_pair, _one_particle, _phi_series
 
 
@@ -234,6 +235,160 @@ class TestFFTSeries:
         # 2^21 degrees need 2^23 points at any |k|, past the 2^21 cap
         with pytest.raises(ConvergenceError, match="points on the unit circle"):
             _circle_size(0.5, 2**21)
+
+
+# The series against closed forms.  With (x)_m the rising factorial,
+#   Lambda:       a_m = k^m (-1/2)_m/m! 2F1(-1/2, m - 1/2; m + 1; k^2),
+#   Lambda^-1:    b_m = k^m (1/2)_m/m! 2F1(1/2, m + 1/2; m + 1; k^2),
+#   phi_m:        k^m (1/2)_m/m! 2F1(-1/2, m + 1/2; m + 1; k^2),
+#   phi_-m:       k^m (-1/2)_m/m! 2F1(m - 1/2, 1/2; m + 1; k^2),
+# the Cauchy products of (1 - u)^(+-1/2).  The tolerances are measured.
+# Against 40 digits, the half-circle engine is within 2.2e-16 on Lambda and
+# phi and within 4.4e-16 on Lambda^-1 (at most 1.6e-16 / (1 - |k|)); the
+# full-circle engine below is within 2.2e-16 on Lambda and phi and
+# 7.6e-14 on Lambda^-1 at k = 0.9995 (at most 6.7e-17 / (1 - |k|)).  Lambda^-1 peaks at
+# degree 0 like log(1/(1 - |k|)), and its samples like 1/sqrt(1 - |k|), so
+# its bound scales with 1/(1 - |k|).  Samples formed from
+# 1 + k^2 - 2k cos(theta) and 1 - k/xi fail the bounds at k = 0.99, 0.999
+# and 0.9995; at 0.9995 they are 1.3e-11 off on Lambda^-1 and 6.7e-15 on
+# phi.
+
+_ORACLE_K = [0.3, 0.9, 0.99, 0.999, 0.9995, 0.5 + 0.3j, 0.9 * cmath.exp(0.5j)]
+_ORACLE_M = (0, 1, 10, 100, 1000)
+_PHI_LENGTH = 2048
+
+
+def _series_bounds(kv) -> np.ndarray:
+    """The bounds on (Lambda, Lambda^-1, phi_m, phi_-m) at k = kv."""
+    return np.array([5e-16, 5e-16 / (1.0 - abs(kv)), 5e-16, 5e-16])
+
+
+@functools.lru_cache(maxsize=None)
+def _hyp2f1_series(kv: complex) -> np.ndarray:
+    """(a_m, b_m, phi_m, phi_-m) at every m of _ORACLE_M, one row per m,
+    from the closed forms at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    rows = []
+    with mpmath.workdps(40):
+        k = mpmath.mpc(kv.real, kv.imag)   # the binary k itself, not a decimal
+        z = k * k
+        for m in _ORACLE_M:
+            lead = k**m / mpmath.factorial(m)
+            rows.append([complex(v) for v in (
+                lead * mpmath.rf(-0.5, m) * mpmath.hyp2f1(-0.5, m - 0.5, m + 1, z),
+                lead * mpmath.rf(0.5, m) * mpmath.hyp2f1(0.5, m + 0.5, m + 1, z),
+                lead * mpmath.rf(0.5, m) * mpmath.hyp2f1(-0.5, m + 0.5, m + 1, z),
+                lead * mpmath.rf(-0.5, m) * mpmath.hyp2f1(m - 0.5, 0.5, m + 1, z),
+            )])
+    return np.array(rows)
+
+
+def _full_circle_series(kval: complex, lam_length: int, phi_length: int):
+    """The series engine before the half-circle transforms, kept as a second
+    oracle: one complex FFT of each symbol's values at all M points of the
+    circle, Lambda and phi from the principal roots of their factors.
+    Returns Lambda, Lambda^-1, phi_m and phi_-m at degrees >= 0."""
+    def coeffs(values):
+        c = np.fft.fft(values) / len(values)
+        return c.real if kval.imag == 0 else c
+
+    def circle(length):
+        M = _circle_size(abs(kval), length - 1)
+        return np.exp(2j * np.pi * np.arange(M) / M)
+
+    xi = circle(lam_length)
+    lam = np.sqrt(1.0 - kval * xi) * np.sqrt(1.0 - kval / xi)
+    xi = circle(phi_length)
+    phi = coeffs(np.sqrt(1.0 - kval / xi) / np.sqrt(1.0 - kval * xi))
+    m = np.arange(phi_length)
+    return coeffs(lam)[:lam_length], coeffs(1.0 / lam)[:lam_length], phi[m], phi[-m]
+
+
+def _lambda_length(kval: complex) -> int:
+    """The one-particle table's series length, or 2048 where it is shorter,
+    so that every degree of _ORACLE_M is stored."""
+    return max(params._hankel_length(abs(kval), 1, 1), 2048)
+
+
+def _engine_series(kval: complex):
+    """Lambda and Lambda^-1 at _lambda_length and phi's column and row at
+    _PHI_LENGTH, as the package computes them."""
+    return (*_lambda_pair(kval, _lambda_length(kval)), *_phi_series(kval, _PHI_LENGTH))
+
+
+class TestSeriesOracle:
+    """Both series engines against the 2F1 closed forms, and each other."""
+
+    @pytest.mark.parametrize("kv", _ORACLE_K)
+    def test_engine_within_bounds(self, kv):
+        kval = complex(kv)
+        want = _hyp2f1_series(kval)
+        got = np.array([[s[m] for s in _engine_series(kval)] for m in _ORACLE_M])
+        assert np.all(np.abs(got - want) <= _series_bounds(kv)), np.abs(got - want)
+
+    @pytest.mark.parametrize("kv", _ORACLE_K)
+    def test_full_circle_oracle_within_bounds(self, kv):
+        kval = complex(kv)
+        old = _full_circle_series(kval, _lambda_length(kval), _PHI_LENGTH)
+        want = _hyp2f1_series(kval)
+        got = np.array([[s[m] for s in old] for m in _ORACLE_M])
+        assert np.all(np.abs(got - want) <= _series_bounds(kv)), np.abs(got - want)
+        # the two engines agree at every stored degree
+        for s, o, bound in zip(_engine_series(kval), old, _series_bounds(kv)):
+            assert s.dtype == o.dtype
+            assert np.max(np.abs(s - o)) <= bound
+
+
+class TestHalfCircleTransforms:
+    """Real k runs real-output FFTs of M/2 + 1 samples only, and the cached
+    series keep their types."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        hfft, fft = np.fft.hfft, np.fft.fft
+
+        def spy(name, f):
+            def run(a, n=None, *args, **kwargs):
+                calls.append((name, np.shape(a)[-1], n))
+                return f(a, n, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(np.fft, "hfft", spy("hfft", hfft))
+        monkeypatch.setattr(np.fft, "fft", spy("fft", fft))
+        return calls
+
+    @pytest.mark.parametrize("series", [_lambda_pair, _phi_series])
+    def test_real_k_reads_half_the_circle(self, monkeypatch, series):
+        # a key no other test asks for, so the first call computes
+        kval, length = 0.8123 + 0j, 96
+        calls = self._spy(monkeypatch)
+        got = series(kval, length)
+        M = _circle_size(abs(kval), length - 1)
+        assert calls and all(c == ("hfft", M // 2 + 1, M) for c in calls)
+        for s in got:
+            assert s.dtype == np.float64 and s.shape == (length,)
+            assert not s.flags.writeable
+        hits = series.cache_info().hits
+        assert series(kval, length) is got
+        assert series.cache_info().hits == hits + 1
+        assert len(calls) == (2 if series is _lambda_pair else 1)
+
+    def test_complex_k(self, monkeypatch):
+        kval, length = 0.4123 - 0.5j, 96
+        calls = self._spy(monkeypatch)
+        lam, inv = _lambda_pair(kval, length)
+        M = _circle_size(abs(kval), length - 1)
+        # Lambda is even in theta at any k: its real and imaginary parts
+        # are transformed on the half circle
+        assert calls == [("hfft", M // 2 + 1, M)] * 2
+        col, row = _phi_series(kval, length)
+        assert calls[2:] == [("fft", M, None)]
+        for s in (lam, inv, col, row):
+            assert s.dtype == np.complex128 and not s.flags.writeable
+        old = _full_circle_series(kval, length, length)
+        for s, o in zip((lam, inv, col, row), old):
+            assert np.max(np.abs(s - o)) <= 5e-16
 
 
 # The closed-form count that the determinant routes summed before the

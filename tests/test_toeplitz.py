@@ -144,6 +144,7 @@ class TestLevinsonKernel:
             raise AssertionError("FFT run")
 
         monkeypatch.setattr(np.fft, "fft", no_fft)
+        monkeypatch.setattr(np.fft, "hfft", no_fft)
         with pytest.raises(ConvergenceError, match="points on the unit circle"):
             diagonal_correlation(CouplingK.physical(0.5), 2**21)
 
