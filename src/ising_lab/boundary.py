@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .integrals import QuadratureSpec, _lint_orders, lint_integral
 from .parallel import parallel_map
 
@@ -136,6 +136,26 @@ def _ols_log(radii, values):
     return fits if v.ndim == 2 else fits[0]
 
 
+def _checked_fits(radii, values, n: int, ells):
+    """_ols_log of the probe values at the orders ells (1-D values for one
+    order).  A value past the float range, or a fit whose squares overflow,
+    raises ConvergenceError naming n, ell and the radius instead."""
+    rows = np.reshape(values, (len(ells), len(radii)))
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        i, j = bad[0]
+        raise ConvergenceError(
+            f"the probe value {rows[i, j]} at n={n}, ell={ells[i]}, r={radii[j]!r} is not finite")
+    # numpy's overflow warnings would only repeat the error raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = _ols_log(radii, values)
+    for ell, st in zip(ells, fits if isinstance(fits, list) else [fits]):
+        if not all(map(math.isfinite, st.values())):
+            raise ConvergenceError(f"the fit at n={n}, ell={ell} over r = {radii[0]!r} .. "
+                                   f"{radii[-1]!r} is not finite: {st}")
+    return fits
+
+
 def _label(st: dict) -> str:
     """'diverging' when the positive log slope of the fit st is
     statistically real.
@@ -180,7 +200,7 @@ def radial_scan(
     values = tuple(
         parallel_map(lambda r: lint_integral(r * epsilon.value, n, ell, spec), radii)
     )
-    st = _ols_log(radii, values)
+    st = _checked_fits(radii, values, n, (ell,))
     return RadialScan(
         epsilon=epsilon,
         n=n,
@@ -244,7 +264,8 @@ def smoothness_probe(
         values = parallel_map(
             lambda r: _lint_orders(r * epsilon.value, n, orders, spec), radii
         )
-        labels[n] = [_label(st) for st in _ols_log(radii, np.transpose(values))]
+        fits = _checked_fits(radii, np.transpose(values), n, orders)
+        labels[n] = [_label(st) for st in fits]
     entries = []
     for e in orders:
         per_n = {n: labels[n][e] for n in (1, 2)}

@@ -167,7 +167,7 @@ class _DetSequence:
     ends at or below zero, at the rounding floor; the ratio is then 0 and
     the first part vanishes.  The second is (r_a + r_b) eps |values[j]|, a
     relative eps for each of the r_a + r_b rank-one updates, for rounding.
-    size is the section size L.
+    size is the section size L.  values and move are read only.
     """
 
     values: np.ndarray
@@ -200,6 +200,7 @@ def _det_at(kval: complex, N: int, cutoff: int) -> _DetSequence:
     fine, coarse = _shift_dets(g, U, V, cutoff, ca, cb)
     rounding = (U.shape[1] + V.shape[1]) * np.finfo(float).eps
     move = ratio * np.abs(fine - coarse) + rounding * np.abs(fine)
+    fine.flags.writeable = move.flags.writeable = False
     return _DetSequence(values=fine, move=move, size=L)
 
 

@@ -864,7 +864,8 @@ def _lint_series(kappa: complex, ells, G: int) -> list:
     max(_TAIL_ORDERS, ell_max + 1) orders, ell_max the largest of them; for
     ell_max < _TAIL_ORDERS that is the table a one-order call reads, and
     past it a lower order's tail may differ from its one-order call's in
-    rounding.
+    rounding.  The tail reads binom(m*-1+e, e) from _binom_rows too: inf
+    past the float range, which leaves the order's value inf or nan.
     """
     ells = list(ells)
     k2 = _real(kappa) ** 2
@@ -893,11 +894,13 @@ def _lint_series(kappa: complex, ells, G: int) -> list:
         open_ = still
         m0, m1 = m1, 2 * m1
     if open_:
-        phi = _bm_tail(kappa, G, max(_TAIL_ORDERS, max(ells[i] for i in open_) + 1))[0]
+        top = max(ells[i] for i in open_)
+        phi = _bm_tail(kappa, G, max(_TAIL_ORDERS, top + 1))[0]
+        coef = _binom_rows(_TAIL_M - 1, _TAIL_M, top)[:, 0]
         for i in open_:
             ell = ells[i]
-            coef = [math.comb(_TAIL_M - 1 + ell - k, ell - k) for k in range(ell + 1)]
-            totals[i] += np.dot(coef, phi[: ell + 1])
+            # binom(m* - 1 + ell - k, ell - k) for k = 0..ell
+            totals[i] += np.dot(coef[ell::-1], phi[: ell + 1])
     return [complex(t) for t in totals]
 
 
@@ -1217,6 +1220,8 @@ def lint_integral(kappa: complex, n: int, ell: int, spec: QuadratureSpec) -> com
     itself limits the accuracy: G = 64 is within 2e-13 relative of G = 96
     and 128 up to r = 1 - 2^-10, then 1.5e-10 at 2^-11, 2.4e-9 at 2^-12,
     ~2e-8 at 2^-13 and ~1.3e-7 at 2^-14, so use 96 nodes past 2^-10.
+    Past the float range (ell = 200 at r = 1 - 2^-7) the value is inf or
+    nan, which radial_scan and smoothness_probe refuse.
     """
     return _lint_orders(kappa, n, (ell,), spec)[0]
 
@@ -1253,5 +1258,7 @@ def _gauss_orders(kappa: complex, n: int, ells, G: int) -> list:
     """The Vandermonde form's G-node rule at the orders ells, n <= 2: one
     moment series walk at n = 2, the tensor sum per order at n = 1."""
     if n == 2:
-        return _lint_series(kappa, ells, G)
+        # the scans refuse a value past the float range: numpy's warnings would repeat it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _lint_series(kappa, ells, G)
     return [_tensor_core(kappa, n, ell + 1, G) for ell in ells]

@@ -8,18 +8,17 @@ eps_n = D(n)/D(n-1).  _levinson is the only determinant code here.  It
 reads the phi series as _phi_series returns it: phi_0 .. phi_(N-1) down the
 first column and phi_0, phi_-1 .. phi_-(N-1) along the first row.
 
-Every call at one k shares that run: there is one _Run per series that
-_phi_series caches, (k, _cache_length(N)), held in an lru_cache of the
-same size and advanced only as far as a call needs.  A prefix of a
-longer run on the same series is bit-identical to a fresh run, so the
-values do not depend on the order or the threads of the calls.
+_pivots(k, n) caches one run per (k, n) on the series of length
+_cache_length(n).  On one series a shorter run's pivots are a prefix of
+a longer run's, bit for bit, so no value depends on the order or the
+threads of the calls.  diagonal_correlation reads the run of size
+_cache_length(N): calls at N = 1 .. 2^j run j + 1 times.
 _s_toeplitz_terms, the toeplitz_direct route, meets every chi_d route's
 contract: it returns (S, terms, est_error) or raises ConvergenceError.
 """
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,29 +51,7 @@ class CorrelationResult:
         return self.cond_estimate > _COND_FLAG
 
 
-@dataclass
-class _Run:
-    """A Levinson run with n pivots done: eps[:n] holds eps_1 .. eps_n, and
-    a and r are the forward and reversed backward vectors at size n.  Both
-    are dropped (None) once n reaches len(eps), where the run must stop.
-    lock serializes the callers that advance one shared run.
-    """
-
-    eps: np.ndarray
-    a: np.ndarray | None
-    r: np.ndarray | None
-    n: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    @classmethod
-    def fresh(cls, size: int, dtype) -> "_Run":
-        a = np.zeros(size, dtype=dtype)
-        r = np.zeros(size, dtype=dtype)
-        a[0] = r[0] = 1.0
-        return cls(eps=np.empty(size, dtype=dtype), a=a, r=r)
-
-
-def _levinson(col: np.ndarray, row: np.ndarray, run: _Run | None = None) -> np.ndarray:
+def _levinson(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Pivots eps_n = D(n)/D(n-1), n = 1..len(col), of a Toeplitz matrix.
 
     The matrix is T[i, j] = t_(i-j) with first column col = t_0 .. t_(N-1)
@@ -86,19 +63,16 @@ def _levinson(col: np.ndarray, row: np.ndarray, run: _Run | None = None) -> np.n
     in T_(n+1), alpha and beta, and one combination of the two cancels
     them: eps_(n+1) = eps_n - alpha beta / eps_n.  b is kept reversed as r
     so that both vectors grow at the end.  There is no pivoting: a zero or
-    non-finite pivot raises ConvergenceError, and leaves run as it was
-    before that step.
-
-    run, started on a longer col and row of which these are a prefix,
-    resumes at its n and stops at len(col); without it a fresh run of size
-    len(col) is made.  Returns the first len(col) pivots of the run, read
-    only.
+    non-finite pivot raises ConvergenceError.  Step n reads t_-n .. t_n
+    only, so the pivots of a prefix of col and row are a prefix of the
+    pivots, bit for bit.  Returns the pivots read only.
     """
-    if run is None:
-        run = _Run.fresh(len(col), col.dtype)
-    eps, a, r = run.eps, run.a, run.r
-    prev = eps[run.n - 1] if run.n else None
-    for n in range(run.n, len(col)):
+    N = len(col)
+    eps = np.empty(N, dtype=col.dtype)
+    a = np.zeros(N, dtype=col.dtype)
+    r = np.zeros(N, dtype=col.dtype)
+    a[0] = r[0] = 1.0
+    for n in range(N):
         if n == 0:
             e = col[0]
         else:
@@ -114,35 +88,28 @@ def _levinson(col: np.ndarray, row: np.ndarray, run: _Run | None = None) -> np.n
             a[: n + 1] -= (alpha / prev) * r[n::-1]
             r[: n + 1] -= (beta / prev) * old[::-1]
         eps[n] = prev = e
-        run.n = n + 1
-    if run.n == len(eps):
-        run.a = run.r = None
-    out = eps[: len(col)]
-    out.flags.writeable = False
-    return out
+    eps.flags.writeable = False
+    return eps
 
 
 @lru_cache(maxsize=_phi_series.cache_parameters()["maxsize"])
-def _shared_run(kval: complex, length: int) -> _Run:
-    """The one run on _phi_series(kval, length); a finished run keeps only
-    its pivots, half the bytes of its series."""
-    return _Run.fresh(length, float if kval.imag == 0 else complex)
+def _pivots(kval: complex, n: int) -> np.ndarray:
+    """eps_1 .. eps_n, read only: _levinson on the first n coefficients of
+    the phi series _phi_series(kval, _cache_length(n))."""
+    col, row = _phi_series(kval, _cache_length(n))
+    return _levinson(col[:n], row[:n])
 
 
-def _correlations(k: CouplingK, N: int):
-    """(D(1..N), eps_1..eps_N) from the shared Levinson run on the phi
-    series of length _cache_length(N), advanced to N if it is not there.
+def _correlations(k: CouplingK, N: int, size: int | None = None):
+    """(D(1..N), eps_1..eps_N) from the first N pivots of the run of size
+    size, _pivots(k, size), with size = _cache_length(N) unless given.
 
     For physical k the phi coefficients are float64, which makes every
     D(n) real; every D(n) must then satisfy M^2 <= D(n) <= 1 to 1e-12
     plus the rounding allowance _LEVINSON_ROUNDING n.  A failed check
     raises RuntimeError naming the first bad n.
     """
-    kval, length = complex(k.k), _cache_length(N)
-    col, row = _phi_series(kval, length)
-    run = _shared_run(kval, length)
-    with run.lock:
-        eps = _levinson(col[:N], row[:N], run)
+    eps = _pivots(complex(k.k), size or _cache_length(N))[:N]
     dets = np.cumprod(eps)
     if k.mode == "physical":
         m2 = magnetization(k) ** 2
@@ -158,9 +125,9 @@ def _correlations(k: CouplingK, N: int):
 
 def _s_toeplitz_terms(k: CouplingK, tol: float):
     """(S, n, est_error) with S = S_1^H + sum_(N <= n) ((D(N) - M^2) / M^2
-    + tr K_N) over the shared run's D(1..n).  S_1^H, the traces and n come
-    from the one-particle table (params._one_particle), as in the fredholm
-    sum, so the proven tail past n is at most tol/2.
+    + tr K_N) over D(1..n), from a run of exactly n pivots.  S_1^H, the
+    traces and n come from the one-particle table (params._one_particle),
+    as in the fredholm sum, so the proven tail past n is at most tol/2.
 
     est_error is that tail plus an estimated rounding allowance: each D(N)
     is allowed _LEVINSON_ROUNDING N, so 2 sum_N (D(N) - M^2) is allowed
@@ -174,7 +141,7 @@ def _s_toeplitz_terms(k: CouplingK, tol: float):
     n = one.stop(tol)
     used = min(n, _TOEPLITZ_N_CAP)
     m2 = magnetization(k) ** 2
-    terms = (_correlations(k, used)[0] - m2) / m2 + one.trace[1 : used + 1]
+    terms = (_correlations(k, used, used)[0] - m2) / m2 + one.trace[1 : used + 1]
     s = complex(one.s1 + terms.sum())
     est_error = float(one.tails[used]) + _LEVINSON_ROUNDING * used * (used + 1) / (2 * abs(m2))
     if n > used:
@@ -196,7 +163,8 @@ def diagonal_correlation(k: CouplingK, N: int) -> CorrelationResult:
     -------
     CorrelationResult
         The last entry of the Levinson sequence D(1..N), read from the
-        run that every call at this k and series length shares.  In
+        cached run of size _cache_length(N): a call just past a power of
+        two that no earlier call ran takes up to 2N - 1 steps.  In
         physical mode the value is real with M^2 <= value <= 1.
     """
     if N < 0:

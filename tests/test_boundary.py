@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ising_lab import (
+    ConvergenceError,
     DomainError,
     QuadratureSpec,
     RootOfUnity,
@@ -163,6 +164,36 @@ class TestRadialScan:
             radial_scan(RootOfUnity(1, 2), 2, 7, radii, QuadratureSpec())
         with pytest.raises(DomainError, match="at least 4 radii"):
             smoothness_probe(7, RootOfUnity(1, 2), QuadratureSpec(), radii=radii)
+
+
+class TestNonFiniteScans:
+    """No scan is labelled from a probe value or a fit that is not finite."""
+
+    def test_fit_past_the_float_range_raises(self):
+        # every value is finite, but their squares overflow: a nan fit
+        radii = radii_grid(4, 8)
+        with pytest.raises(ConvergenceError, match=r"n=2, ell=100 over r = 0\.9375 \.\. "
+                                                    r"0\.99609375 is not finite"):
+            radial_scan(RootOfUnity(1, 2), 2, 100, radii, QuadratureSpec())
+
+    def test_value_past_the_float_range_raises(self):
+        with pytest.raises(ConvergenceError,
+                           match=r"value \(inf\+0j\) at n=2, ell=600, r=0\.9375 is not finite"):
+            radial_scan(RootOfUnity(1, 2), 2, 600, radii_grid(4, 8), QuadratureSpec())
+
+    def test_probe_ladder_past_the_float_range_raises(self):
+        with pytest.raises(ConvergenceError, match=r"at n=2, ell=\d+"):
+            smoothness_probe(600, RootOfUnity(1, 2), QuadratureSpec(), radii_grid(4, 7))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, math.inf)])
+    def test_checked_fits_names_the_bad_value(self, bad):
+        radii = radii_grid(4, 8)
+        values = np.ones((3, len(radii)), dtype=complex)
+        values[2, 1] = bad
+        with pytest.raises(ConvergenceError, match=f"n=5, ell=7, r={radii[1]!r} is not finite"):
+            boundary._checked_fits(radii, values, 5, (3, 4, 7))
+        assert boundary._checked_fits(radii, values[:2], 5, (3, 4)) == boundary._ols_log(
+            radii, values[:2])
 
 
 def _ols_log_one(radii, values):

@@ -205,6 +205,18 @@ class TestBoundaryScan:
         assert len(lines) == 1, lines
         assert lines[0].startswith("convergence:") and "underflow" in lines[0]
 
+    @pytest.mark.parametrize("ell", ["100", "600"])
+    def test_gauss_scan_past_the_float_range_exits_2(self, capsys, ell):
+        # ell = 100 overflows the fit, ell = 600 the values themselves
+        code = main(["boundary-scan", "--eps", "1/2", "--n", "2", "--ell", ell,
+                     "--radii", "4..8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("convergence:") and f"ell={ell}" in lines[0]
+
     def test_bad_eps_rejected(self, capsys):
         code, _ = _run(capsys, ["boundary-scan", "--eps", "2/4", "--n", "4",
                                 "--ell", "1", "--radii", "2..5"])

@@ -207,6 +207,14 @@ class TestTrailingMinors:
             got = fredholm_det(k, N, 1e-10).det_value
             assert abs(got - want) <= 1e-15 * abs(want)
 
+    @pytest.mark.parametrize("kv", [0.7, 0.5 + 0.3j])
+    def test_cached_block_is_read_only(self, kv):
+        seq = fredholm._det_block(complex(kv), 1)
+        for arr in (seq.values, seq.move):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_kernel_failure_flags_chi(self, monkeypatch):
         def failing(kval, N, cutoff):
             raise ConvergenceError("pivot 0 at step 3 of the unpivoted LU of I - K_N")

@@ -1371,6 +1371,20 @@ class TestSeriesTail:
         tensor = _vandermonde_tensor(-r, 8, G)
         assert abs(value - tensor) <= 1e-12 * abs(tensor)
 
+    def test_tail_coefficients_correctly_rounded_to_ell_9(self):
+        # binom(m* - 1 + e, e) from the binomial table: up to e = 9 each is
+        # the double nearest the integer
+        column = integrals._binom_rows(integrals._TAIL_M - 1, integrals._TAIL_M, 9)[:, 0]
+        assert list(column) == [
+            float(math.comb(integrals._TAIL_M - 1 + e, e)) for e in range(10)]
+
+    def test_tail_past_the_float_range_is_inf(self):
+        # binom(m* - 1 + 600, 600) is past the float range: the value is inf, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = lint_integral(-0.9375, 2, 600, QuadratureSpec())
+        assert not cmath.isfinite(value)
+
 
 class TestMomentMemory:
     """_bm_chunk walks its moments in bounded blocks, so a longer run of

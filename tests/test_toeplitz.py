@@ -106,6 +106,15 @@ class TestAnalyticMode:
             diagonal_correlation(CouplingK.physical(0.3), -1)
 
 
+@pytest.fixture
+def cold_pivots():
+    """An empty cache of Levinson pivots, emptied again afterwards, so that
+    a test that patches _levinson neither reads nor leaves cached pivots."""
+    toeplitz._pivots.cache_clear()
+    yield
+    toeplitz._pivots.cache_clear()
+
+
 def _coupling(kv):
     if isinstance(kv, complex) or kv < 0:
         return CouplingK.analytic(kv)
@@ -148,14 +157,16 @@ class TestLevinsonKernel:
         with pytest.raises(ConvergenceError, match="points on the unit circle"):
             diagonal_correlation(CouplingK.physical(0.5), 2**21)
 
+    @pytest.mark.usefixtures("cold_pivots")
     def test_kernel_failure_flags_chi(self, monkeypatch):
-        def failing(col, row, run=None):
+        def failing(col, row):
             raise ConvergenceError("pivot 0 at step 3 of the Levinson recursion")
 
         monkeypatch.setattr(toeplitz, "_levinson", failing)
         res = chi_d(CouplingK.physical(0.5), 1e-8, "toeplitz_direct")
         assert res.flagged
 
+    @pytest.mark.usefixtures("cold_pivots")
     def test_bounds_check_allows_rounding_only(self, monkeypatch):
         # D(N) may dip below M^2 by the rounding allowance, not by more
         k, N = CouplingK.physical(0.5), 40
@@ -164,19 +175,20 @@ class TestLevinsonKernel:
         kernel = toeplitz._levinson
 
         def ending_at(target):
-            # the shared run stays as it is: only the returned pivots change
-            def run(col, row, shared=None):
-                eps = kernel(col, row, shared).copy()
+            def run(col, row):
+                eps = kernel(col, row).copy()
                 eps[-1] *= target / np.prod(eps)
                 return eps
             return run
 
+        # a run of exactly N pivots, so that its last pivot is eps_N
         monkeypatch.setattr(toeplitz, "_levinson", ending_at(m2 - 0.5 * allowance))
-        dets, _ = _correlations(k, N)
+        dets, _ = _correlations(k, N, N)
         assert m2 - allowance < dets[-1] < m2
+        toeplitz._pivots.cache_clear()
         monkeypatch.setattr(toeplitz, "_levinson", ending_at(m2 - 2.0 * allowance))
         with pytest.raises(RuntimeError, match=f"N={N}"):
-            _correlations(k, N)
+            _correlations(k, N, N)
 
     @pytest.mark.parametrize("kv", [0.5, 0.5 + 0.3j])
     def test_correlation_is_last_entry(self, kv):
@@ -190,17 +202,10 @@ class TestLevinsonKernel:
             assert abs(res.value - long[N - 1]) <= 1e-14
 
 
-@pytest.fixture
-def cold_runs():
-    """An empty cache of shared Levinson runs, emptied again afterwards."""
-    toeplitz._shared_run.cache_clear()
-    yield
-    toeplitz._shared_run.cache_clear()
-
-
-@pytest.mark.usefixtures("cold_runs")
+@pytest.mark.usefixtures("cold_pivots")
 class TestSharedRun:
-    """Every call at one k reads its pivots from one run per series."""
+    """Every call at one k reads its pivots from one cached run per
+    (k, n), _pivots."""
 
     @pytest.mark.parametrize("kv", [0.7, 0.95, 0.5 + 0.3j])
     def test_any_call_order_matches_a_fresh_run(self, kv):
@@ -214,36 +219,56 @@ class TestSharedRun:
             res = diagonal_correlation(k, N)
             assert res.value == (want.real if k.mode == "physical" else want)
             assert res.cond_estimate == np.max(np.abs(eps)) / np.min(np.abs(eps))
+        # the toeplitz_direct route reads runs of its own sizes
+        for n in order:
+            assert np.array_equal(toeplitz._pivots(complex(k.k), n),
+                                  _levinson(*(c[:n] for c in _phi(k, n))))
 
-    def test_calls_up_to_n_run_each_series_once(self, monkeypatch):
+    @staticmethod
+    def _counting(monkeypatch):
+        """Patch _levinson to record the number of steps of each run."""
         steps = []
         kernel = toeplitz._levinson
 
-        def counting(col, row, run=None):
-            before = run.n
-            out = kernel(col, row, run)
-            steps.append(run.n - before)
-            return out
+        def counting(col, row):
+            steps.append(len(col))
+            return kernel(col, row)
 
         monkeypatch.setattr(toeplitz, "_levinson", counting)
+        return steps
+
+    def test_calls_up_to_n_run_each_series_once(self, monkeypatch):
+        steps = self._counting(monkeypatch)
         k = CouplingK.physical(0.7)
         for N in range(1, 33):
             diagonal_correlation(k, N)
         # one run per series length 1, 2, 4, .., 32
+        assert steps == [1, 2, 4, 8, 16, 32]
         assert sum(steps) <= 63
+
+    def test_toeplitz_direct_runs_exactly_its_terms(self, monkeypatch):
+        steps = self._counting(monkeypatch)
+        k = CouplingK.physical(0.7)
+        _, n, _ = toeplitz._s_toeplitz_terms(k, 1e-8)
+        # n is no power of two, so a run of _cache_length(n) would be longer
+        assert steps == [n] and n & (n - 1)
+        # a repeated call reads the cache
+        toeplitz._s_toeplitz_terms(k, 1e-8)
+        assert steps == [n]
 
     def test_finished_run_keeps_only_its_pivots(self):
         k = CouplingK.physical(0.7)
         diagonal_correlation(k, 20)
-        run = toeplitz._shared_run(0.7 + 0j, 32)
-        assert run.n == 20 and run.a is not None
-        diagonal_correlation(k, 32)
-        assert run.n == 32 and run.a is None and run.r is None
-        assert (toeplitz._shared_run.cache_parameters()["maxsize"]
+        eps = toeplitz._pivots(0.7 + 0j, 32)
+        assert toeplitz._pivots.cache_info().currsize == 1
+        assert eps.shape == (32,) and eps.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            eps[0] = 1.0
+        assert (toeplitz._pivots.cache_parameters()["maxsize"]
                 == params._phi_series.cache_parameters()["maxsize"])
 
     def test_threads_sharing_one_run_agree(self, monkeypatch):
-        monkeypatch.setenv("ISING_LAB_THREADS", "4")
+        monkeypatch.setenv("ISING_LAB_THREADS", "8")
         k = CouplingK.physical(0.95)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -251,6 +276,6 @@ class TestSharedRun:
             rows = parallel_map(lambda kk: chi_d(kk, 1e-8, "toeplitz_direct"), [k] * 8)
         finally:
             sys.setswitchinterval(interval)
-        toeplitz._shared_run.cache_clear()
+        toeplitz._pivots.cache_clear()
         alone = chi_d(k, 1e-8, "toeplitz_direct")
         assert rows == [alone] * 8
