@@ -95,37 +95,46 @@ def _cross(h: np.ndarray, L: int):
     d = h[: 2 * L - 1 : 2].copy()
     s = -1.0 if real and d.sum() < 0 else 1.0
     d *= s
+    sh = s * h
 
     def residual():
-        return d.sum() if real else np.abs(d).max()
+        # (residual, index of the next pivot) as Python numbers, read
+        # without numpy's fromnumeric wrappers
+        if real:
+            return float(np.add.reduce(d)), int(d.argmax())
+        m = np.abs(d)
+        return float(np.maximum.reduce(m)), int(m.argmax())
 
-    start = residual()
+    start = residual()[0]
     floor = max(_STOP * start, 0.0 if real else _NOISE * np.abs(h[L:]).max(initial=0.0))
-    # row j of Ut is column j of U; Ut grows and shrinks in place by
-    # ndarray.resize, so no second copy of the factor is ever held
-    Ut = np.zeros((min(L, 32), L), dtype=h.dtype)
+    # row j of Ut is column j of U, rows past r are never read; Ut grows
+    # and shrinks in place by ndarray.resize, so no second copy of the
+    # factor is held, and ranks up to 64 never copy it
+    Ut = np.empty((min(L, 64), L), dtype=h.dtype)
+    sq = np.empty(L, dtype=h.dtype)
     r = 0
     coarse = None
     while r < L:
-        res = residual()
+        res, p = residual()
         if coarse is None and res <= _COARSE * start:
             coarse, at_coarse = r, res
         if res <= floor:
             break
-        p = int(np.argmax(d if real else np.abs(d)))
-        piv = d[p]
+        piv = d.item(p)
         if (real and piv <= 0.0) or piv == 0:
             break
         if r == len(Ut):
             Ut.resize((min(L, 2 * r), L), refcheck=False)
-        u = (s * h[p : p + L] - Ut[:r, p] @ Ut[:r]) / np.sqrt(piv)
-        Ut[r] = u
-        d -= u * u
+        u = Ut[r]
+        np.subtract(sh[p : p + L], Ut[:r, p] @ Ut[:r], out=u)
+        u /= math.sqrt(piv) if real else np.sqrt(piv)
+        np.multiply(u, u, out=sq)
+        d -= sq
         r += 1
     Ut.resize((r, L), refcheck=False)
     if coarse is None:
         return s, Ut.T, r, 1.0
-    ratio = residual() / at_coarse if at_coarse > 0.0 else 1.0
+    ratio = residual()[0] / at_coarse if at_coarse > 0.0 else 1.0
     return s, Ut.T, coarse, min(1.0, max(0.0, ratio))
 
 
@@ -143,13 +152,14 @@ def _shift_dets(g: np.ndarray, U: np.ndarray, V: np.ndarray, count: int,
     W = V[count:].T @ U[count:]
     eye, eye_c = np.eye(len(g), dtype=g.dtype), np.eye(ca, dtype=g.dtype)
     fine = np.empty(count, dtype=g.dtype)
-    coarse = np.empty(count, dtype=g.dtype)
+    coarse = np.ones(count, dtype=g.dtype)   # the determinant of an empty block
     for hi in range(count, 0, -_CHUNK):
         lo = max(0, hi - _CHUNK)
         steps = V[lo:hi, :, None] * U[lo:hi, None, :]
         Ws = np.cumsum(steps[::-1], axis=0)[::-1] + W   # Ws[i - lo] = W_i
         fine[lo:hi] = np.linalg.det(eye - g @ Ws)
-        coarse[lo:hi] = np.linalg.det(eye_c - g[:ca, :cb] @ Ws[:, :cb, :ca])
+        if ca and cb:
+            coarse[lo:hi] = np.linalg.det(eye_c - g[:ca, :cb] @ Ws[:, :cb, :ca])
         W = Ws[0]
     return fine, coarse
 
@@ -189,7 +199,7 @@ def _det_at(kval: complex, N: int, cutoff: int) -> _DetSequence:
     L, length = _section_size(abs(kval), N, cutoff)
     # degrees N + 1 .. N + 2L - 1 fill the L x L sections; length >= N + 2L
     a, b = (c[N + 1 : N + 2 * L] for c in _lambda_pair(kval, length))
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ConvergenceError(f"non-finite Hankel coefficient at k={kval}")
     sa, U, ca, ratio_a = _cross(a, L)
     sb, V, cb, ratio_b = _cross(b, L)

@@ -267,6 +267,75 @@ class TestRankKernel:
             _det_at(0.5 + 0j, 1, 8)
 
 
+def _oracle_cross(h: np.ndarray, L: int):
+    """fredholm._cross as a plain loop, one fresh row per pivot: the
+    factorization the kernel must reproduce bit for bit."""
+    real = h.dtype.kind == "f"
+    d = h[: 2 * L - 1 : 2].copy()
+    s = -1.0 if real and d.sum() < 0 else 1.0
+    d *= s
+
+    def residual():
+        return d.sum() if real else np.abs(d).max()
+
+    start = residual()
+    floor = max(fredholm._STOP * start,
+                0.0 if real else fredholm._NOISE * np.abs(h[L:]).max(initial=0.0))
+    Ut = np.zeros((min(L, 32), L), dtype=h.dtype)
+    r = 0
+    coarse = None
+    while r < L:
+        res = residual()
+        if coarse is None and res <= fredholm._COARSE * start:
+            coarse, at_coarse = r, res
+        if res <= floor:
+            break
+        p = int(np.argmax(d if real else np.abs(d)))
+        piv = d[p]
+        if (real and piv <= 0.0) or piv == 0:
+            break
+        if r == len(Ut):
+            Ut.resize((min(L, 2 * r), L), refcheck=False)
+        u = (s * h[p : p + L] - Ut[:r, p] @ Ut[:r]) / np.sqrt(piv)
+        Ut[r] = u
+        d -= u * u
+        r += 1
+    Ut.resize((r, L), refcheck=False)
+    if coarse is None:
+        return s, Ut.T, r, 1.0
+    ratio = residual() / at_coarse if at_coarse > 0.0 else 1.0
+    return s, Ut.T, coarse, min(1.0, max(0.0, ratio))
+
+
+class TestCrossOracle:
+    """_cross returns the oracle's (s, U, coarse, ratio), bit for bit."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        (s, U, coarse, ratio), (s0, U0, coarse0, ratio0) = got, want
+        assert (s, coarse, ratio) == (s0, coarse0, ratio0)
+        assert U.dtype == U0.dtype and U.shape == U0.shape
+        assert U.tobytes() == U0.tobytes()
+
+    @pytest.mark.parametrize("kv", [0.3, 0.7, 0.95, 0.999, 0.9995, 0.5 + 0.3j,
+                                    0.999 * np.exp(0.25j * np.pi)])
+    def test_lambda_sections(self, kv):
+        L, length = fredholm._section_size(abs(kv), 1, fredholm._BLOCK)
+        for series in _lambda_pair(complex(kv), length):
+            h = _hankel_band(series, 1, L)
+            self._assert_same(fredholm._cross(h, L), _oracle_cross(h, L))
+
+    def test_factor_past_rank_64(self):
+        # moments of dx on [-1, 1]: two Hilbert-like parity blocks, each of
+        # slowly decaying rank at this size, so the factor outgrows 64 rows
+        L = 16000
+        m = np.arange(2 * L - 1)
+        h = (1.0 + (-1.0) ** m) / (m + 1.0)
+        got = fredholm._cross(h, L)
+        assert got[1].shape[1] > 64
+        self._assert_same(got, _oracle_cross(h, L))
+
+
 class TestToleranceGate:
     """An error estimate above tol is reported, never returned as met."""
 

@@ -190,6 +190,33 @@ class TestLevinsonKernel:
         with pytest.raises(RuntimeError, match=f"N={N}"):
             _correlations(k, N, N)
 
+    @pytest.mark.usefixtures("cold_pivots")
+    def test_bounds_check_keeps_prefix_semantics(self, monkeypatch):
+        # every run of 20 pivots or more leaves the band first at n = 20
+        k, n_bad = CouplingK.physical(0.5), 20
+        kernel = toeplitz._levinson
+
+        def leaving_at(col, row):
+            eps = kernel(col, row).copy()
+            if len(eps) >= n_bad:
+                eps[n_bad - 1] *= 2.0   # doubles D(20) and every D(n) past it, above 1
+            return eps
+
+        monkeypatch.setattr(toeplitz, "_levinson", leaving_at)
+        for N in range(1, 65):
+            if N < n_bad:
+                dets, _ = _correlations(k, N)
+                assert len(dets) == N
+            else:
+                with pytest.raises(RuntimeError, match=f"at N={n_bad}$"):
+                    _correlations(k, N)
+        # an analytic call at the same real k reads the same runs, unchecked
+        anal = CouplingK.analytic(0.5)
+        for N in range(1, 65):
+            dets, _ = _correlations(anal, N)
+            assert diagonal_correlation(anal, N).value == dets[-1]
+        assert dets[n_bad - 1] > 1.0
+
     @pytest.mark.parametrize("kv", [0.5, 0.5 + 0.3j])
     def test_correlation_is_last_entry(self, kv):
         k = _coupling(kv)
@@ -221,7 +248,7 @@ class TestSharedRun:
             assert res.cond_estimate == np.max(np.abs(eps)) / np.min(np.abs(eps))
         # the toeplitz_direct route reads runs of its own sizes
         for n in order:
-            assert np.array_equal(toeplitz._pivots(complex(k.k), n),
+            assert np.array_equal(toeplitz._pivots(complex(k.k), n)[0],
                                   _levinson(*(c[:n] for c in _phi(k, n))))
 
     @staticmethod
@@ -259,11 +286,17 @@ class TestSharedRun:
     def test_finished_run_keeps_only_its_pivots(self):
         k = CouplingK.physical(0.7)
         diagonal_correlation(k, 20)
-        eps = toeplitz._pivots(0.7 + 0j, 32)
+        run = toeplitz._pivots(0.7 + 0j, 32)
+        eps = run[0]
         assert toeplitz._pivots.cache_info().currsize == 1
         assert eps.shape == (32,) and eps.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             eps[0] = 1.0
+        # D(1..n) and the running max and min of |eps| are read only too
+        for a in run[1:4]:
+            assert a.shape == (32,) and a.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
         assert (toeplitz._pivots.cache_parameters()["maxsize"]
                 == params._phi_series.cache_parameters()["maxsize"])
 
