@@ -113,7 +113,7 @@ def _finish(kv, value, route, terms, est_error, reason="") -> ChiResult:
     value = complex(value)
     if isinstance(kv, float):
         if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
-            raise RuntimeError(f"physical chi_d came out complex: {value!r}")
+            raise ConvergenceError(f"physical chi_d came out complex: {value!r}")
         value = value.real
     return ChiResult(
         k=kv,
@@ -129,9 +129,10 @@ def _finish(kv, value, route, terms, est_error, reason="") -> ChiResult:
 def sweep(grid, route: str, tol: float = 1e-8):
     """One ChiResult per grid point, evaluated in parallel, order preserved.
 
-    A point that raises a domain or runtime error becomes a flagged NaN
-    row whose reason is the error's text; the sweep itself never aborts on
-    one bad point.
+    A point that raises DomainError (bad input) or ConvergenceError (a
+    result the library cannot stand behind) becomes a flagged NaN row
+    whose reason is the error's text, so one bad point never aborts the
+    sweep; any other exception is a bug and propagates.
     """
     grid = list(grid)
 
@@ -139,7 +140,7 @@ def sweep(grid, route: str, tol: float = 1e-8):
         try:
             k = kv if isinstance(kv, CouplingK) else CouplingK.physical(kv)
             return chi_d(k, tol, route)
-        except (DomainError, RuntimeError) as exc:
+        except (DomainError, ConvergenceError) as exc:
             kk = kv.value if isinstance(kv, CouplingK) else float(kv)
             return _finish(kk, math.nan, route, 0, math.inf, str(exc))
 

@@ -95,9 +95,10 @@ def _parse_grid(text: str):
 def _parse_eps(text: str) -> RootOfUnity:
     try:
         p_str, q_str = text.split("/")
-        return RootOfUnity(p=int(p_str), q=int(q_str))
+        p, q = int(p_str), int(q_str)
     except ValueError as exc:
         raise DomainError(f"cannot parse root of unity {text!r}; use p/q") from exc
+    return RootOfUnity(p=p, q=q)
 
 
 def _parse_jrange(text: str):
@@ -203,6 +204,8 @@ def _load_config(path: str) -> list:
             lines = fh.readlines()
     except OSError as exc:
         raise DomainError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot read config file {path!r}: not UTF-8 text") from exc
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:

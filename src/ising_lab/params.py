@@ -51,7 +51,6 @@ class CouplingK:
     """
 
     k: complex
-    kappa: complex
     mode: str
 
     def __post_init__(self):
@@ -64,8 +63,10 @@ class CouplingK:
         if self.mode == "physical":
             if self.k.imag != 0 or self.k.real < 0:
                 raise DomainError("physical mode requires real k in [0, 1)")
-        if self.kappa != self.k * self.k:
-            raise DomainError("kappa must equal k*k exactly as computed")
+
+    @property
+    def kappa(self) -> complex:
+        return self.k * self.k
 
     @property
     def value(self):
@@ -75,12 +76,12 @@ class CouplingK:
     @classmethod
     def physical(cls, k: float) -> "CouplingK":
         k = complex(float(k), 0.0)
-        return cls(k=k, kappa=k * k, mode="physical")
+        return cls(k=k, mode="physical")
 
     @classmethod
     def analytic(cls, k: complex) -> "CouplingK":
         k = complex(k)
-        return cls(k=k, kappa=k * k, mode="analytic")
+        return cls(k=k, mode="analytic")
 
 
 def k_from_temperature(betaJ: float) -> CouplingK:
@@ -117,8 +118,6 @@ def magnetization(k: CouplingK):
 
     Returns a float in (0, 1] for physical mode, complex otherwise.
     """
-    if abs(k.k) >= 1:
-        raise DomainError("|k| must be < 1")
     if k.mode == "physical":
         return (1.0 - (k.k.real) ** 2) ** 0.125
     return cmath.exp(0.125 * cmath.log(1.0 - k.kappa))

@@ -9,19 +9,20 @@ reads the phi series as _phi_series returns it: phi_0 .. phi_(N-1) down the
 first column and phi_0, phi_-1 .. phi_-(N-1) along the first row.
 
 _pivots(k, n) caches one run per (k, n) on the series of length
-_cache_length(n): its pivots, D(1..n), the running max and min of |eps_n|
-and the first n at which D(n) fails the bound check, four arrays of
-length n and one int.  Calls read slices of it, so the cumulative product,
-the conditioning and the check cost once per run, not once per call.  On
-one series a shorter run's pivots are a prefix of a longer run's, bit for
-bit, so no value depends on the order or the threads of the calls.
-diagonal_correlation reads the run of size _cache_length(N): calls at
-N = 1 .. 2^j run j + 1 times.
+_cache_length(n): D(1..n), the pivots' conditioning and the first n at
+which D(n) fails the bound check, two arrays of length n and one int.
+_correlations, the one reader of a run, returns checked slices of it, so
+the cumulative product, the conditioning and the check cost once per
+run, not once per call.  On one series a shorter run's pivots are a prefix of
+a longer run's, bit for bit, so no value depends on the order or the
+threads of the calls.  diagonal_correlation reads the run of size
+_cache_length(N): calls at N = 1 .. 2^j run j + 1 times.
 _s_toeplitz_terms, the toeplitz_direct route, meets every chi_d route's
 contract: it returns (S, terms, est_error) or raises ConvergenceError.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,7 +84,7 @@ def _levinson(col: np.ndarray, row: np.ndarray) -> np.ndarray:
             alpha = col[n:0:-1] @ a[:n]
             beta = row[n:0:-1] @ r[:n]
             e = prev - alpha * beta / prev
-        if e == 0 or not np.isfinite(e):
+        if e == 0 or not cmath.isfinite(e):
             raise ConvergenceError(
                 f"pivot {e} at step {n + 1} of the Levinson recursion for D(N)"
             )
@@ -98,11 +99,11 @@ def _levinson(col: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=_phi_series.cache_parameters()["maxsize"])
 def _pivots(kval: complex, n: int) -> tuple:
-    """One run, read only: (eps, dets, hi, lo, bad) of _levinson on the
-    first n coefficients of the phi series _phi_series(kval, _cache_length(n)).
+    """One run, read only: (dets, cond, bad) of _levinson on the first n
+    coefficients of the phi series _phi_series(kval, _cache_length(n)).
 
-    eps holds eps_1 .. eps_n, dets D(1..n) = cumprod(eps), hi and lo the
-    running max and min of |eps|, and bad the first n at which D(n) leaves
+    dets holds D(1..n) = cumprod(eps), cond the running max|eps| /
+    min|eps| of the pivots, and bad the first n at which D(n) leaves
     M^2 - slack <= D(n) <= 1 + slack, slack = 1e-12 + _LEVINSON_ROUNDING n,
     or 0 if none.  bad is computed for real k >= 0 only (the physical
     range, where every D(n) is real) and is 0 otherwise.  Entry N - 1 of
@@ -113,7 +114,7 @@ def _pivots(kval: complex, n: int) -> tuple:
     eps = _levinson(col[:n], row[:n])
     dets = np.cumprod(eps)
     mags = np.abs(eps)
-    hi, lo = np.maximum.accumulate(mags), np.minimum.accumulate(mags)
+    cond = np.maximum.accumulate(mags) / np.minimum.accumulate(mags)
     bad = 0
     if kval.imag == 0 and kval.real >= 0:
         m2 = magnetization(CouplingK.physical(kval.real)) ** 2
@@ -121,34 +122,25 @@ def _pivots(kval: complex, n: int) -> tuple:
         out = (dets < m2 - slack) | (dets > 1.0 + slack)
         first = int(out.argmax())
         bad = first + 1 if out[first] else 0
-    for a in (eps, dets, hi, lo):
-        a.flags.writeable = False
-    return eps, dets, hi, lo, bad
+    dets.flags.writeable = cond.flags.writeable = False
+    return dets, cond, bad
 
 
-def _checked_run(k: CouplingK, N: int, size: int | None = None) -> tuple:
-    """The run _pivots(k, size), size = _cache_length(N) unless given, for
-    a call that reads its first N entries.
+def _correlations(k: CouplingK, N: int, size: int | None = None):
+    """(D(1..N), cond_1..cond_N), read only: the first N entries of the
+    run _pivots(k, size), size = _cache_length(N) unless given.
 
     For physical k the phi coefficients are float64, which makes every
     D(n) real; every D(n), n <= N, must then satisfy M^2 <= D(n) <= 1 to
     1e-12 plus the rounding allowance _LEVINSON_ROUNDING n.  A failed
-    check raises RuntimeError naming the first bad n.
+    check raises ConvergenceError naming the first bad n.
     """
-    run = _pivots(complex(k.k), size or _cache_length(N))
-    _, dets, _, _, bad = run
+    dets, cond, bad = _pivots(complex(k.k), size or _cache_length(N))
     if k.mode == "physical" and 0 < bad <= N:
-        raise RuntimeError(
-            f"correlation {dets[bad - 1]!r} violates M^2 <= D(N) <= 1 at N={bad}"
+        raise ConvergenceError(
+            f"correlation {float(dets[bad - 1])!r} violates M^2 <= D(N) <= 1 at N={bad}"
         )
-    return run
-
-
-def _correlations(k: CouplingK, N: int, size: int | None = None):
-    """(D(1..N), eps_1..eps_N), read only: the first N entries of the run
-    _checked_run(k, N, size)."""
-    eps, dets = _checked_run(k, N, size)[:2]
-    return dets[:N], eps[:N]
+    return dets[:N], cond[:N]
 
 
 def _s_toeplitz_terms(k: CouplingK, tol: float):
@@ -199,8 +191,7 @@ def diagonal_correlation(k: CouplingK, N: int) -> CorrelationResult:
         raise DomainError("N must be >= 0")
     if N == 0:
         return CorrelationResult(N=0, value=1.0, cond_estimate=1.0)
-    _, dets, hi, lo, _ = _checked_run(k, N)
-    cond = float(hi[N - 1] / lo[N - 1])
-    value = float(dets[N - 1]) if k.mode == "physical" else complex(dets[N - 1])
-    return CorrelationResult(N=N, value=value, cond_estimate=cond)
+    dets, cond = _correlations(k, N)
+    value = float(dets[-1]) if k.mode == "physical" else complex(dets[-1])
+    return CorrelationResult(N=N, value=value, cond_estimate=float(cond[-1]))
 

@@ -431,6 +431,29 @@ class TestSweep:
         assert rows[0].reason == ""
         assert rows[1].reason == "|k| must be < 1, got |k| = 1.5"
 
+    def test_complex_physical_value_becomes_a_row(self, monkeypatch):
+        # a physical point whose S comes back complex fails chi_d's
+        # self-check as a ConvergenceError, which sweep turns into a row
+        monkeypatch.setattr(chi_module, "_s_toeplitz_terms", lambda k, tol: (0.1 + 0.1j, 3, 0.0))
+        with pytest.raises(ConvergenceError, match="physical chi_d came out complex"):
+            chi_d(CouplingK.physical(0.3), 1e-8, "toeplitz_direct")
+        rows = sweep([0.3], "toeplitz_direct", 1e-8)
+        assert rows[0].flagged and math.isnan(rows[0].beta_inv_chi_d)
+        assert rows[0].reason.startswith("physical chi_d came out complex: (")
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_other_errors_propagate(self, monkeypatch, threads):
+        # only DomainError and ConvergenceError become rows; any other
+        # exception is a bug and leaves the sweep
+        monkeypatch.setenv("ISING_LAB_THREADS", threads)
+
+        def broken(k, tol):
+            raise RuntimeError("a bug in the route")
+
+        monkeypatch.setattr(chi_module, "_s_toeplitz_terms", broken)
+        with pytest.raises(RuntimeError, match="a bug in the route"):
+            sweep([0.2, 0.3, 0.4], "toeplitz_direct", 1e-8)
+
     def test_routes_agree_across_grid(self):
         grid = [0.2, 0.4]
         a = sweep(grid, "fredholm", 1e-9)

@@ -422,6 +422,25 @@ class TestArgumentErrors:
         )
         assert "absent.conf" in line
 
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"\xff\xfek = 0.3\n")
+        line = self._error(capsys, ["chi", "--config", str(conf)])
+        assert line == f"error: cannot read config file {str(conf)!r}: not UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "eps, reason",
+        [
+            ("2/4", "p/q = 2/4 must be in lowest terms"),
+            ("0/1", "q must be >= 2"),
+            ("1/-2", "q must be >= 2"),
+            ("1:2", "cannot parse root of unity '1:2'; use p/q"),
+        ],
+    )
+    def test_bad_eps_keeps_its_reason(self, capsys, eps, reason):
+        line = self._error(capsys, ["boundary-scan", "--eps", eps, "--n", "2", "--ell", "0"])
+        assert line == f"error: {reason}"
+
     def test_nested_config_file_rejected(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(f"k = 0.3\nconfig = {tmp_path / 'other.conf'}\n")

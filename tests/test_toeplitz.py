@@ -1,13 +1,16 @@
 """Toeplitz determinant route for the diagonal correlation."""
+import math
 import random
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ising_lab import ConvergenceError, CouplingK, chi_d, diagonal_correlation, magnetization
-from ising_lab import params, toeplitz
+from ising_lab import cli, params, toeplitz
 from ising_lab.parallel import parallel_map
 from ising_lab.params import _cache_length, _phi_series
 from ising_lab.toeplitz import _correlations, _levinson
@@ -142,11 +145,15 @@ class TestLevinsonKernel:
             ([0.0, 1.0, 2.0], [0.0, 3.0, 4.0]),  # D(1) = 0
             ([1.0, 1.0, 2.0], [1.0, 1.0, 4.0]),  # D(2) = 0
             ([1.0, np.nan, 2.0], [1.0, 0.5, 4.0]),
+            ([1.0, np.inf, 2.0], [1.0, 0.5, 4.0]),  # eps_2 = -inf
         ],
     )
     def test_zero_or_nonfinite_pivot_raises(self, col, row):
-        with pytest.raises(ConvergenceError):
-            _levinson(np.array(col), np.array(row))
+        # an infinite pivot raises without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                _levinson(np.array(col), np.array(row))
 
     def test_past_the_circle_cap_raises_before_any_transform(self, monkeypatch):
         def no_fft(*args, **kwargs):
@@ -187,7 +194,7 @@ class TestLevinsonKernel:
         assert m2 - allowance < dets[-1] < m2
         toeplitz._pivots.cache_clear()
         monkeypatch.setattr(toeplitz, "_levinson", ending_at(m2 - 2.0 * allowance))
-        with pytest.raises(RuntimeError, match=f"N={N}"):
+        with pytest.raises(ConvergenceError, match=f"N={N}"):
             _correlations(k, N, N)
 
     @pytest.mark.usefixtures("cold_pivots")
@@ -208,7 +215,7 @@ class TestLevinsonKernel:
                 dets, _ = _correlations(k, N)
                 assert len(dets) == N
             else:
-                with pytest.raises(RuntimeError, match=f"at N={n_bad}$"):
+                with pytest.raises(ConvergenceError, match=f"at N={n_bad}$"):
                     _correlations(k, N)
         # an analytic call at the same real k reads the same runs, unchecked
         anal = CouplingK.analytic(0.5)
@@ -217,16 +224,61 @@ class TestLevinsonKernel:
             assert diagonal_correlation(anal, N).value == dets[-1]
         assert dets[n_bad - 1] > 1.0
 
-    @pytest.mark.parametrize("kv", [0.5, 0.5 + 0.3j])
+    # at 0.7i the smallest |eps_n| is not the first
+    @pytest.mark.parametrize("kv", [0.5, 0.5 + 0.3j, 0.7j])
     def test_correlation_is_last_entry(self, kv):
         k = _coupling(kv)
         long, _ = _correlations(k, 40)
         for N in (1, 7, 40):
-            dets, eps = _correlations(k, N)
+            dets, cond = _correlations(k, N)
+            eps = _levinson(*(c[:N] for c in _phi(k, N)))
             res = diagonal_correlation(k, N)
             assert res.value == dets[-1]
-            assert res.cond_estimate == np.max(np.abs(eps)) / np.min(np.abs(eps))
+            assert res.cond_estimate == cond[-1] == np.max(np.abs(eps)) / np.min(np.abs(eps))
             assert abs(res.value - long[N - 1]) <= 1e-14
+
+
+@pytest.mark.usefixtures("cold_pivots")
+class TestFailedCheck:
+    """A D(N) outside M^2 <= D(N) <= 1 is a ConvergenceError: the commands
+    exit 2 with one convergence line and chi_d flags the row."""
+
+    @pytest.fixture(autouse=True)
+    def leaving_band(self, monkeypatch):
+        # every run of 20 pivots or more leaves the band first at n = 20
+        kernel = toeplitz._levinson
+
+        def leaving_at(col, row):
+            eps = kernel(col, row).copy()
+            if len(eps) >= 20:
+                eps[19] *= 2.0
+            return eps
+
+        monkeypatch.setattr(toeplitz, "_levinson", leaving_at)
+
+    @pytest.mark.parametrize("argv", [["correlation", "--k", "0.5", "--n", "40"],
+                                      ["gcbo-check", "--k", "0.5", "--n-max", "25"]])
+    def test_command_exits_2_with_one_line(self, capsys, argv):
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert re.fullmatch(r"convergence: correlation 1\.86\d* violates "
+                            r"M\^2 <= D\(N\) <= 1 at N=20", lines[0]), lines[0]
+
+    def test_chi_row_is_flagged(self, monkeypatch):
+        steps = []
+        kernel = toeplitz._levinson
+
+        def counting(col, row):
+            steps.append(len(col))
+            return kernel(col, row)
+
+        monkeypatch.setattr(toeplitz, "_levinson", counting)
+        res = chi_d(CouplingK.physical(0.9), 1e-8, "toeplitz_direct")
+        assert steps == [20]
+        assert res.flagged and math.isnan(res.beta_inv_chi_d)
+        assert re.fullmatch(r"correlation \d\.\d+ violates M\^2 <= D\(N\) <= 1 at N=20",
+                            res.reason), res.reason
 
 
 @pytest.mark.usefixtures("cold_pivots")
@@ -248,8 +300,11 @@ class TestSharedRun:
             assert res.cond_estimate == np.max(np.abs(eps)) / np.min(np.abs(eps))
         # the toeplitz_direct route reads runs of its own sizes
         for n in order:
-            assert np.array_equal(toeplitz._pivots(complex(k.k), n)[0],
-                                  _levinson(*(c[:n] for c in _phi(k, n))))
+            eps = _levinson(*(c[:n] for c in _phi(k, n)))
+            mags = np.abs(eps)
+            dets, cond, _ = toeplitz._pivots(complex(k.k), n)
+            assert np.array_equal(dets, np.cumprod(eps))
+            assert np.array_equal(cond, np.maximum.accumulate(mags) / np.minimum.accumulate(mags))
 
     @staticmethod
     def _counting(monkeypatch):
@@ -286,15 +341,19 @@ class TestSharedRun:
     def test_finished_run_keeps_only_its_pivots(self):
         k = CouplingK.physical(0.7)
         diagonal_correlation(k, 20)
-        run = toeplitz._pivots(0.7 + 0j, 32)
-        eps = run[0]
+        dets, cond, bad = toeplitz._pivots(0.7 + 0j, 32)
         assert toeplitz._pivots.cache_info().currsize == 1
-        assert eps.shape == (32,) and eps.dtype == np.float64
-        with pytest.raises(ValueError, match="read-only"):
-            eps[0] = 1.0
-        # D(1..n) and the running max and min of |eps| are read only too
-        for a in run[1:4]:
+        assert np.array_equal(dets, np.cumprod(_levinson(*_phi(k, 32))))
+        assert bad == 0
+        # D(1..n) and the conditioning are read only, float64 at real k
+        for a in (dets, cond):
             assert a.shape == (32,) and a.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        # at complex k, D(1..n) is complex128 and its conditioning float64
+        dets, cond, bad = toeplitz._pivots(0.5 + 0.3j, 32)
+        assert (dets.dtype, cond.dtype, bad) == (np.complex128, np.float64, 0)
+        for a in (dets, cond):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
         assert (toeplitz._pivots.cache_parameters()["maxsize"]
